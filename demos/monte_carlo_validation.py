@@ -6,8 +6,7 @@ small mean Lyapunov value; the other two sit above their boundaries at
 the same alpha and drift.  A noise-free batch is then compared step by
 step against the certified expectation bound.
 
-Runs in about half a minute single-threaded; export ESAC_THREADS to
-parallelise.
+Runs in about half a minute.
 """
 import numpy as np
 

@@ -2,8 +2,8 @@
 anytime control (E-SAC).
 
 Builds the buffer-content Markov chains of the buffered schemes, certifies
-stochastic stability analytically (spectral radius, closed-form indices,
-geometric expectation bounds) and validates the certificates by closed-loop
+stochastic stability analytically (a positive witness vector, the closed-form
+Schur-complement index, geometric expectation bounds) and validates the certificates by closed-loop
 Monte Carlo simulation of the actual control algorithms.
 """
 
@@ -27,11 +27,10 @@ from .stability import (
     block_schur_g1,
     certification_matrix,
     certify,
+    closed_form_index,
     critical_alpha,
     gain_diagonal,
     is_schur,
-    omega_a1,
-    psi_a2,
     solve_certificate,
     spectral_radius,
     theorem1_bounds,
@@ -59,6 +58,7 @@ __all__ = [
     "boundary_curve",
     "certification_matrix",
     "certify",
+    "closed_form_index",
     "critical_alpha",
     "effective_availability",
     "example_system",
@@ -66,8 +66,6 @@ __all__ = [
     "is_schur",
     "min_buffer_size",
     "monte_carlo",
-    "omega_a1",
-    "psi_a2",
     "sample_env",
     "shift",
     "shift_target",

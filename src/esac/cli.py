@@ -14,8 +14,7 @@ overridden by command-line flags of the same names.  Exit codes: 0 success
 
 Numbers in CSV files are written with 12 significant digits, ``.`` decimal
 separator and ``\\n`` line endings, so identical configuration and seed
-produce byte-identical files.  ``ESAC_THREADS`` (integer >= 1) sets the
-Monte Carlo worker-thread count.
+produce byte-identical files.
 """
 from __future__ import annotations
 

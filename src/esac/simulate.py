@@ -11,18 +11,13 @@ steps only) and one uniform for the unit grant (successful transmissions
 only).  Monte Carlo run ``r`` is seeded with ``base_seed ^ r``, so runs are
 independent of execution order; the reduction accumulates in run-index
 order.  Identical configuration and seed give bit-identical trajectories.
-
-``ESAC_THREADS`` (integer >= 1) sets the default worker-thread count for
-Monte Carlo batches.
 """
 from __future__ import annotations
 
 import bisect
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -214,49 +209,26 @@ def simulate_trajectory(
     )
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("ESAC_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"ESAC_THREADS must be an integer >= 1, got {raw!r}") from exc
-    if threads < 1:
-        raise ValueError(f"ESAC_THREADS must be an integer >= 1, got {raw!r}")
-    return threads
-
-
 def monte_carlo(
     plant: PlantModel,
     config: SchemeConfig,
     horizon: int,
     runs: int,
     base_seed: int,
-    threads: int | None = None,
 ) -> MonteCarloResult:
     """Average the Lyapunov path over ``runs`` independent realizations.
 
-    Run ``r`` uses seed ``base_seed ^ r``.  Workers only compute
-    trajectories; the reduction always happens in run-index order, so the
-    result does not depend on the thread count.
+    Run ``r`` uses seed ``base_seed ^ r``; the reduction happens in
+    run-index order.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    if threads is None:
-        threads = _default_threads()
-
-    def one(r: int) -> Trajectory:
-        return simulate_trajectory(plant, config, horizon, base_seed ^ r)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trajectories = list(pool.map(one, range(runs)))
-    else:
-        trajectories = map(one, range(runs))
 
     sum_v = np.zeros(horizon + 1)
     sum_trigger = np.zeros(horizon + 1)
     divergent_runs = 0
-    for traj in trajectories:
+    for r in range(runs):
+        traj = simulate_trajectory(plant, config, horizon, base_seed ^ r)
         v = traj.v
         trig = np.abs(traj.x) > config.d
         if v.size < horizon + 1:  # divergent: carry last finite value forward

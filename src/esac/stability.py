@@ -2,15 +2,20 @@
 
 The certification matrix is ``T = Phi @ Pi`` where ``Phi`` is the diagonal
 of per-state Lyapunov gain bounds and ``Pi`` the buffer-chain transition
-matrix.  ``T`` Schur stable (Perron root < 1) certifies a geometric bound
-``E{V(x_k)} <= C1 * xi**k * E{V(x_0)} + C2`` on the expected Lyapunov value.
+matrix.  The verdict rests on a witness anyone can check: the solution
+``zeta`` of ``(I - T) zeta = nu`` with ``zeta > 0`` and
+``T zeta < (1 - SCHUR_TOL) zeta`` entry-wise, which by the Collatz-Wielandt
+bound proves the Perron root of ``T`` below 1.  It certifies a geometric
+bound ``E{V(x_k)} <= C1 * xi**k * E{V(x_0)} + C2`` on the expected
+Lyapunov value.  The Perron root itself is reported from
+``numpy.linalg.eigvals``.
 
-Alongside the spectral-radius test, two closed-form scalar indices are
-provided: ``psi_a2`` for the two-law buffered scheme (eta >= 2) and
-``omega_a1`` for the one-law scheme (eta = 1).  Each index is < 1 exactly
-when the corresponding certification matrix is Schur stable (given
-contractions < 1), and both are linear in the open-loop bound alpha, which
-yields the critical alpha in closed form.
+The closed-form index is the Schur complement of ``T`` at the empty-buffer
+state (``closed_form_index``): ``psi`` for the two-law scheme A2 and, with
+``eta = 1`` and ``rho2 = rho1``, ``omega`` for the one-law scheme A1.  Given
+contractions < 1 it is < 1 exactly when ``T`` is Schur stable, and it is
+linear in the open-loop bound alpha, which yields the critical alpha in
+closed form.
 """
 from __future__ import annotations
 
@@ -23,12 +28,8 @@ import numpy as np
 
 from .chain import BufferChain, transition_matrix
 
-#: Margin used by Schur verdicts: certified iff spectral radius < 1 - SCHUR_TOL.
+#: Margin of Schur verdicts: a witness must prove spectral radius <= 1 - SCHUR_TOL.
 SCHUR_TOL = 1e-9
-
-#: Convergence tolerance and iteration cap of the power iteration.
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 100_000
 
 CERTIFIED = "CertifiedStable"
 NOT_CERTIFIED = "NotCertified"
@@ -76,8 +77,8 @@ class CertificationReport:
     """Outcome of certifying one scheme configuration.
 
     ``closed_form`` is the scalar index (psi or omega) and is only present
-    when both contractions are < 1.  ``zeta``, ``xi``, ``c1``, ``c2`` are
-    present only when the certification matrix is Schur stable.
+    when both contractions are < 1.  ``zeta`` (the stability witness),
+    ``xi``, ``c1``, ``c2`` are present only when the verdict is certified.
     """
 
     phi: np.ndarray
@@ -116,53 +117,18 @@ def certification_matrix(phi, chain: BufferChain | np.ndarray) -> np.ndarray:
     return phi[:, None] * pi
 
 
-def _gelfand_radius(m: np.ndarray, tol: float) -> float:
-    # ||A^(2^j)||^(1/2^j) with norm scaling; nonincreasing in j for the
-    # inf-norm, used when plain power iteration fails to settle.
-    b = np.array(m, dtype=float)
-    log_scale = 0.0
-    k = 1
-    prev = math.inf
-    for _ in range(60):
-        nb = np.linalg.norm(b, ord=np.inf)
-        if nb == 0.0:
-            return 0.0
-        est = math.exp((log_scale + math.log(nb)) / k)
-        if abs(est - prev) < tol:
-            return est
-        prev = est
-        b = (b / nb) @ (b / nb)
-        log_scale = 2.0 * (log_scale + math.log(nb))
-        k *= 2
-    return prev
-
-
-def spectral_radius(m, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER) -> float:
-    """Perron root of a nonnegative square matrix.
-
-    Power iteration from the all-ones vector; the estimate is the inf-norm
-    growth factor per step.  If successive estimates fail to settle within
-    ``tol`` after ``max_iter`` iterations (reducible or periodic matrices),
-    falls back to the Gelfand limit ``||m**k||**(1/k)`` along doublings of k.
-    """
+def _nonnegative_square(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     if np.any(m < 0.0):
         raise ValueError("matrix must be entry-wise nonnegative")
-    n = m.shape[0]
-    v = np.ones(n)
-    prev = math.inf
-    for _ in range(max_iter):
-        w = m @ v
-        est = w.max()
-        if est == 0.0:
-            return 0.0
-        if abs(est - prev) < tol:
-            return est
-        prev = est
-        v = w / est
-    return _gelfand_radius(m, tol)
+    return m
+
+
+def spectral_radius(m) -> float:
+    """Perron root of a nonnegative square matrix: its largest eigenvalue modulus."""
+    return float(np.abs(np.linalg.eigvals(_nonnegative_square(m))).max())
 
 
 def is_schur(m, tol: float = SCHUR_TOL) -> bool:
@@ -171,21 +137,21 @@ def is_schur(m, tol: float = SCHUR_TOL) -> bool:
 
 
 def solve_certificate(t, nu) -> np.ndarray:
-    """Solve ``(I - T) zeta = nu`` for the positive certificate vector.
+    """Solve ``(I - T) zeta = nu`` and check that ``zeta`` is a stability witness.
 
-    ``T`` must be Schur stable and ``nu`` strictly positive; the solution is
-    then strictly positive, which is asserted.
+    ``nu`` must be strictly positive.  The solution is accepted only when
+    ``zeta > 0`` and ``T zeta < (1 - SCHUR_TOL) zeta`` entry-wise; by the
+    Collatz-Wielandt bound that proves ``rho(T) <= 1 - SCHUR_TOL`` for the
+    nonnegative ``T``.  Otherwise raises ``ValueError`` (``LinAlgError``
+    when ``I - T`` is singular).
     """
-    t = np.asarray(t, dtype=float)
+    t = _nonnegative_square(t)
     nu = np.asarray(nu, dtype=float)
     if np.any(nu <= 0.0):
         raise ValueError("nu must be strictly positive")
-    radius = spectral_radius(t)
-    if not radius < 1.0 - SCHUR_TOL:
-        raise ValueError(f"certification matrix is not Schur stable: spectral radius {radius}")
     zeta = np.linalg.solve(np.eye(t.shape[0]) - t, nu)
-    if np.any(zeta <= 0.0):  # cannot happen for nonnegative Schur T
-        raise ArithmeticError("certificate solve produced a non-positive entry")
+    if not (np.all(zeta > 0.0) and np.all(t @ zeta < (1.0 - SCHUR_TOL) * zeta)):
+        raise ValueError("certification matrix is not Schur stable: no positive witness zeta")
     return zeta
 
 
@@ -209,6 +175,12 @@ def theorem1_bounds(zeta, nu, sigma_open: float, d_bound: float) -> tuple[float,
     return xi, c1, c2
 
 
+def _schur_index(t: np.ndarray) -> float:
+    # Schur complement of T at its first row and column:
+    # t00 + t01 (I - t11)^{-1} t10.
+    return t[0, 0] + t[0, 1:] @ np.linalg.solve(np.eye(t.shape[0] - 1) - t[1:, 1:], t[1:, 0])
+
+
 def block_schur_g1(h, tol: float = SCHUR_TOL) -> tuple[float, bool]:
     """Schur test via the scalar Schur complement at the (1,1) entry.
 
@@ -221,9 +193,6 @@ def block_schur_g1(h, tol: float = SCHUR_TOL) -> tuple[float, bool]:
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 2:
         raise ValueError(f"h must be square of size >= 2, got shape {h.shape}")
-    x = h[0, 0]
-    y = h[0, 1:]
-    z = h[1:, 0]
     m = h[1:, 1:]
     if np.any(m < 0.0):
         raise ValueError("trailing block must be nonnegative")
@@ -231,55 +200,22 @@ def block_schur_g1(h, tol: float = SCHUR_TOL) -> tuple[float, bool]:
         raise ValueError("trailing block must have inf-norm < 1")
     if not np.trace(m @ m) < 1.0:
         raise ValueError("trailing block must satisfy trace(M @ M) < 1")
-    g1 = (1.0 - x) - y @ np.linalg.solve(np.eye(m.shape[0]) - m, z)
+    g1 = 1.0 - _schur_index(h)
     return g1, g1 > tol
 
 
-def _closed_form_index(t: np.ndarray) -> float:
-    # Schur complement of T at its first row/column; < 1 iff T is Schur
-    # stable whenever the trailing block is a strict contraction.
-    x = t[0, 0]
-    y = t[0, 1:]
-    z = t[1:, 0]
-    m = t[1:, 1:]
-    return x + y @ np.linalg.solve(np.eye(m.shape[0]) - m, z)
+def closed_form_index(spec: ContractionSpec, l) -> float:
+    """Closed-form stability index of the buffered schemes.
 
-
-def psi_a2(spec: ContractionSpec, l, n_max: int) -> float:
-    """Closed-form stability index of the two-law buffered scheme.
-
-    Requires ``2 <= eta <= n_max`` and both contractions < 1.  Linear in
-    ``spec.alpha``; < 1 exactly when the certification matrix is Schur
-    stable.
+    The Schur complement of ``T`` at the empty-buffer state; ``psi`` of the
+    two-law scheme A2 and, with ``ContractionSpec(eta=1, rho2=rho1)``,
+    ``omega`` of the one-law scheme A1.  Requires both contractions < 1.
+    Linear in ``spec.alpha``; < 1 exactly when ``T`` is Schur stable.
     """
-    if spec.eta < 2:
-        raise ValueError("psi_a2 requires eta >= 2; use omega_a1 for the one-law scheme")
-    if spec.eta > n_max:
-        raise ValueError(f"eta={spec.eta} exceeds n_max={n_max}")
     if not (spec.rho1 < 1.0 and spec.rho2 < 1.0):
         raise ValueError("closed form requires rho1 < 1 and rho2 < 1; use spectral_radius instead")
     chain = transition_matrix(l, spec.eta)
-    if chain.n_max != n_max:
-        raise ValueError(f"l has length {chain.n_max + 1}, expected n_max + 1 = {n_max + 1}")
-    t = certification_matrix(gain_diagonal(spec, n_max), chain)
-    return _closed_form_index(t)
-
-
-def omega_a1(alpha: float, rho1: float, l, n_max: int) -> float:
-    """Closed-form stability index of the one-law buffered scheme.
-
-    Requires ``rho1 < 1``.  Linear in ``alpha``; < 1 exactly when the
-    one-law certification matrix is Schur stable.
-    """
-    if not rho1 < 1.0:
-        raise ValueError("closed form requires rho1 < 1; use spectral_radius instead")
-    chain = transition_matrix(l, eta=1)
-    if chain.n_max != n_max:
-        raise ValueError(f"l has length {chain.n_max + 1}, expected n_max + 1 = {n_max + 1}")
-    phi = np.full(n_max + 1, rho1)
-    phi[0] = alpha
-    t = certification_matrix(phi, chain)
-    return _closed_form_index(t)
+    return _schur_index(certification_matrix(gain_diagonal(spec, chain.n_max), chain))
 
 
 class CriticalAlpha(NamedTuple):
@@ -293,14 +229,6 @@ class CriticalAlpha(NamedTuple):
         return abs(self.closed - self.bisection)
 
 
-def _t_of_alpha(scheme, eta, rho1, rho2, l, n_max, alpha):
-    spec = ContractionSpec(alpha=alpha, rho1=rho1, rho2=rho2, eta=eta)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        phi = gain_diagonal(spec, n_max)
-    return certification_matrix(phi, transition_matrix(l, eta))
-
-
 def critical_alpha(
     scheme: str,
     eta: int,
@@ -312,10 +240,11 @@ def critical_alpha(
 ) -> CriticalAlpha:
     """Open-loop bound at which the stability certificate crosses 1.
 
-    Closed-form method: the index is linear in alpha, so the boundary is
-    ``1 / index(alpha=1)``.  Bisection method: the Perron root of T(alpha)
-    is nondecreasing in alpha; bisect the root-equals-one crossing over a
-    bracket grown by doubling from alpha = 1.
+    Only row 0 of ``T`` carries alpha, so ``T(alpha)`` is ``T(1)`` with that
+    row scaled.  Closed-form method: the index is linear in alpha, so the
+    boundary is ``1 / index(alpha=1)``.  Bisection method: the Perron root
+    of T(alpha) is nondecreasing in alpha; bisect the root-equals-one
+    crossing over a bracket grown by doubling from alpha = 1.
     """
     if scheme == "A1":
         eta, rho2 = 1, rho1
@@ -324,23 +253,25 @@ def critical_alpha(
     if not (rho1 < 1.0 and rho2 < 1.0):
         raise ValueError("critical_alpha requires rho1 < 1 and rho2 < 1")
 
-    if eta == 1:
-        index_at_one = omega_a1(1.0, rho2, l, n_max)
-    else:
-        spec = ContractionSpec(alpha=1.0, rho1=rho1, rho2=rho2, eta=eta)
-        index_at_one = psi_a2(spec, l, n_max)
-    closed = 1.0 / index_at_one
+    spec = ContractionSpec(alpha=1.0, rho1=rho1, rho2=rho2, eta=eta)
+    t_one = certification_matrix(gain_diagonal(spec, n_max), transition_matrix(l, eta))
+    closed = 1.0 / _schur_index(t_one)
+
+    def radius(alpha: float) -> float:
+        t = t_one.copy()
+        t[0] *= alpha
+        return spectral_radius(t)
 
     lo, hi = 0.0, 1.0
     for _ in range(64):
-        if spectral_radius(_t_of_alpha(scheme, eta, rho1, rho2, l, n_max, hi)) >= 1.0:
+        if radius(hi) >= 1.0:
             break
         lo, hi = hi, 2.0 * hi
     else:
         raise ArithmeticError("bisection bracket failure: spectral radius stayed below 1")
     while hi - lo > bisect_tol:
         mid = 0.5 * (lo + hi)
-        if spectral_radius(_t_of_alpha(scheme, eta, rho1, rho2, l, n_max, mid)) < 1.0:
+        if radius(mid) < 1.0:
             lo = mid
         else:
             hi = mid
@@ -351,39 +282,34 @@ def certify(spec: ContractionSpec, l, nu=None) -> CertificationReport:
     """Run the full certification pipeline for one configuration.
 
     Builds the buffer chain from ``l`` and the gain diagonal from ``spec``,
-    computes the Perron root of ``T`` and, where defined, the closed-form
-    index and the geometric-bound constants for ``nu`` (default all-ones).
+    and solves for the witness ``zeta`` with ``nu`` (default all-ones): the
+    verdict is CertifiedStable exactly when :func:`solve_certificate`
+    accepts it.  The report also carries the Perron root of ``T``, the
+    closed-form index where defined, and the geometric-bound constants.
     """
     chain = transition_matrix(l, spec.eta)
     n_max = chain.n_max
     phi = gain_diagonal(spec, n_max)
     t = certification_matrix(phi, chain)
-    radius = spectral_radius(t)
+    closed_form = _schur_index(t) if spec.rho1 < 1.0 and spec.rho2 < 1.0 else None
 
-    closed_form = None
-    if spec.rho1 < 1.0 and spec.rho2 < 1.0:
-        if spec.eta == 1:
-            closed_form = omega_a1(spec.alpha, spec.rho2, l, n_max)
-        else:
-            closed_form = psi_a2(spec, l, n_max)
-
-    zeta = xi = c1 = c2 = None
-    verdict = NOT_CERTIFIED
-    if radius < 1.0 - SCHUR_TOL:
-        verdict = CERTIFIED
-        if nu is None:
-            nu = np.ones(n_max + 1)
-        nu = np.asarray(nu, dtype=float)
+    nu = np.ones(n_max + 1) if nu is None else np.asarray(nu, dtype=float)
+    if nu.shape != (n_max + 1,) or np.any(nu <= 0.0):
+        raise ValueError(f"nu must be {n_max + 1} strictly positive entries")
+    try:
         zeta = solve_certificate(t, nu)
+    except ValueError:  # no witness, including a singular I - T
+        zeta = xi = c1 = c2 = None
+    else:
         xi, c1, c2 = theorem1_bounds(zeta, nu, spec.sigma_open, spec.d_bound)
     return CertificationReport(
         phi=phi,
         t_matrix=t,
-        spectral_radius=radius,
+        spectral_radius=spectral_radius(t),
         closed_form=closed_form,
         zeta=zeta,
         xi=xi,
         c1=c1,
         c2=c2,
-        verdict=verdict,
+        verdict=NOT_CERTIFIED if zeta is None else CERTIFIED,
     )

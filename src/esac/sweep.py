@@ -7,7 +7,7 @@ spectral-radius values (and their discrepancy) travel together.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np

@@ -93,6 +93,11 @@ class TestCertifyCommand:
         out = capsys.readouterr().out
         assert code == 2
         assert "NotCertified" in out
+        # T = Pi here, so I - T is singular: still a verdict, not an error.
+        with pytest.warns(UserWarning, match="no better than coarse"):
+            code = main(["certify", "--alpha", "1", "--rho1", "1", "--rho2", "1"])
+        assert code == 2
+        assert "NotCertified" in capsys.readouterr().out
 
     def test_labels_aligned(self):
         cfg = parse_config("alpha = 1.35\nrho1 = 0.9\nrho2 = 0.45")

@@ -5,7 +5,6 @@ import pytest
 
 from esac.schemes import ControlLaw
 from esac.simulate import (
-    MonteCarloResult,
     PlantModel,
     SchemeConfig,
     example_system,
@@ -156,22 +155,6 @@ class TestMonteCarlo:
         t0 = simulate_trajectory(plant, config, horizon=40, seed=5 ^ 0)
         t1 = simulate_trajectory(plant, config, horizon=40, seed=5 ^ 1)
         np.testing.assert_allclose(result.mean_v, (t0.v + t1.v) / 2.0, rtol=1e-15)
-
-    def test_thread_count_does_not_change_result(self):
-        plant, config = bench_config()
-        serial = monte_carlo(plant, config, horizon=30, runs=16, base_seed=7, threads=1)
-        parallel = monte_carlo(plant, config, horizon=30, runs=16, base_seed=7, threads=4)
-        np.testing.assert_array_equal(serial.mean_v, parallel.mean_v)
-        np.testing.assert_array_equal(serial.trigger_rate, parallel.trigger_rate)
-
-    def test_threads_env_var(self, monkeypatch):
-        plant, config = bench_config()
-        monkeypatch.setenv("ESAC_THREADS", "2")
-        result = monte_carlo(plant, config, horizon=10, runs=4, base_seed=1)
-        assert isinstance(result, MonteCarloResult)
-        monkeypatch.setenv("ESAC_THREADS", "zero")
-        with pytest.raises(ValueError):
-            monte_carlo(plant, config, horizon=10, runs=4, base_seed=1)
 
     def test_trigger_rate_shape_and_range(self):
         plant, config = bench_config()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from esac.acceptance import random_config
 from esac.channel import effective_availability
 from esac.stability import (
     CERTIFIED,
@@ -13,11 +14,10 @@ from esac.stability import (
     block_schur_g1,
     certification_matrix,
     certify,
+    closed_form_index,
     critical_alpha,
     gain_diagonal,
     is_schur,
-    omega_a1,
-    psi_a2,
     solve_certificate,
     spectral_radius,
     theorem1_bounds,
@@ -87,9 +87,8 @@ class TestSpectralRadius:
         m /= m.sum(axis=1, keepdims=True)
         assert spectral_radius(m) == pytest.approx(1.0, abs=1e-9)
 
-    def test_periodic_matrix_uses_gelfand_fallback(self):
-        # Power iteration oscillates on this 2-cycle; the Gelfand limit
-        # still gives the true radius sqrt(2 * 0.5) = 1.
+    def test_periodic_matrix(self):
+        # A 2-cycle with no dominant row: the radius is sqrt(2 * 0.5) = 1.
         assert spectral_radius([[0.0, 2.0], [0.5, 0.0]]) == pytest.approx(
             1.0, abs=1e-6
         )
@@ -113,6 +112,13 @@ class TestSpectralRadius:
         m = scale * rng.uniform(0.0, 1.0, (n, n))
         expected = max(abs(np.linalg.eigvals(m)))
         assert spectral_radius(m) == pytest.approx(expected, rel=1e-8, abs=1e-8)
+        # Certification matrices of acceptance criterion 2, whose rows often
+        # share their largest sum, which a stopping rule can mistake for
+        # convergence.
+        for _ in range(20):
+            t = certify(*random_config(rng)).t_matrix
+            expected = max(abs(np.linalg.eigvals(t)))
+            assert spectral_radius(t) == pytest.approx(expected, rel=0.0, abs=1e-10)
 
 
 class TestCertificate:
@@ -181,51 +187,48 @@ class TestBlockSchur:
 class TestClosedForms:
     def test_psi_q1_frozen_ratio(self):
         spec = ContractionSpec(alpha=1.0, rho1=0.9, rho2=0.45, eta=2)
-        assert psi_a2(spec, L_BENCH, 4) == pytest.approx(
+        assert closed_form_index(spec, L_BENCH) == pytest.approx(
             PSI_PER_ALPHA_Q1, rel=1e-12
         )
 
     def test_psi_q2_frozen_ratio(self):
         spec = ContractionSpec(alpha=1.0, rho1=0.9, rho2=0.45, eta=3)
-        assert psi_a2(spec, L_BENCH, 4) == pytest.approx(
+        assert closed_form_index(spec, L_BENCH) == pytest.approx(
             PSI_PER_ALPHA_Q2, rel=1e-12
         )
 
     def test_omega_q3_frozen_ratio(self):
-        assert omega_a1(1.0, 0.9, L_BENCH, 4) == pytest.approx(
+        spec = ContractionSpec(alpha=1.0, rho1=0.9, rho2=0.9, eta=1)
+        assert closed_form_index(spec, L_BENCH) == pytest.approx(
             OMEGA_PER_ALPHA_Q3, rel=1e-12
         )
 
     def test_psi_linear_in_alpha(self):
         s1 = ContractionSpec(alpha=1.0, rho1=0.9, rho2=0.45, eta=2)
         s2 = ContractionSpec(alpha=1.7, rho1=0.9, rho2=0.45, eta=2)
-        assert psi_a2(s2, L_BENCH, 4) == pytest.approx(
-            1.7 * psi_a2(s1, L_BENCH, 4), rel=1e-12
+        assert closed_form_index(s2, L_BENCH) == pytest.approx(
+            1.7 * closed_form_index(s1, L_BENCH), rel=1e-12
         )
 
     def test_omega_single_slot_buffer(self):
         # n_max = 1, l = [1/2, 1/2], rho1 = 1/2: Omega = (2/3) alpha.
-        assert omega_a1(1.0, 0.5, [0.5, 0.5], 1) == pytest.approx(
+        spec = ContractionSpec(alpha=1.0, rho1=0.5, rho2=0.5, eta=1)
+        assert closed_form_index(spec, [0.5, 0.5]) == pytest.approx(
             2.0 / 3.0, rel=1e-12
         )
-
-    def test_psi_rejects_eta_one(self):
-        spec = ContractionSpec(alpha=1.0, rho1=0.9, rho2=0.45, eta=1)
-        with pytest.raises(ValueError):
-            psi_a2(spec, L_BENCH, 4)
 
     def test_closed_form_requires_contractions(self):
         spec = ContractionSpec(alpha=1.0, rho1=1.1, rho2=0.45, eta=2)
         with pytest.raises(ValueError):
-            psi_a2(spec, L_BENCH, 4)
+            closed_form_index(spec, L_BENCH)
         with pytest.raises(ValueError):
-            omega_a1(1.0, 1.0, L_BENCH, 4)
+            closed_form_index(ContractionSpec(alpha=1.0, rho1=1.0, rho2=1.0, eta=1), L_BENCH)
 
     def test_index_one_exactly_at_perron_root_one(self):
         # At alpha = alpha* the Perron root of T is 1 and so is the index.
         alpha_star = 1.0 / PSI_PER_ALPHA_Q1
         spec = ContractionSpec(alpha=alpha_star, rho1=0.9, rho2=0.45, eta=2)
-        assert psi_a2(spec, L_BENCH, 4) == pytest.approx(1.0, rel=1e-12)
+        assert closed_form_index(spec, L_BENCH) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestCriticalAlpha:
@@ -306,9 +309,21 @@ class TestCertify:
                 eta=eta,
             )
             report = certify(spec, l)
+            if report.certified:
+                assert np.all(report.zeta > 0.0)
+                assert np.all(report.t_matrix @ report.zeta < report.zeta)
             if abs(report.closed_form - 1.0) < 1e-8:
                 continue
             assert report.certified == (report.closed_form < 1.0)
+
+    def test_singular_i_minus_t_is_not_certified(self):
+        # rho1 = rho2 = alpha = 1 gives T = Pi, which has eigenvalue 1.
+        with pytest.warns(UserWarning):
+            spec = ContractionSpec(alpha=1.0, rho1=1.0, rho2=1.0, eta=2)
+        report = certify(spec, L_BENCH)
+        assert report.verdict == NOT_CERTIFIED
+        assert report.zeta is None and report.closed_form is None
+        assert report.spectral_radius == pytest.approx(1.0, abs=1e-12)
 
     def test_custom_nu(self):
         spec = ContractionSpec(alpha=1.2, rho1=0.9, rho2=0.45, eta=2)
