@@ -25,7 +25,9 @@ class ControlLaw:
 
     ``contraction`` is the Lyapunov contraction factor the law achieves on
     the plant it was designed for; it is carried for bookkeeping and not
-    used by the step functions.
+    used by the step functions.  ``evaluate`` must also work elementwise on
+    a float array, giving each element its scalar value, because the
+    batched Monte Carlo engine in :mod:`esac.simulate` calls it on arrays.
     """
 
     evaluate: Callable

@@ -5,12 +5,31 @@ Each step: check the trigger ``|x| > d``, sample the environment outcome
 plant with an additive normal disturbance.
 
 Randomness comes from one ``numpy.random.Generator`` (PCG64) per
-trajectory with a fixed draw order: the whole disturbance stream is drawn
-up front, then per step one uniform for the channel outcome (triggered
-steps only) and one uniform for the unit grant (successful transmissions
-only).  Monte Carlo run ``r`` is seeded with ``base_seed ^ r``, so runs are
-independent of execution order; the reduction accumulates in run-index
-order.  Identical configuration and seed give bit-identical trajectories.
+trajectory with a fixed draw order: the whole disturbance stream
+``standard_normal(horizon)`` is drawn up front, then ``2 * horizon``
+uniforms, consumed in order: per step one for the channel outcome
+(triggered steps only) and one for the unit grant (successful
+transmissions only).  Drawing the uniforms as one array gives the same
+numbers as drawing them one at a time.  Monte Carlo run ``r`` is seeded
+with ``base_seed ^ r``, so runs are independent of execution order; the
+reduction accumulates in run-index order.  Identical configuration and seed
+give bit-identical trajectories.
+
+:func:`monte_carlo` has two engines with bit-identical results.  A call of
+at least ``_BATCH_MIN_RUNS`` (16) runs advances its runs together: the state is
+an array with one entry per run, the buffers an array with one row per
+slot, and each step does the trigger test, the draws, the shift, the clear,
+a refill loop over the slots and the plant step on whole arrays.  One code
+path serves all four schemes: A1 is A2 with ``eta = 1`` and the coarse law
+in place of the fine law, B2 is A2 with one slot, and B1 is both.  Each
+step adds the runs' Lyapunov values one run at a time in run order, as the
+per-run loop does.  Narrower calls run :func:`simulate_trajectory` once per
+run, which is faster there because numpy's cost per call outweighs a width
+of a few runs.
+
+Plant and law callables must therefore work elementwise on float arrays as
+well as on scalars (``np.sin``, not ``math.sin``), giving each element the
+value the scalar call gives.
 """
 from __future__ import annotations
 
@@ -27,12 +46,22 @@ from .schemes import Buffer, ControlLaw, a1_step, a2_step, b_step
 #: States beyond this magnitude mark a run as divergent.
 DIVERGENCE_LIMIT = 1e12
 
+#: Narrowest ``monte_carlo`` call that takes the batched engine: the measured
+#: crossover, where both engines run the benchmark loops equally fast.
+_BATCH_MIN_RUNS = 16
+
+#: Pre-drawn numbers (one disturbance and two uniforms per run and step)
+#: held by one batch at most, which bounds a batch's memory to 8 MiB.
+_BATCH_MAX_DRAWS = 1 << 21
+
 
 @dataclass(frozen=True)
 class PlantModel:
     """Discrete-time plant ``x' = step(x, u, w)`` with disturbance scale.
 
-    ``lyapunov`` maps a state to its nonnegative Lyapunov value.
+    ``lyapunov`` maps a state to its nonnegative Lyapunov value.  Both
+    callables must also work elementwise on float arrays (see the module
+    docstring).
     """
 
     step: Callable
@@ -59,6 +88,14 @@ class SchemeConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.scheme in ("B2", "A2") and self.kappa2 is None:
             raise ValueError(f"scheme {self.scheme} requires a fine law")
+        if self.eta < 1:
+            raise ValueError(f"eta must be >= 1, got {self.eta}")
+        if self.buffer_size < 1:
+            raise ValueError(f"buffer_size must be >= 1, got {self.buffer_size}")
+        if not 0.0 <= self.q <= 1.0:
+            raise ValueError(f"q must lie in [0, 1], got {self.q}")
+        if not all(v >= 0.0 for v in self.p) or not 0.0 < sum(self.p) < math.inf:
+            raise ValueError(f"p must be nonnegative with a positive finite sum, got {self.p}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,13 +143,14 @@ class MonteCarloResult:
         return float(self.trigger_rate.mean())
 
 
-def _sample_env_cum(rng, trigger: bool, q: float, cum: list) -> tuple[int, int]:
-    # cum is the running sum of p; inverse-transform draw on the grant pmf.
+def _sample_env_cum(draw, trigger: bool, q: float, cum: list) -> tuple[int, int]:
+    # draw() returns the next uniform; cum is the running sum of p;
+    # inverse-transform draw on the grant pmf.
     if not trigger:
         return 2, 0
-    if rng.random() >= q:
+    if draw() >= q:
         return 0, 0
-    n = bisect.bisect_right(cum, rng.random() * cum[-1])
+    n = bisect.bisect_right(cum, draw() * cum[-1])
     return 1, min(n, len(cum) - 1)
 
 
@@ -123,7 +161,7 @@ def sample_env(rng: np.random.Generator, trigger: bool, q: float, p) -> tuple[in
     successfully with probability ``q``; on success the unit grant is drawn
     from ``p`` by inverse transform, otherwise ``(0, 0)``.
     """
-    return _sample_env_cum(rng, trigger, q, list(itertools.accumulate(p)))
+    return _sample_env_cum(rng.random, trigger, q, list(itertools.accumulate(p)))
 
 
 def _scheme_stepper(config: SchemeConfig):
@@ -159,9 +197,12 @@ def simulate_trajectory(
     stepper = _scheme_stepper(config)
     f = lambda x, u: plant.step(x, u, 0.0)  # noqa: E731  (prediction model)
 
-    # Pre-drawing the disturbance stream keeps the step loop lean while the
-    # channel draws stay event-dependent.
-    noise = rng.standard_normal(horizon) * plant.noise_std
+    # Pre-drawing both streams keeps the step loop lean; the channel draws
+    # stay event-dependent by consuming the uniforms only as needed.  The
+    # memoryviews hand out Python floats, which are cheaper than numpy
+    # scalars in the scalar arithmetic below.
+    noise = memoryview(rng.standard_normal(horizon) * plant.noise_std)
+    draw = iter(memoryview(rng.random(2 * horizon))).__next__
 
     xs = np.empty(horizon + 1)
     vs = np.empty(horizon + 1)
@@ -173,8 +214,9 @@ def simulate_trajectory(
 
     x = plant.x0
     buf = Buffer.empty(config.buffer_size)
+    step, lyapunov, d, q = plant.step, plant.lyapunov, config.d, config.q
     xs[0] = x
-    vs[0] = plant.lyapunov(x)
+    vs[0] = lyapunov(x)
     cum_p = list(itertools.accumulate(config.p))
     divergent = False
     k = 0
@@ -182,20 +224,19 @@ def simulate_trajectory(
         if forced_env is not None:
             gamma, n = forced_env[k]
         else:
-            trigger = abs(x) > config.d
-            gamma, n = _sample_env_cum(rng, trigger, config.q, cum_p)
+            gamma, n = _sample_env_cum(draw, abs(x) > d, q, cum_p)
         u, buf = stepper(buf, x, gamma, n, f)
-        x = plant.step(x, u, noise[k])
+        x = step(x, u, noise[k])
         gammas[k] = gamma
         ns[k] = n
         us[k] = u
         fines[k] = buf.fine_count
         coarses[k] = buf.coarse_count
-        if not math.isfinite(x) or abs(x) > DIVERGENCE_LIMIT:
+        if not abs(x) <= DIVERGENCE_LIMIT:  # also catches inf and nan
             divergent = True
             break
         xs[k + 1] = x
-        vs[k + 1] = plant.lyapunov(x)
+        vs[k + 1] = lyapunov(x)
     end = k + 1 if not divergent else k
     return Trajectory(
         x=xs[: end + 1],
@@ -219,24 +260,33 @@ def monte_carlo(
     """Average the Lyapunov path over ``runs`` independent realizations.
 
     Run ``r`` uses seed ``base_seed ^ r``; the reduction happens in
-    run-index order.
+    run-index order.  Wide calls take the batched engine, narrow ones the
+    per-run loop (see the module docstring); both give the same bits.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
 
     sum_v = np.zeros(horizon + 1)
     sum_trigger = np.zeros(horizon + 1)
     divergent_runs = 0
-    for r in range(runs):
-        traj = simulate_trajectory(plant, config, horizon, base_seed ^ r)
-        v = traj.v
-        trig = np.abs(traj.x) > config.d
-        if v.size < horizon + 1:  # divergent: carry last finite value forward
-            v = np.concatenate([v, np.full(horizon + 1 - v.size, v[-1])])
-            trig = np.concatenate([trig, np.ones(horizon + 1 - trig.size, dtype=bool)])
-        sum_v += v
-        sum_trigger += trig
-        divergent_runs += traj.divergent
+    if runs >= _BATCH_MIN_RUNS:
+        width = max(_BATCH_MIN_RUNS, _BATCH_MAX_DRAWS // (3 * horizon))
+        for first in range(0, runs, width):
+            seeds = [base_seed ^ r for r in range(first, min(runs, first + width))]
+            divergent_runs += _run_batch(plant, config, horizon, seeds, sum_v, sum_trigger)
+    else:
+        for r in range(runs):
+            traj = simulate_trajectory(plant, config, horizon, base_seed ^ r)
+            v = traj.v
+            trig = np.abs(traj.x) > config.d
+            if v.size < horizon + 1:  # divergent: carry last finite value forward
+                v = np.concatenate([v, np.full(horizon + 1 - v.size, v[-1])])
+                trig = np.concatenate([trig, np.ones(horizon + 1 - trig.size, dtype=bool)])
+            sum_v += v
+            sum_trigger += trig
+            divergent_runs += traj.divergent
     return MonteCarloResult(
         horizon=horizon,
         runs=runs,
@@ -244,6 +294,111 @@ def monte_carlo(
         trigger_rate=sum_trigger / runs,
         divergent_runs=divergent_runs,
     )
+
+
+def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int, seeds: list,
+               sum_v: np.ndarray, sum_trigger: np.ndarray) -> int:
+    """Advance the runs seeded ``seeds`` together and add them into the sums.
+
+    Consumes each run's streams exactly as :func:`simulate_trajectory` does
+    and returns the number of runs that diverged.  A diverged run keeps its
+    last finite Lyapunov value and counts as triggered; its state is parked
+    at zero so that it stays finite.
+    """
+    width = len(seeds)
+    # Each uniform is stored as the two outcomes it can decide: a transmit
+    # flag (``u < q``) when read as the channel draw, and a grant when read
+    # as the grant draw; min(bisect_right(cum, v), len(cum) - 1) equals
+    # bisect_right(cum[:-1], v).  That takes 2 bytes per draw, not 8.
+    cum = list(itertools.accumulate(config.p))
+    inner, total = np.array(cum[:-1]), cum[-1]
+    noise = np.empty((horizon, width))
+    transmits = np.empty((width, 2 * horizon), dtype=bool)
+    grants = np.empty((width, 2 * horizon), dtype=np.min_scalar_type(len(cum) - 1))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        noise[:, i] = rng.standard_normal(horizon)
+        uniforms = rng.random(2 * horizon)
+        transmits[i] = uniforms < config.q
+        grants[i] = np.searchsorted(inner, uniforms * total, side="right")
+    noise *= plant.noise_std
+    transmits, grants = transmits.ravel(), grants.ravel()
+    cursor = np.arange(width) * (2 * horizon)  # flat index of each run's next draw
+
+    buffered = config.scheme in ("A1", "A2")
+    two_law = config.scheme in ("A2", "B2")
+    buf = np.zeros((config.buffer_size if buffered else 1, width))  # slot-major
+    eta = config.eta if two_law else 1
+    kappa2 = config.kappa2 if two_law else config.kappa1
+
+    x = np.full(width, plant.x0, dtype=float)
+    v = plant.lyapunov(x)
+    dead = np.zeros(width, dtype=bool)
+    trig = np.abs(x) > config.d
+    ordered = np.empty(width + 1)
+
+    def add(k):
+        # Sequential sum in run order (cumsum, not a pairwise sum), continuing
+        # the running total, as the per-run loop adds its runs.
+        ordered[0] = sum_v[k]
+        ordered[1:] = v
+        sum_v[k] = np.cumsum(ordered, out=ordered)[-1]
+        sum_trigger[k] += np.count_nonzero(trig)
+
+    add(0)
+    for k in range(horizon):
+        sent = trig & transmits[cursor]
+        cursor += trig
+        n = grants[cursor]
+        cursor += sent
+        buf[:-1] = buf[1:]
+        buf[-1] = 0.0
+        buf[:, ~trig] = 0.0
+        grant = np.flatnonzero(sent & (n > 0))
+        if grant.size:
+            _refill_rows(buf, x[grant], grant, n[grant].astype(np.intp), eta, config.kappa1, kappa2,
+                    plant.step)
+        x = plant.step(x, buf[0], noise[k])
+        size = np.abs(x)
+        finite = size <= DIVERGENCE_LIMIT  # false for inf and nan too
+        if np.count_nonzero(finite) < width:
+            dead |= ~finite
+            x[dead] = 0.0
+            buf[:, dead] = 0.0
+        v = np.where(dead, v, plant.lyapunov(x))
+        trig = (size > config.d) | dead
+        add(k + 1)
+    return int(np.count_nonzero(dead))
+
+
+def _refill_rows(buf, chi, rows, n, eta, kappa1, kappa2, step):
+    """Overwrite the buffers ``rows`` with predictions from the states ``chi``.
+
+    A grant of ``n`` units gives ``n // eta`` fine-law entries, then
+    ``n % eta`` coarse-law ones, truncated at the buffer size; each entry
+    is the law applied to the state predicted by the noise-free plant.
+    """
+    fine = n // eta
+    count = np.minimum(fine + n % eta, buf.shape[0])
+    buf[:, rows] = 0.0
+    for j in range(buf.shape[0]):
+        use_fine = fine > j
+        fine_rows = np.count_nonzero(use_fine)
+        if fine_rows == rows.size:
+            u = kappa2(chi)
+        elif fine_rows == 0:
+            u = kappa1(chi)
+        else:
+            u = np.where(use_fine, kappa2(chi), kappa1(chi))
+        buf[j, rows] = u
+        # Predict the next state only for the rows that have another entry.
+        live = count > j + 1
+        more = np.count_nonzero(live)
+        if more == 0:
+            break
+        if more < rows.size:
+            rows, chi, u, fine, count = rows[live], chi[live], u[live], fine[live], count[live]
+        chi = step(chi, u, 0.0)
 
 
 def example_system(rho1: float = 0.9):
@@ -255,14 +410,14 @@ def example_system(rho1: float = 0.9):
     takes the contraction ``c2`` it should achieve.  ``V(x) = |x|``.
     """
     plant = PlantModel(
-        step=lambda x, u, w: -1.34 * x + 0.01 * math.sin(x) + u + w,
+        step=lambda x, u, w: -1.34 * x + 0.01 * np.sin(x) + u + w,
         noise_std=1.0,
         x0=20.0,
         lyapunov=abs,
     )
 
     def law(c):
-        return lambda x: 1.34 * x - 0.01 * math.sin(x) + c * abs(x)
+        return lambda x: 1.34 * x - 0.01 * np.sin(x) + c * abs(x)
 
     kappa1 = ControlLaw(evaluate=law(rho1), cost_units=1, contraction=rho1)
 

@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +192,33 @@ class TestSimulateCommand:
         c = tmp_path / "c.csv"
         main(common[:-1] + ["4", "--output", str(c)])
         assert a.read_bytes() != c.read_bytes()
+
+
+DATA = Path(__file__).parent / "data"
+A2 = ["--scheme", "A2", "--eta", "2", "--rho1", "0.9", "--rho2", "0.45"]
+
+#: ``esac simulate`` runs whose output files were captured from the per-run
+#: Monte Carlo loop (before the batched engine existed), with ``--seed 3``.
+#: Narrow calls take the per-run path, wide ones the batched engine; the
+#: B1 run has diverging runs.
+GOLDEN = {
+    "a2_narrow": A2 + ["--runs", "6", "--horizon", "120"],
+    "a2_wide": A2 + ["--runs", "40", "--horizon", "120"],
+    "a1_wide": ["--scheme", "A1", "--rho1", "0.9", "--runs", "40", "--horizon", "120"],
+    "b1_wide": ["--scheme", "B1", "--rho1", "0.9", "--runs", "40", "--horizon", "200"],
+    "b2_wide": ["--scheme", "B2", "--eta", "2", "--rho1", "0.9", "--rho2", "0.45",
+                "--runs", "40", "--horizon", "120"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_simulate_golden_bytes(name, tmp_path, capsys):
+    out, traj = tmp_path / "mc.csv", tmp_path / "traj.csv"
+    code = main(["simulate", *GOLDEN[name], "--seed", "3",
+                 "--output", str(out), "--trajectory-csv", str(traj)])
+    assert code == 0
+    assert out.read_bytes() == (DATA / f"simulate_{name}.csv").read_bytes()
+    assert traj.read_bytes() == (DATA / f"trajectory_{name}.csv").read_bytes()
 
 
 def test_example1_command(capsys):

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import esac.simulate
 from esac.schemes import ControlLaw
 from esac.simulate import (
     PlantModel,
@@ -30,6 +32,57 @@ def bench_config(scheme="A2", rho2=0.45, eta=2, buffer_size=3, q=0.5, p=BENCH_P)
         p=p,
     )
     return plant, config
+
+
+def divergent_plant():
+    return PlantModel(step=lambda x, u, w: 10.0 * x + u + w, noise_std=1.0, x0=1.0,
+                      lyapunov=abs)
+
+
+def noise_free_plant():
+    plant, _, _ = example_system()
+    return PlantModel(step=plant.step, noise_std=0.0, x0=20.0, lyapunov=abs)
+
+
+def reference_monte_carlo(plant, config, horizon, runs, base_seed):
+    """Mean over ``simulate_trajectory`` runs, added one run at a time."""
+    sum_v = np.zeros(horizon + 1)
+    sum_trigger = np.zeros(horizon + 1)
+    divergent = 0
+    for r in range(runs):
+        traj = simulate_trajectory(plant, config, horizon, base_seed ^ r)
+        v = np.full(horizon + 1, traj.v[-1])
+        v[: traj.v.size] = traj.v
+        trig = np.ones(horizon + 1, dtype=bool)
+        trig[: traj.x.size] = np.abs(traj.x) > config.d
+        sum_v += v
+        sum_trigger += trig
+        divergent += traj.divergent
+    return sum_v / runs, sum_trigger / runs, divergent
+
+
+class TestSchemeConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("eta", 0),
+        ("eta", -1),
+        ("buffer_size", 0),
+        ("q", 1.5),
+        ("q", -0.1),
+        ("q", float("nan")),
+        ("p", (0.5, -0.1, 0.6)),
+        ("p", (0.0, 0.0)),
+        ("p", ()),
+        ("p", (0.5, float("nan"))),
+    ])
+    @pytest.mark.parametrize("scheme", ["A2", "B2"])
+    def test_rejects_bad_value(self, scheme, field, value):
+        _, config = bench_config(scheme=scheme)
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(config, **{field: value})
+
+    def test_accepts_edge_values(self):
+        _, config = bench_config(q=1.0, p=(0.0, 1.0))
+        assert dataclasses.replace(config, q=0.0).q == 0.0
 
 
 class TestSampleEnv:
@@ -186,6 +239,58 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(plant, config, horizon=10, runs=0, base_seed=1)
 
+    @pytest.mark.parametrize("runs", [1, 64])
+    def test_rejects_zero_horizon(self, runs):
+        plant, config = bench_config()
+        with pytest.raises(ValueError, match="horizon"):
+            monte_carlo(plant, config, horizon=0, runs=runs, base_seed=1)
+
+
+WIDTHS = [5, esac.simulate._BATCH_MIN_RUNS, 40]
+
+
+class TestMonteCarloOracle:
+    """Both engines equal the run-order mean of ``simulate_trajectory`` bit for bit."""
+
+    def check(self, plant, config, horizon, runs, base_seed):
+        result = monte_carlo(plant, config, horizon, runs, base_seed)
+        mean_v, trigger_rate, divergent = reference_monte_carlo(
+            plant, config, horizon, runs, base_seed)
+        np.testing.assert_array_equal(result.mean_v, mean_v)
+        np.testing.assert_array_equal(result.trigger_rate, trigger_rate)
+        assert result.divergent_runs == divergent
+        return result
+
+    @pytest.mark.parametrize("runs", WIDTHS)
+    @pytest.mark.parametrize("scheme, eta, buffer_size", [
+        ("A1", 1, 3), ("A2", 2, 3), ("A2", 3, 2), ("B1", 1, 1), ("B2", 2, 1),
+    ])
+    def test_schemes(self, scheme, eta, buffer_size, runs):
+        plant, config = bench_config(scheme=scheme, eta=eta, buffer_size=buffer_size,
+                                     p=(0.1, 0.2, 0.3, 0.2, 0.2))
+        self.check(plant, config, horizon=60, runs=runs, base_seed=11)
+
+    @pytest.mark.parametrize("runs", WIDTHS)
+    @pytest.mark.parametrize("scheme", ["A2", "B1"])
+    def test_divergent_plant(self, scheme, runs):
+        _, config = bench_config(scheme=scheme, eta=2 if scheme == "A2" else 1, q=0.3)
+        result = self.check(divergent_plant(), config, horizon=40, runs=runs, base_seed=3)
+        assert result.divergent_runs > 0
+
+    @pytest.mark.parametrize("runs", WIDTHS)
+    def test_noise_free_plant(self, runs):
+        _, config = bench_config()
+        self.check(noise_free_plant(), config, horizon=60, runs=runs, base_seed=8)
+
+    def test_runs_split_into_batches(self, monkeypatch):
+        # 45 runs in batches of 20, 20 and 5: the run-order sum continues
+        # across batch boundaries.
+        horizon = 30
+        monkeypatch.setattr(esac.simulate, "_BATCH_MAX_DRAWS", 3 * horizon * 20)
+        plant, config = bench_config()
+        self.check(plant, config, horizon=horizon, runs=45, base_seed=21)
+        self.check(divergent_plant(), config, horizon=horizon, runs=45, base_seed=21)
+
 
 class TestExampleSystem:
     def test_coarse_law_contracts_exactly(self):
@@ -201,6 +306,20 @@ class TestExampleSystem:
         assert kappa2.contraction == 0.45
         nxt = plant.step(-3.0, kappa2(-3.0), 0.0)
         assert nxt == pytest.approx(0.45 * 3.0, rel=1e-9)
+
+    def test_array_evaluation_matches_scalar(self):
+        plant, kappa1, kappa2_factory = example_system()
+        kappa2 = kappa2_factory(0.45, cost_units=2)
+        rng = np.random.default_rng(4)
+        x = np.concatenate([rng.normal(0.0, 30.0, 2000), rng.uniform(-1e12, 1e12, 2000),
+                            [0.0, -0.0, 1.0, -1.0, 1e-300]])
+        u = rng.normal(0.0, 30.0, x.size)
+        w = rng.standard_normal(x.size)
+        expected = [plant.step(float(a), float(b), float(c)) for a, b, c in zip(x, u, w)]
+        np.testing.assert_array_equal(plant.step(x, u, w), expected)
+        for law in (kappa1, kappa2):
+            np.testing.assert_array_equal(law(x), [law(float(a)) for a in x])
+        np.testing.assert_array_equal(plant.lyapunov(x), [plant.lyapunov(float(a)) for a in x])
 
     def test_plant_shape(self):
         plant, _, _ = example_system()
