@@ -9,7 +9,7 @@ Monte Carlo simulation of the actual control algorithms.
 
 from .channel import ChannelModel, effective_availability
 from .chain import BufferChain, min_buffer_size, shift_target, state_space, transition_matrix
-from .schemes import Buffer, ControlLaw, a1_step, a2_step, b_step, shift
+from .schemes import Buffer, ControlLaw
 from .simulate import (
     MonteCarloResult,
     PlantModel,
@@ -51,9 +51,6 @@ __all__ = [
     "SchemeConfig",
     "SweepSpec",
     "Trajectory",
-    "a1_step",
-    "a2_step",
-    "b_step",
     "block_schur_g1",
     "boundary_curve",
     "certification_matrix",
@@ -67,7 +64,6 @@ __all__ = [
     "min_buffer_size",
     "monte_carlo",
     "sample_env",
-    "shift",
     "shift_target",
     "simulate_trajectory",
     "solve_certificate",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .chain import min_buffer_size, transition_matrix
 from .channel import ChannelModel, effective_availability
-from .schemes import Buffer, a1_step, a2_step
+from .schemes import Buffer
 from .simulate import PlantModel, SchemeConfig, example_system, monte_carlo, simulate_trajectory
 from .stability import ContractionSpec, block_schur_g1, certify, critical_alpha
 from .sweep import SweepSpec, boundary_curve
@@ -145,14 +145,14 @@ def criterion_transition_matrix(steps: int = 100_000, seed: int = 7) -> Criterio
     plant, kappa1, kappa2_factory = example_system()
     kappa2 = kappa2_factory(0.45)
     f = lambda x, u: plant.step(x, u, 0.0)  # noqa: E731
-    buf = Buffer.empty(min_buffer_size("A2", eta, n_max))
+    buf = Buffer(min_buffer_size("A2", eta, n_max))
     counts = np.zeros((n_max + 1, n_max + 1))
     x = 10.0
     for _ in range(steps):
         i = buf.fine_count * eta + buf.coarse_count
         gamma = 1 if rng.random() < BENCH_Q else 0
         n_units = int(rng.choice(n_max + 1, p=BENCH_P)) if gamma == 1 else 0
-        _, buf = a2_step(buf, x, gamma, n_units, kappa1, kappa2, eta, f)
+        buf.step(x, gamma, n_units, kappa1, kappa2, eta, f)
         counts[i, buf.fine_count * eta + buf.coarse_count] += 1
     row_totals = counts.sum(axis=1)
     empirical_ok = True
@@ -211,7 +211,8 @@ def run_example1():
     """Replay the scripted three-step scenario for both buffered schemes.
 
     Returns ``(records, expected)`` where records hold the simulated per-step
-    buffer values and inputs for the one-law and two-law schemes.
+    buffer values (one tuple per step) and inputs for the one-law and two-law
+    schemes.
     """
     plant_noisy, kappa1, kappa2_factory = example_system()
     plant = PlantModel(
@@ -220,17 +221,14 @@ def run_example1():
     kappa2 = kappa2_factory(0.45, cost_units=2)
     forced = [(1, 3), (1, 0), (1, 2)]
     records = {}
-    for scheme in ("A1", "A2"):
-        f = lambda x, u: plant.step(x, u, 0.0)  # noqa: E731
-        buf = Buffer.empty(3)
+    f = lambda x, u: plant.step(x, u, 0.0)  # noqa: E731
+    for scheme, fine_law, eta in (("A1", kappa1, 1), ("A2", kappa2, 2)):
+        buf = Buffer(3)
         x = plant.x0
         buffers, inputs = [], []
         for gamma, n_units in forced:
-            if scheme == "A1":
-                u, buf = a1_step(buf, x, gamma, n_units, kappa1, f)
-            else:
-                u, buf = a2_step(buf, x, gamma, n_units, kappa1, kappa2, 2, f)
-            buffers.append(buf.values)
+            u = buf.step(x, gamma, n_units, kappa1, fine_law, eta, f)
+            buffers.append(tuple(buf.values))
             inputs.append(u)
             x = plant.step(x, u, 0.0)
         records[scheme] = (buffers, inputs)

@@ -11,7 +11,12 @@ the buffer is cleared and the input fixed to zero.
 ``A2`` fills the buffer with the fine law first: ``N`` granted units split
 into ``N // eta`` fine entries followed by ``N % eta`` coarse entries.
 
-All steps are pure: they take a buffer value and return a new one.
+One stepper, :meth:`Buffer.step`, runs all four variants through the
+parameters ``(eta, buffer size)``: ``A1`` is ``A2`` with ``eta = 1`` and the
+coarse law in place of the fine law, ``B2`` is ``A2`` with a one-slot
+buffer, and ``B1`` is both.  The step updates the buffer in place and checks
+nothing: :class:`esac.simulate.SchemeConfig` validates the parameters and
+:func:`esac.simulate.simulate_trajectory` a scripted environment, once.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ class ControlLaw:
 
     ``contraction`` is the Lyapunov contraction factor the law achieves on
     the plant it was designed for; it is carried for bookkeeping and not
-    used by the step functions.  ``evaluate`` must also work elementwise on
+    used by the stepper.  ``evaluate`` must also work elementwise on
     a float array, giving each element its scalar value, because the
     batched Monte Carlo engine in :mod:`esac.simulate` calls it on arrays.
     """
@@ -42,135 +47,63 @@ class ControlLaw:
         return self.evaluate(x)
 
 
-@dataclass(frozen=True)
 class Buffer:
-    """Fixed-size buffer of tentative inputs with fine/coarse counts.
+    """Mutable fixed-size buffer of tentative inputs with fine/coarse counts.
 
     The first ``fine_count`` stored values were produced by the fine law,
     the next ``coarse_count`` by the coarse law; remaining slots are zero.
     """
 
-    values: tuple
-    fine_count: int
-    coarse_count: int
+    __slots__ = ("values", "fine_count", "coarse_count")
 
-    def __post_init__(self):
-        if self.fine_count < 0 or self.coarse_count < 0:
-            raise ValueError("counts must be nonnegative")
-        if self.fine_count + self.coarse_count > len(self.values):
-            raise ValueError("counts exceed buffer size")
-
-    @classmethod
-    def empty(cls, size: int) -> "Buffer":
+    def __init__(self, size: int):
         if size < 1:
             raise ValueError(f"buffer size must be >= 1, got {size}")
-        return cls(values=(0.0,) * size, fine_count=0, coarse_count=0)
-
-    @property
-    def size(self) -> int:
-        return len(self.values)
+        self.values = [0.0] * size
+        self.fine_count = 0
+        self.coarse_count = 0
 
     @property
     def counts(self) -> tuple[int, int]:
         return (self.fine_count, self.coarse_count)
 
-    @property
-    def head(self):
-        return self.values[0]
+    def step(self, x, gamma: int, n: int, kappa1: ControlLaw, kappa2: ControlLaw,
+             eta: int, f):
+        """Advance the buffer by one step and return the input to apply.
 
-
-def shift(b: Buffer) -> Buffer:
-    """Consume the buffer head: remaining entries move up, zero enters last."""
-    values = b.values[1:] + (0.0,)
-    if b.fine_count > 0:
-        return Buffer(values, b.fine_count - 1, b.coarse_count)
-    if b.coarse_count > 0:
-        return Buffer(values, b.fine_count, b.coarse_count - 1)
-    return Buffer(values, 0, 0)
-
-
-def _check_env(gamma: int, n: int):
-    if gamma not in (0, 1, 2):
-        raise ValueError(f"gamma must be 0, 1 or 2, got {gamma}")
-    if gamma != 1 and n != 0:
-        raise ValueError(f"no processing units can be granted when gamma={gamma}, got N={n}")
-
-
-def _predict(x, laws, f, limit: int) -> list:
-    # Forward-iterate the plant model, applying each law in sequence;
-    # entries beyond the buffer capacity can never be consumed and are
-    # dropped from the tail.
-    values = []
-    chi = x
-    for law in laws[:limit]:
-        u = law(chi)
-        values.append(u)
-        chi = f(chi, u)
-    return values
-
-
-def _refill(b: Buffer, values: list, fine: int) -> Buffer:
-    padded = tuple(values) + (0.0,) * (b.size - len(values))
-    fine = min(fine, len(values))
-    return Buffer(padded, fine, len(values) - fine)
-
-
-def a1_step(b: Buffer, x, gamma: int, n: int, kappa1: ControlLaw, f) -> tuple:
-    """One step of the one-law buffered scheme.
-
-    Returns ``(u, new_buffer)``.  A grant of ``n`` units produces ``n``
-    coarse predictions overwriting the buffer; no grant shifts; an
-    untriggered step clears the buffer and outputs zero.
-    """
-    _check_env(gamma, n)
-    if gamma == 2:
-        return 0.0, Buffer.empty(b.size)
-    if gamma == 1 and n > 0:
-        values = _predict(x, [kappa1] * n, f, b.size)
-        nb = _refill(b, values, fine=len(values))
-        return nb.head, nb
-    nb = shift(b)
-    return nb.head, nb
-
-
-def a2_step(b: Buffer, x, gamma: int, n: int, kappa1: ControlLaw, kappa2: ControlLaw,
-            eta: int, f) -> tuple:
-    """One step of the two-law buffered scheme.
-
-    A grant of ``n`` units is split into ``n // eta`` fine-law entries
-    followed by ``n % eta`` coarse-law entries, predicted by forward
-    iteration and truncated at the buffer size (fine entries kept first).
-    Shift and clear branches are as in :func:`a1_step`.
-    """
-    if eta < 1:
-        raise ValueError(f"eta must be >= 1, got {eta}")
-    _check_env(gamma, n)
-    if gamma == 2:
-        return 0.0, Buffer.empty(b.size)
-    if gamma == 1 and n > 0:
-        tau, m = divmod(n, eta)
-        values = _predict(x, [kappa2] * tau + [kappa1] * m, f, b.size)
-        nb = _refill(b, values, fine=tau)
-        return nb.head, nb
-    nb = shift(b)
-    return nb.head, nb
-
-
-def b_step(variant: str, x, gamma: int, n: int, kappa1: ControlLaw,
-           kappa2: ControlLaw | None, eta: int):
-    """One step of the buffer-free schemes.
-
-    ``B1`` applies the coarse law whenever at least one unit is granted.
-    ``B2`` applies the fine law when ``n >= eta``, the coarse law when
-    ``0 < n < eta``, zero otherwise.
-    """
-    _check_env(gamma, n)
-    if variant == "B1":
-        return kappa1(x) if gamma == 1 and n >= 1 else 0.0
-    if variant == "B2":
-        if gamma != 1 or n == 0:
+        ``gamma`` is 1 for a received measurement, 0 for a lost one and 2
+        for a silent trigger; ``n`` is the number of granted units.  A grant
+        overwrites the buffer with ``n // eta`` fine-law entries followed by
+        ``n % eta`` coarse-law entries, truncated at the buffer size (fine
+        entries kept first); each entry is the law applied to the state
+        that the prediction model ``f(x, u)`` forward-iterates from ``x``.
+        No grant shifts the buffer (head consumed, zero enters last), and a
+        silent trigger clears it and applies zero.
+        """
+        values = self.values
+        if gamma == 1 and n:
+            fine, coarse = divmod(n, eta)
+            size = len(values)
+            count = min(fine + coarse, size)
+            fine = min(fine, count)
+            u = values[0] = (kappa2 if fine else kappa1).evaluate(x)
+            for j in range(1, count):
+                x = f(x, u)  # no prediction follows the last entry: it is never read
+                u = values[j] = (kappa2 if j < fine else kappa1).evaluate(x)
+            for j in range(count, size):
+                values[j] = 0.0
+            self.fine_count = fine
+            self.coarse_count = count - fine
+            return values[0]
+        if gamma == 2:
+            for j in range(len(values)):
+                values[j] = 0.0
+            self.fine_count = self.coarse_count = 0
             return 0.0
-        if n >= eta:
-            return kappa2(x)
-        return kappa1(x)
-    raise ValueError(f"unknown buffer-free variant {variant!r}")
+        del values[0]
+        values.append(0.0)
+        if self.fine_count:
+            self.fine_count -= 1
+        elif self.coarse_count:
+            self.coarse_count -= 1
+        return values[0]

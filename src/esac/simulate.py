@@ -2,7 +2,10 @@
 
 Each step: check the trigger ``|x| > d``, sample the environment outcome
 ``(gamma, N)``, advance the scheme (buffer and input), then advance the
-plant with an additive normal disturbance.
+plant with an additive normal disturbance.  Both engines below run every
+scheme through the parameters of :meth:`SchemeConfig.stepper_args`: A1 is
+A2 with ``eta = 1`` and the coarse law in place of the fine law, B2 is A2
+with one slot, and B1 is both.
 
 Randomness comes from one ``numpy.random.Generator`` (PCG64) per
 trajectory with a fixed draw order: the whole disturbance stream
@@ -16,16 +19,15 @@ reduction accumulates in run-index order.  Identical configuration and seed
 give bit-identical trajectories.
 
 :func:`monte_carlo` has two engines with bit-identical results.  A call of
-at least ``_BATCH_MIN_RUNS`` (16) runs advances its runs together: the state is
-an array with one entry per run, the buffers an array with one row per
+at least ``_BATCH_MIN_RUNS`` (26) runs advances its runs together: the state
+is an array with one entry per run, the buffers an array with one row per
 slot, and each step does the trigger test, the draws, the shift, the clear,
-a refill loop over the slots and the plant step on whole arrays.  One code
-path serves all four schemes: A1 is A2 with ``eta = 1`` and the coarse law
-in place of the fine law, B2 is A2 with one slot, and B1 is both.  Each
-step adds the runs' Lyapunov values one run at a time in run order, as the
+a refill loop over the slots and the plant step on whole arrays.  Each step
+adds the runs' Lyapunov values one run at a time in run order, as the
 per-run loop does.  Narrower calls run :func:`simulate_trajectory` once per
-run, which is faster there because numpy's cost per call outweighs a width
-of a few runs.
+run, which steps one scalar :class:`~esac.schemes.Buffer` in place and is
+faster there because numpy's cost per call outweighs a width of a couple of
+dozen runs.
 
 Plant and law callables must therefore work elementwise on float arrays as
 well as on scalars (``np.sin``, not ``math.sin``), giving each element the
@@ -36,19 +38,20 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .schemes import Buffer, ControlLaw, a1_step, a2_step, b_step
+from .schemes import Buffer, ControlLaw
 
 #: States beyond this magnitude mark a run as divergent.
 DIVERGENCE_LIMIT = 1e12
 
 #: Narrowest ``monte_carlo`` call that takes the batched engine: the measured
 #: crossover, where both engines run the benchmark loops equally fast.
-_BATCH_MIN_RUNS = 16
+_BATCH_MIN_RUNS = 26
 
 #: Pre-drawn numbers (one disturbance and two uniforms per run and step)
 #: held by one batch at most, which bounds a batch's memory to 8 MiB.
@@ -96,6 +99,17 @@ class SchemeConfig:
             raise ValueError(f"q must lie in [0, 1], got {self.q}")
         if not all(v >= 0.0 for v in self.p) or not 0.0 < sum(self.p) < math.inf:
             raise ValueError(f"p must be nonnegative with a positive finite sum, got {self.p}")
+
+    def stepper_args(self) -> tuple:
+        """``(buffer size, coarse law, fine law, eta)`` that run this scheme.
+
+        A1 is A2 with ``eta = 1`` and the coarse law as the fine law, B2 is
+        A2 with one slot, and B1 is both (see :meth:`Buffer.step`).
+        """
+        buffered = self.scheme in ("A1", "A2")
+        two_law = self.scheme in ("A2", "B2")
+        return (self.buffer_size if buffered else 1, self.kappa1,
+                self.kappa2 if two_law else self.kappa1, self.eta if two_law else 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,18 +178,21 @@ def sample_env(rng: np.random.Generator, trigger: bool, q: float, p) -> tuple[in
     return _sample_env_cum(rng.random, trigger, q, list(itertools.accumulate(p)))
 
 
-def _scheme_stepper(config: SchemeConfig):
-    scheme = config.scheme
-    k1, k2, eta = config.kappa1, config.kappa2, config.eta
-    if scheme == "A1":
-        return lambda b, x, g, n, f: a1_step(b, x, g, n, k1, f)
-    if scheme == "A2":
-        return lambda b, x, g, n, f: a2_step(b, x, g, n, k1, k2, eta, f)
-
-    def buffer_free(b, x, g, n, f):
-        return b_step(scheme, x, g, n, k1, k2, eta), b
-
-    return buffer_free
+def _check_script(forced_env, horizon: int):
+    # A scripted environment comes from outside the loop, so it is checked
+    # once here; the stepper itself validates nothing.
+    script = forced_env[:horizon]
+    if len(script) < horizon:
+        raise ValueError(f"forced_env has {len(script)} outcomes, fewer than horizon={horizon}")
+    for k, (gamma, n) in enumerate(script):
+        if gamma not in (0, 1, 2):
+            raise ValueError(f"forced_env[{k}]: gamma must be 0, 1 or 2, got {gamma}")
+        if not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"forced_env[{k}]: N must be a nonnegative integer, got {n!r}")
+        if gamma != 1 and n != 0:
+            raise ValueError(
+                f"forced_env[{k}]: no processing units can be granted when gamma={gamma}, got N={n}")
+    return script
 
 
 def simulate_trajectory(
@@ -189,12 +206,17 @@ def simulate_trajectory(
 
     ``forced_env`` replaces environment sampling with a fixed list of
     ``(gamma, n)`` outcomes (and implies a noise-free plant is usually
-    wanted); it is the hook for replaying scripted scenarios.
+    wanted); it is the hook for replaying scripted scenarios.  It must
+    hold at least ``horizon`` outcomes with ``gamma`` in {0, 1, 2} and ``n``
+    a nonnegative integer that is 0 unless ``gamma == 1``; otherwise
+    ``ValueError`` is raised before the first step.  Buffer-free schemes
+    record ``fine = coarse = 0``.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    script = None if forced_env is None else _check_script(forced_env, horizon)
     rng = np.random.default_rng(seed)
-    stepper = _scheme_stepper(config)
+    size, kappa1, kappa2, eta = config.stepper_args()
     f = lambda x, u: plant.step(x, u, 0.0)  # noqa: E731  (prediction model)
 
     # Pre-drawing both streams keeps the step loop lean; the channel draws
@@ -213,7 +235,8 @@ def simulate_trajectory(
     coarses = np.empty(horizon, dtype=np.int64)
 
     x = plant.x0
-    buf = Buffer.empty(config.buffer_size)
+    buf = Buffer(size)
+    buf_step = buf.step
     step, lyapunov, d, q = plant.step, plant.lyapunov, config.d, config.q
     xs[0] = x
     vs[0] = lyapunov(x)
@@ -221,11 +244,11 @@ def simulate_trajectory(
     divergent = False
     k = 0
     for k in range(horizon):
-        if forced_env is not None:
-            gamma, n = forced_env[k]
+        if script is not None:
+            gamma, n = script[k]
         else:
             gamma, n = _sample_env_cum(draw, abs(x) > d, q, cum_p)
-        u, buf = stepper(buf, x, gamma, n, f)
+        u = buf_step(x, gamma, n, kappa1, kappa2, eta, f)
         x = step(x, u, noise[k])
         gammas[k] = gamma
         ns[k] = n
@@ -238,6 +261,9 @@ def simulate_trajectory(
         xs[k + 1] = x
         vs[k + 1] = lyapunov(x)
     end = k + 1 if not divergent else k
+    if config.scheme in ("B1", "B2"):  # buffer-free: its one slot holds no prediction
+        fines.fill(0)
+        coarses.fill(0)
     return Trajectory(
         x=xs[: end + 1],
         u=us[: k + 1],
@@ -325,11 +351,8 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int, seeds: lis
     transmits, grants = transmits.ravel(), grants.ravel()
     cursor = np.arange(width) * (2 * horizon)  # flat index of each run's next draw
 
-    buffered = config.scheme in ("A1", "A2")
-    two_law = config.scheme in ("A2", "B2")
-    buf = np.zeros((config.buffer_size if buffered else 1, width))  # slot-major
-    eta = config.eta if two_law else 1
-    kappa2 = config.kappa2 if two_law else config.kappa1
+    slots, kappa1, kappa2, eta = config.stepper_args()
+    buf = np.zeros((slots, width))  # slot-major
 
     x = np.full(width, plant.x0, dtype=float)
     v = plant.lyapunov(x)
@@ -356,8 +379,8 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int, seeds: lis
         buf[:, ~trig] = 0.0
         grant = np.flatnonzero(sent & (n > 0))
         if grant.size:
-            _refill_rows(buf, x[grant], grant, n[grant].astype(np.intp), eta, config.kappa1, kappa2,
-                    plant.step)
+            _refill_rows(buf, x[grant], grant, n[grant].astype(np.intp), eta, kappa1, kappa2,
+                         plant.step)
         x = plant.step(x, buf[0], noise[k])
         size = np.abs(x)
         finite = size <= DIVERGENCE_LIMIT  # false for inf and nan too

@@ -197,17 +197,24 @@ class TestSimulateCommand:
 DATA = Path(__file__).parent / "data"
 A2 = ["--scheme", "A2", "--eta", "2", "--rho1", "0.9", "--rho2", "0.45"]
 
-#: ``esac simulate`` runs whose output files were captured from the per-run
-#: Monte Carlo loop (before the batched engine existed), with ``--seed 3``.
-#: Narrow calls take the per-run path, wide ones the batched engine; the
-#: B1 run has diverging runs.
+#: ``esac simulate`` runs whose output files were captured with ``--seed 3``
+#: from the per-run Monte Carlo loop over the immutable-buffer step functions
+#: (before the batched engine and the one scalar stepper existed).  Narrow
+#: calls take the per-run path, wide ones the batched engine; the B1 runs
+#: have diverging runs.
+A1 = ["--scheme", "A1", "--rho1", "0.9", "--horizon", "120"]
+B1 = ["--scheme", "B1", "--rho1", "0.9", "--horizon", "200"]
+B2 = ["--scheme", "B2", "--eta", "2", "--rho1", "0.9", "--rho2", "0.45", "--horizon", "120"]
+NARROW, WIDE = ["--runs", "6"], ["--runs", "40"]
 GOLDEN = {
-    "a2_narrow": A2 + ["--runs", "6", "--horizon", "120"],
-    "a2_wide": A2 + ["--runs", "40", "--horizon", "120"],
-    "a1_wide": ["--scheme", "A1", "--rho1", "0.9", "--runs", "40", "--horizon", "120"],
-    "b1_wide": ["--scheme", "B1", "--rho1", "0.9", "--runs", "40", "--horizon", "200"],
-    "b2_wide": ["--scheme", "B2", "--eta", "2", "--rho1", "0.9", "--rho2", "0.45",
-                "--runs", "40", "--horizon", "120"],
+    "a2_narrow": A2 + NARROW + ["--horizon", "120"],
+    "a2_wide": A2 + WIDE + ["--horizon", "120"],
+    "a1_narrow": A1 + NARROW,
+    "a1_wide": A1 + WIDE,
+    "b1_narrow": B1 + NARROW,
+    "b1_wide": B1 + WIDE,
+    "b2_narrow": B2 + NARROW,
+    "b2_wide": B2 + WIDE,
 }
 
 
