@@ -8,7 +8,7 @@ Monte Carlo simulation of the actual control algorithms.
 """
 
 from .channel import ChannelModel, effective_availability
-from .chain import BufferChain, min_buffer_size, shift_target, state_space, transition_matrix
+from .chain import min_buffer_size, transition_matrix
 from .schemes import Buffer, ControlLaw
 from .simulate import (
     MonteCarloResult,
@@ -17,7 +17,6 @@ from .simulate import (
     Trajectory,
     example_system,
     monte_carlo,
-    sample_env,
     simulate_trajectory,
 )
 from .stability import (
@@ -30,7 +29,6 @@ from .stability import (
     closed_form_index,
     critical_alpha,
     gain_diagonal,
-    is_schur,
     solve_certificate,
     spectral_radius,
     theorem1_bounds,
@@ -39,7 +37,6 @@ from .sweep import BoundaryPoint, SweepSpec, boundary_curve
 
 __all__ = [
     "Buffer",
-    "BufferChain",
     "BoundaryPoint",
     "CertificationReport",
     "ChannelModel",
@@ -60,15 +57,11 @@ __all__ = [
     "effective_availability",
     "example_system",
     "gain_diagonal",
-    "is_schur",
     "min_buffer_size",
     "monte_carlo",
-    "sample_env",
-    "shift_target",
     "simulate_trajectory",
     "solve_certificate",
     "spectral_radius",
-    "state_space",
     "theorem1_bounds",
     "transition_matrix",
 ]

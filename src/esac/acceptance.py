@@ -125,8 +125,8 @@ def criterion_transition_matrix(steps: int = 100_000, seed: int = 7) -> Criterio
             p = rng.dirichlet(np.ones(n_max + 1))
             if np.any(p >= 1.0):
                 continue
-            chain = transition_matrix(effective_availability(q, p), eta)
-            worst_row = max(worst_row, np.abs(chain.pi.sum(axis=1) - 1.0).max())
+            pi = transition_matrix(effective_availability(q, p), eta)
+            worst_row = max(worst_row, np.abs(pi.sum(axis=1) - 1.0).max())
 
     # One-law structure: l0 on column 1 for the first two rows, then on the
     # superdiagonal folded into l_{i-1}.
@@ -136,12 +136,12 @@ def criterion_transition_matrix(steps: int = 100_000, seed: int = 7) -> Criterio
     expected[2:, 0] = 0.0
     for i in range(2, n):
         expected[i, i - 1] += l[0]
-    reduction_ok = np.array_equal(transition_matrix(l, 1).pi, expected)
+    reduction_ok = np.array_equal(transition_matrix(l, 1), expected)
 
     # Drive the actual two-law buffer automaton and compare transition
     # frequencies entry-wise at three standard errors.
     eta, n_max = 2, BENCH_N_MAX
-    chain = transition_matrix(l, eta)
+    pi = transition_matrix(l, eta)
     plant, kappa1, kappa2_factory = example_system()
     kappa2 = kappa2_factory(0.45)
     f = lambda x, u: plant.step(x, u, 0.0)  # noqa: E731
@@ -162,9 +162,9 @@ def criterion_transition_matrix(steps: int = 100_000, seed: int = 7) -> Criterio
             empirical_ok = False
             continue
         freq = counts[i] / row_totals[i]
-        se = np.sqrt(chain.pi[i] * (1.0 - chain.pi[i]) / row_totals[i])
+        se = np.sqrt(pi[i] * (1.0 - pi[i]) / row_totals[i])
         for j in range(n_max + 1):
-            err = abs(freq[j] - chain.pi[i, j])
+            err = abs(freq[j] - pi[i, j])
             if se[j] == 0.0:
                 empirical_ok = empirical_ok and err == 0.0
             else:
@@ -218,7 +218,7 @@ def run_example1():
     plant = PlantModel(
         step=plant_noisy.step, noise_std=0.0, x0=plant_noisy.x0, lyapunov=plant_noisy.lyapunov
     )
-    kappa2 = kappa2_factory(0.45, cost_units=2)
+    kappa2 = kappa2_factory(0.45)
     forced = [(1, 3), (1, 0), (1, 2)]
     records = {}
     f = lambda x, u: plant.step(x, u, 0.0)  # noqa: E731
@@ -253,7 +253,7 @@ def benchmark_scheme_config(tag: str) -> SchemeConfig:
     """Closed-loop configuration of one benchmark point (buffer size 4, d=1)."""
     scheme, eta, rho1, rho2 = _bench_config(tag)
     _, kappa1, kappa2_factory = example_system(rho1)
-    kappa2 = kappa2_factory(rho2, cost_units=eta) if scheme == "A2" else None
+    kappa2 = kappa2_factory(rho2) if scheme == "A2" else None
     return SchemeConfig(
         scheme=scheme, kappa1=kappa1, kappa2=kappa2, eta=eta,
         buffer_size=4, d=1.0, q=BENCH_Q, p=BENCH_P,

@@ -2,54 +2,22 @@
 
 During triggered periods the buffer content is summarised by the pair
 ``(F, C)``: the number of fine-law and coarse-law tentative inputs stored.
-State ``i`` (1-based) is ``(floor((i-1)/eta), (i-1) mod eta)``, giving
-``n_max + 1`` states in total.  On each triggered step the buffer is either
-overwritten by a fresh computation of ``N = j`` units (probability ``l[j]``,
-landing in state ``j + 1``) or, when no computation arrives (probability
-``l[0]``), shifted: the head entry is consumed and the state moves to
-:func:`shift_target`.
+State ``i`` (zero-based) is ``(i // eta, i % eta)``, giving ``n_max + 1``
+states in total.  On each triggered step the buffer is either overwritten
+by a fresh computation of ``N = j`` units (probability ``l[j]``, landing in
+state ``j``) or, when no computation arrives (probability ``l[0]``),
+shifted: the head entry is consumed.  The empty state 0 stays empty, a
+coarse-only state ``i < eta`` moves to ``i - 1``, and a state whose head is
+a fine entry moves to ``i - eta``.
 
-The transition matrix is derived from these buffer semantics; by
-construction every row sums to one exactly.
+The transition matrix is built directly from this rule; by construction
+every row sums to one exactly.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import PMF_SUM_TOL, _as_prob_vector
-
-
-def state_space(n_max: int, eta: int) -> list[tuple[int, int]]:
-    """Ordered ``(F, C)`` state list for buffer size parameters.
-
-    The i-th state (zero-based) is ``(i // eta, i % eta)``; there are
-    ``n_max + 1`` states.
-    """
-    if eta < 1:
-        raise ValueError(f"eta must be >= 1, got {eta}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return [(i // eta, i % eta) for i in range(n_max + 1)]
-
-
-def shift_target(i: int, eta: int) -> int:
-    """Destination state of a buffer shift, 1-based state indices.
-
-    The empty buffer stays empty; a buffer holding only coarse entries
-    consumes one coarse entry (``i - 1``); a buffer whose head is a fine
-    entry consumes it (``i - eta``).
-    """
-    if i < 1:
-        raise ValueError(f"state index must be >= 1, got {i}")
-    if eta < 1:
-        raise ValueError(f"eta must be >= 1, got {eta}")
-    if i == 1:
-        return 1
-    if i <= eta:
-        return i - 1
-    return i - eta
 
 
 def _validate_effective_pmf(l) -> np.ndarray:
@@ -64,38 +32,22 @@ def _validate_effective_pmf(l) -> np.ndarray:
     return l
 
 
-@dataclass(frozen=True, eq=False)
-class BufferChain:
-    """State space and row-stochastic transition matrix of the buffer chain."""
-
-    eta: int
-    n_max: int
-    states: tuple[tuple[int, int], ...]
-    pi: np.ndarray
-
-    def __post_init__(self):
-        self.pi.flags.writeable = False
-
-    @property
-    def size(self) -> int:
-        return self.n_max + 1
-
-
-def transition_matrix(l, eta: int) -> BufferChain:
-    """Build the conditional (triggered-period) buffer chain from ``l``.
+def transition_matrix(l, eta: int) -> np.ndarray:
+    """Read-only ``(n_max + 1) x (n_max + 1)`` triggered-period transition matrix.
 
     Row ``i``: entry ``l[j]`` in column ``j`` for every ``j >= 1`` (a fresh
-    computation overwrites the buffer), plus ``l[0]`` mass on the shift
-    target of ``i``.
+    computation overwrites the buffer), plus ``l[0]`` mass on the state
+    that a shift of ``i`` leads to.
     """
     l = _validate_effective_pmf(l)
-    n_max = l.size - 1
-    states = state_space(n_max, eta)
-    pi = np.tile(l, (n_max + 1, 1))
+    if eta < 1:
+        raise ValueError(f"eta must be >= 1, got {eta}")
+    pi = np.tile(l, (l.size, 1))
     pi[:, 0] = 0.0
-    for i in range(n_max + 1):
-        pi[i, shift_target(i + 1, eta) - 1] += l[0]
-    return BufferChain(eta=eta, n_max=n_max, states=tuple(states), pi=pi)
+    for i in range(l.size):
+        pi[i, max(i - (1 if i < eta else eta), 0)] += l[0]
+    pi.flags.writeable = False
+    return pi
 
 
 def min_buffer_size(scheme: str, eta: int, n_max: int) -> int:

@@ -26,7 +26,7 @@ from typing import Callable
 
 @dataclass(frozen=True)
 class ControlLaw:
-    """A deterministic state-feedback law with its processing cost.
+    """A deterministic state-feedback law.
 
     ``contraction`` is the Lyapunov contraction factor the law achieves on
     the plant it was designed for; it is carried for bookkeeping and not
@@ -36,12 +36,7 @@ class ControlLaw:
     """
 
     evaluate: Callable
-    cost_units: int = 1
     contraction: float | None = None
-
-    def __post_init__(self):
-        if self.cost_units < 1:
-            raise ValueError(f"cost_units must be >= 1, got {self.cost_units}")
 
     def __call__(self, x):
         return self.evaluate(x)

@@ -8,13 +8,14 @@ A2 with ``eta = 1`` and the coarse law in place of the fine law, B2 is A2
 with one slot, and B1 is both.
 
 Randomness comes from one ``numpy.random.Generator`` (PCG64) per
-trajectory with a fixed draw order: the whole disturbance stream
-``standard_normal(horizon)`` is drawn up front, then ``2 * horizon``
-uniforms, consumed in order: per step one for the channel outcome
-(triggered steps only) and one for the unit grant (successful
-transmissions only).  Drawing the uniforms as one array gives the same
-numbers as drawing them one at a time.  Monte Carlo run ``r`` is seeded
-with ``base_seed ^ r``, so runs are independent of execution order; the
+trajectory, and one function, :func:`_decode_streams`, lays the stream out
+for both engines: the whole disturbance stream ``standard_normal(horizon)``
+up front, then ``2 * horizon`` uniforms, each decoded into a transmit flag
+(``u < q``) and a unit grant (inverse transform on ``p``).  The engines
+read the decoded uniforms in order through a cursor: per step one for the
+channel outcome (triggered steps only) and one for the unit grant
+(successful transmissions only).  Monte Carlo run ``r`` is seeded with
+``base_seed ^ r``, so runs are independent of execution order; the
 reduction accumulates in run-index order.  Identical configuration and seed
 give bit-identical trajectories.
 
@@ -35,7 +36,6 @@ value the scalar call gives.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import numbers
@@ -54,7 +54,11 @@ DIVERGENCE_LIMIT = 1e12
 _BATCH_MIN_RUNS = 26
 
 #: Pre-drawn numbers (one disturbance and two uniforms per run and step)
-#: held by one batch at most, which bounds a batch's memory to 8 MiB.
+#: that size a batch: it is as wide as this allows but never narrower than
+#: ``_BATCH_MIN_RUNS``.  Stored at 4 bytes per draw on average (8 per
+#: disturbance, 2 per uniform while ``p`` has at most 256 entries), a batch
+#: holds at most 8 MiB up to a horizon of 26,886 steps and ``312 * horizon``
+#: bytes beyond, where the width floor takes over.
 _BATCH_MAX_DRAWS = 1 << 21
 
 
@@ -157,25 +161,29 @@ class MonteCarloResult:
         return float(self.trigger_rate.mean())
 
 
-def _sample_env_cum(draw, trigger: bool, q: float, cum: list) -> tuple[int, int]:
-    # draw() returns the next uniform; cum is the running sum of p;
-    # inverse-transform draw on the grant pmf.
-    if not trigger:
-        return 2, 0
-    if draw() >= q:
-        return 0, 0
-    n = bisect.bisect_right(cum, draw() * cum[-1])
-    return 1, min(n, len(cum) - 1)
+def _decode_streams(plant: PlantModel, config: SchemeConfig, horizon: int, seeds):
+    """The random streams of the runs seeded ``seeds``, decoded.
 
-
-def sample_env(rng: np.random.Generator, trigger: bool, q: float, p) -> tuple[int, int]:
-    """Sample the channel and processor outcome for one step.
-
-    Untriggered steps give ``(2, 0)``.  Triggered steps transmit
-    successfully with probability ``q``; on success the unit grant is drawn
-    from ``p`` by inverse transform, otherwise ``(0, 0)``.
+    Run ``i``'s ``default_rng(seeds[i])`` gives ``horizon`` normals, scaled
+    into the disturbances ``noise[:, i]``, then ``2 * horizon`` uniforms.
+    Each uniform ``u`` is stored as the two outcomes it can decide: the
+    transmit flag ``u < q`` in ``transmits[i]`` when read as a channel draw,
+    and a grant (inverse transform on ``p``) in ``grants[i]`` when read as a
+    grant draw.  That takes 2 bytes per uniform, not 8.
     """
-    return _sample_env_cum(rng.random, trigger, q, list(itertools.accumulate(p)))
+    cum = list(itertools.accumulate(config.p))
+    inner, total = np.array(cum[:-1]), cum[-1]
+    noise = np.empty((horizon, len(seeds)))
+    transmits = np.empty((len(seeds), 2 * horizon), dtype=bool)
+    grants = np.empty((len(seeds), 2 * horizon), dtype=np.min_scalar_type(len(cum) - 1))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        noise[:, i] = rng.standard_normal(horizon)
+        uniforms = rng.random(2 * horizon)
+        transmits[i] = uniforms < config.q
+        grants[i] = np.searchsorted(inner, uniforms * total, side="right")
+    noise *= plant.noise_std
+    return noise, transmits, grants
 
 
 def _check_script(forced_env, horizon: int):
@@ -215,16 +223,12 @@ def simulate_trajectory(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     script = None if forced_env is None else _check_script(forced_env, horizon)
-    rng = np.random.default_rng(seed)
     size, kappa1, kappa2, eta = config.stepper_args()
     f = lambda x, u: plant.step(x, u, 0.0)  # noqa: E731  (prediction model)
-
-    # Pre-drawing both streams keeps the step loop lean; the channel draws
-    # stay event-dependent by consuming the uniforms only as needed.  The
-    # memoryviews hand out Python floats, which are cheaper than numpy
-    # scalars in the scalar arithmetic below.
-    noise = memoryview(rng.standard_normal(horizon) * plant.noise_std)
-    draw = iter(memoryview(rng.random(2 * horizon))).__next__
+    # The memoryviews hand out Python floats, ints and bools, which are
+    # cheaper than numpy scalars in the scalar step loop below.
+    streams = _decode_streams(plant, config, horizon, [seed])
+    noise, transmits, grants = (memoryview(a.ravel()) for a in streams)
 
     xs = np.empty(horizon + 1)
     vs = np.empty(horizon + 1)
@@ -237,17 +241,23 @@ def simulate_trajectory(
     x = plant.x0
     buf = Buffer(size)
     buf_step = buf.step
-    step, lyapunov, d, q = plant.step, plant.lyapunov, config.d, config.q
+    step, lyapunov, d = plant.step, plant.lyapunov, config.d
     xs[0] = x
     vs[0] = lyapunov(x)
-    cum_p = list(itertools.accumulate(config.p))
+    cursor = 0  # index of the next unread uniform
     divergent = False
     k = 0
     for k in range(horizon):
         if script is not None:
             gamma, n = script[k]
+        elif not abs(x) > d:
+            gamma, n = 2, 0
+        elif transmits[cursor]:
+            gamma, n = 1, grants[cursor + 1]
+            cursor += 2
         else:
-            gamma, n = _sample_env_cum(draw, abs(x) > d, q, cum_p)
+            gamma, n = 0, 0
+            cursor += 1
         u = buf_step(x, gamma, n, kappa1, kappa2, eta, f)
         x = step(x, u, noise[k])
         gammas[k] = gamma
@@ -326,28 +336,13 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int, seeds: lis
                sum_v: np.ndarray, sum_trigger: np.ndarray) -> int:
     """Advance the runs seeded ``seeds`` together and add them into the sums.
 
-    Consumes each run's streams exactly as :func:`simulate_trajectory` does
-    and returns the number of runs that diverged.  A diverged run keeps its
-    last finite Lyapunov value and counts as triggered; its state is parked
-    at zero so that it stays finite.
+    Reads each run's decoded stream as :func:`simulate_trajectory` does and
+    returns the number of runs that diverged.  A diverged run keeps its last
+    finite Lyapunov value and counts as triggered; its state is parked at
+    zero so that it stays finite.
     """
     width = len(seeds)
-    # Each uniform is stored as the two outcomes it can decide: a transmit
-    # flag (``u < q``) when read as the channel draw, and a grant when read
-    # as the grant draw; min(bisect_right(cum, v), len(cum) - 1) equals
-    # bisect_right(cum[:-1], v).  That takes 2 bytes per draw, not 8.
-    cum = list(itertools.accumulate(config.p))
-    inner, total = np.array(cum[:-1]), cum[-1]
-    noise = np.empty((horizon, width))
-    transmits = np.empty((width, 2 * horizon), dtype=bool)
-    grants = np.empty((width, 2 * horizon), dtype=np.min_scalar_type(len(cum) - 1))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        noise[:, i] = rng.standard_normal(horizon)
-        uniforms = rng.random(2 * horizon)
-        transmits[i] = uniforms < config.q
-        grants[i] = np.searchsorted(inner, uniforms * total, side="right")
-    noise *= plant.noise_std
+    noise, transmits, grants = _decode_streams(plant, config, horizon, seeds)
     transmits, grants = transmits.ravel(), grants.ravel()
     cursor = np.arange(width) * (2 * horizon)  # flat index of each run's next draw
 
@@ -442,9 +437,9 @@ def example_system(rho1: float = 0.9):
     def law(c):
         return lambda x: 1.34 * x - 0.01 * np.sin(x) + c * abs(x)
 
-    kappa1 = ControlLaw(evaluate=law(rho1), cost_units=1, contraction=rho1)
+    kappa1 = ControlLaw(evaluate=law(rho1), contraction=rho1)
 
-    def kappa2_factory(c2: float, cost_units: int = 1) -> ControlLaw:
-        return ControlLaw(evaluate=law(c2), cost_units=cost_units, contraction=c2)
+    def kappa2_factory(c2: float) -> ControlLaw:
+        return ControlLaw(evaluate=law(c2), contraction=c2)
 
     return plant, kappa1, kappa2_factory

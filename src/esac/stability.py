@@ -26,10 +26,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import BufferChain, transition_matrix
+from .chain import transition_matrix
 
 #: Margin of Schur verdicts: a witness must prove spectral radius <= 1 - SCHUR_TOL.
 SCHUR_TOL = 1e-9
+
+#: Bracket width at which the critical-alpha bisection stops.
+BISECT_TOL = 1e-9
 
 CERTIFIED = "CertifiedStable"
 NOT_CERTIFIED = "NotCertified"
@@ -108,10 +111,10 @@ def gain_diagonal(spec: ContractionSpec, n_max: int) -> np.ndarray:
     return phi
 
 
-def certification_matrix(phi, chain: BufferChain | np.ndarray) -> np.ndarray:
+def certification_matrix(phi, pi) -> np.ndarray:
     """Row-scale the transition matrix by the gain diagonal: T = diag(phi) Pi."""
     phi = np.asarray(phi, dtype=float)
-    pi = chain.pi if isinstance(chain, BufferChain) else np.asarray(chain, dtype=float)
+    pi = np.asarray(pi, dtype=float)
     if phi.ndim != 1 or pi.shape != (phi.size, phi.size):
         raise ValueError(f"dimension mismatch: phi {phi.shape}, pi {pi.shape}")
     return phi[:, None] * pi
@@ -129,11 +132,6 @@ def _nonnegative_square(m) -> np.ndarray:
 def spectral_radius(m) -> float:
     """Perron root of a nonnegative square matrix: its largest eigenvalue modulus."""
     return float(np.abs(np.linalg.eigvals(_nonnegative_square(m))).max())
-
-
-def is_schur(m, tol: float = SCHUR_TOL) -> bool:
-    """True when the Perron root is strictly below ``1 - tol``."""
-    return spectral_radius(m) < 1.0 - tol
 
 
 def solve_certificate(t, nu) -> np.ndarray:
@@ -181,13 +179,13 @@ def _schur_index(t: np.ndarray) -> float:
     return t[0, 0] + t[0, 1:] @ np.linalg.solve(np.eye(t.shape[0] - 1) - t[1:, 1:], t[1:, 0])
 
 
-def block_schur_g1(h, tol: float = SCHUR_TOL) -> tuple[float, bool]:
+def block_schur_g1(h) -> tuple[float, bool]:
     """Schur test via the scalar Schur complement at the (1,1) entry.
 
     Splits ``h`` into a 1x1 top-left block ``X``, row ``Y``, column ``Z``
     and trailing block ``M``; requires ``M`` nonnegative with inf-norm < 1
     and ``trace(M @ M) < 1``.  Returns ``(g1, verdict)`` where
-    ``g1 = (1 - X) - Y (I - M)^{-1} Z`` and the verdict ``g1 > tol`` holds
+    ``g1 = (1 - X) - Y (I - M)^{-1} Z`` and the verdict ``g1 > SCHUR_TOL`` holds
     exactly when ``h`` is Schur stable.
     """
     h = np.asarray(h, dtype=float)
@@ -201,7 +199,7 @@ def block_schur_g1(h, tol: float = SCHUR_TOL) -> tuple[float, bool]:
     if not np.trace(m @ m) < 1.0:
         raise ValueError("trailing block must satisfy trace(M @ M) < 1")
     g1 = 1.0 - _schur_index(h)
-    return g1, g1 > tol
+    return g1, g1 > SCHUR_TOL
 
 
 def closed_form_index(spec: ContractionSpec, l) -> float:
@@ -214,8 +212,8 @@ def closed_form_index(spec: ContractionSpec, l) -> float:
     """
     if not (spec.rho1 < 1.0 and spec.rho2 < 1.0):
         raise ValueError("closed form requires rho1 < 1 and rho2 < 1; use spectral_radius instead")
-    chain = transition_matrix(l, spec.eta)
-    return _schur_index(certification_matrix(gain_diagonal(spec, chain.n_max), chain))
+    pi = transition_matrix(l, spec.eta)
+    return _schur_index(certification_matrix(gain_diagonal(spec, pi.shape[0] - 1), pi))
 
 
 class CriticalAlpha(NamedTuple):
@@ -236,7 +234,6 @@ def critical_alpha(
     rho2: float,
     l,
     n_max: int,
-    bisect_tol: float = 1e-9,
 ) -> CriticalAlpha:
     """Open-loop bound at which the stability certificate crosses 1.
 
@@ -269,7 +266,7 @@ def critical_alpha(
         lo, hi = hi, 2.0 * hi
     else:
         raise ArithmeticError("bisection bracket failure: spectral radius stayed below 1")
-    while hi - lo > bisect_tol:
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if radius(mid) < 1.0:
             lo = mid
@@ -287,10 +284,10 @@ def certify(spec: ContractionSpec, l, nu=None) -> CertificationReport:
     accepts it.  The report also carries the Perron root of ``T``, the
     closed-form index where defined, and the geometric-bound constants.
     """
-    chain = transition_matrix(l, spec.eta)
-    n_max = chain.n_max
+    pi = transition_matrix(l, spec.eta)
+    n_max = pi.shape[0] - 1
     phi = gain_diagonal(spec, n_max)
-    t = certification_matrix(phi, chain)
+    t = certification_matrix(phi, pi)
     closed_form = _schur_index(t) if spec.rho1 < 1.0 and spec.rho2 < 1.0 else None
 
     nu = np.ones(n_max + 1) if nu is None else np.asarray(nu, dtype=float)

@@ -2,48 +2,66 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from esac.chain import min_buffer_size, shift_target, state_space, transition_matrix
+from esac.chain import min_buffer_size, transition_matrix
+from esac.schemes import Buffer, ControlLaw
 
 L_BENCH = np.array([0.6, 0.1, 0.1, 0.1, 0.1])
 
 
+def shift_matrix(n_max, eta):
+    """The chain when no computation ever arrives: only shifts remain."""
+    return transition_matrix(np.eye(n_max + 1)[0], eta)
+
+
+def state_labels(n_max, eta):
+    """``(F, C)`` the stepper records after a grant of ``j`` units, per state ``j``."""
+    law = ControlLaw(lambda x: x)
+    labels = []
+    for j in range(n_max + 1):
+        buf = Buffer(n_max)
+        buf.step(1.0, 1, j, law, law, eta, lambda x, u: x)
+        labels.append(buf.counts)
+    return labels
+
+
 class TestStateSpace:
+    """State ``j`` is the buffer after a grant of ``j`` units: ``(j // eta, j % eta)``."""
+
     def test_two_unit_fine_law(self):
-        assert state_space(4, 2) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
+        assert state_labels(4, 2) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
 
     def test_unit_cost_puts_everything_in_fine_slot(self):
-        assert state_space(3, 1) == [(0, 0), (1, 0), (2, 0), (3, 0)]
+        assert state_labels(3, 1) == [(0, 0), (1, 0), (2, 0), (3, 0)]
 
     def test_three_unit_fine_law(self):
-        assert state_space(4, 3) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+        assert state_labels(4, 3) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
 
     @pytest.mark.parametrize("n_max,eta", [(0, 1), (4, 0), (-1, 2)])
     def test_rejects_bad_sizes(self, n_max, eta):
+        l = np.eye(n_max + 1)[0] if n_max >= 0 else []
         with pytest.raises(ValueError):
-            state_space(n_max, eta)
+            transition_matrix(l, eta)
 
 
 class TestShiftTarget:
+    """Where a shift leads, read from the chain with ``l = (1, 0, ..., 0)``."""
+
     def test_fine_head_consumed(self):
-        assert shift_target(5, 2) == 3  # (2,0) -> (1,0)
+        assert shift_matrix(4, 2)[4, 2] == 1.0  # (2,0) -> (1,0)
 
     @pytest.mark.parametrize("eta", [1, 2, 5])
     def test_empty_stays_empty(self, eta):
-        assert shift_target(1, eta) == 1
+        assert shift_matrix(5, eta)[0, 0] == 1.0
 
     def test_coarse_only_consumes_one_coarse(self):
-        assert shift_target(3, 3) == 2  # (0,2) -> (0,1)
-
-    def test_rejects_nonpositive_index(self):
-        with pytest.raises(ValueError):
-            shift_target(0, 2)
+        assert shift_matrix(4, 3)[2, 1] == 1.0  # (0,2) -> (0,1)
 
 
 class TestTransitionMatrix:
     def test_benchmark_eta2_matrix(self):
         # Matches the worked 5-state example: rows 1-3 are l itself, the
         # no-computation mass of rows 4 and 5 folds onto the shift targets.
-        chain = transition_matrix(L_BENCH, 2)
+        pi = transition_matrix(L_BENCH, 2)
         expected = np.array(
             [
                 [0.6, 0.1, 0.1, 0.1, 0.1],
@@ -53,32 +71,43 @@ class TestTransitionMatrix:
                 [0.0, 0.1, 0.7, 0.1, 0.1],
             ]
         )
-        np.testing.assert_array_equal(chain.pi, expected)
+        np.testing.assert_array_equal(pi, expected)
 
     def test_one_law_pattern(self):
         l0, l1, l2 = 0.5, 0.3, 0.2
-        chain = transition_matrix([l0, l1, l2], 1)
+        pi = transition_matrix([l0, l1, l2], 1)
         expected = np.array(
             [[l0, l1, l2], [l0, l1, l2], [0.0, l1 + l0, l2]]
         )
-        np.testing.assert_array_equal(chain.pi, expected)
+        np.testing.assert_array_equal(pi, expected)
 
-    def test_states_match_state_space(self):
-        chain = transition_matrix(L_BENCH, 3)
-        assert list(chain.states) == state_space(4, 3)
-        assert chain.size == 5
+    def test_hand_written_eta3_matrix(self):
+        # States (0,0), (0,1), (0,2), (1,0), (1,1).  Shifts: the empty buffer
+        # stays empty, (0,1) -> (0,0), the coarse-only (0,2) -> (0,1), and
+        # the fine heads (1,0) -> (0,0) and (1,1) -> (0,1).
+        l = [0.5, 0.25, 0.125, 0.0625, 0.0625]
+        expected = np.array(
+            [
+                [0.5, 0.25, 0.125, 0.0625, 0.0625],
+                [0.5, 0.25, 0.125, 0.0625, 0.0625],
+                [0.0, 0.75, 0.125, 0.0625, 0.0625],
+                [0.5, 0.25, 0.125, 0.0625, 0.0625],
+                [0.0, 0.75, 0.125, 0.0625, 0.0625],
+            ]
+        )
+        np.testing.assert_array_equal(transition_matrix(l, 3), expected)
 
     @pytest.mark.parametrize("eta", range(1, 7))
     def test_column_one_structure(self, eta):
         rng = np.random.default_rng(eta)
         w = rng.uniform(0.2, 1.0, 8)
         l = w / w.sum()
-        chain = transition_matrix(l, eta)
-        nonzero_rows = set(np.nonzero(chain.pi[:, 0])[0] + 1)
+        pi = transition_matrix(l, eta)
+        nonzero_rows = set(np.nonzero(pi[:, 0])[0] + 1)
         expected_rows = {1, 2, eta + 1} if eta > 1 else {1, 2}
         assert nonzero_rows == expected_rows
         for i in sorted(nonzero_rows):
-            assert chain.pi[i - 1, 0] == l[0]
+            assert pi[i - 1, 0] == l[0]
 
     def test_rejects_bad_l(self):
         with pytest.raises(ValueError):
@@ -87,9 +116,9 @@ class TestTransitionMatrix:
             transition_matrix([1.2, -0.2], 1)
 
     def test_matrix_is_read_only(self):
-        chain = transition_matrix(L_BENCH, 2)
+        pi = transition_matrix(L_BENCH, 2)
         with pytest.raises(ValueError):
-            chain.pi[0, 0] = 0.0
+            pi[0, 0] = 0.0
 
 
 @given(
@@ -98,10 +127,10 @@ class TestTransitionMatrix:
 )
 def test_rows_always_sum_to_one(eta, weights):
     l = np.array(weights, dtype=float) / sum(weights)
-    chain = transition_matrix(l, eta)
-    np.testing.assert_allclose(chain.pi.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(chain.pi >= 0.0)
-    assert np.all(chain.pi <= 1.0)
+    pi = transition_matrix(l, eta)
+    np.testing.assert_allclose(pi.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(pi >= 0.0)
+    assert np.all(pi <= 1.0)
 
 
 def test_min_buffer_size():

@@ -124,6 +124,21 @@ class TestCertifyCommand:
         code = main(["certify", "--scheme", "B1", "--alpha", "1.2", "--rho1", "0.9"])
         assert code == 1
 
+    def test_one_law_scheme_uses_rho1(self, capsys):
+        # A1 runs the coarse law only: its boundary at rho1 = 0.9 is 1.17477.
+        code = main(["certify", "--scheme", "A1", "--alpha", "1.3", "--rho1", "0.9"])
+        assert code == 2
+        assert "NotCertified" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scheme", ["A1", "B1"])
+    def test_one_law_scheme_rejects_rho2(self, scheme, capsys):
+        code = main(["certify", "--scheme", scheme, "--alpha", "1.3",
+                     "--rho1", "0.9", "--rho2", "0.45"])
+        assert code == 1
+        assert f"scheme {scheme}" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=f"scheme {scheme}"):
+            parse_config(f"scheme = {scheme}\nrho1 = 0.9\nepsilon = 0.5")
+
 
 class TestSweepCommand:
     def test_writes_csv(self, tmp_path, capsys):

@@ -8,8 +8,8 @@ def linear_plant(x, u):
     return 0.5 * x + u
 
 
-DOUBLE = ControlLaw(lambda x: 2.0 * x, cost_units=1)
-NEGATE = ControlLaw(lambda x: -x, cost_units=2)
+DOUBLE = ControlLaw(lambda x: 2.0 * x)
+NEGATE = ControlLaw(lambda x: -x)
 
 
 def filled(values, fine_count, coarse_count):
@@ -56,11 +56,7 @@ class TestBuffer:
 class TestControlLaw:
     def test_callable(self):
         assert DOUBLE(3.0) == 6.0
-        assert NEGATE.cost_units == 2
-
-    def test_rejects_zero_cost(self):
-        with pytest.raises(ValueError):
-            ControlLaw(lambda x: x, cost_units=0)
+        assert NEGATE(3.0) == -3.0
 
 
 class TestA1Step:

@@ -11,23 +11,22 @@ from esac.simulate import (
     SchemeConfig,
     example_system,
     monte_carlo,
-    sample_env,
     simulate_trajectory,
 )
 
 BENCH_P = (0.2,) * 5
 
 
-def bench_config(scheme="A2", rho2=0.45, eta=2, buffer_size=3, q=0.5, p=BENCH_P):
+def bench_config(scheme="A2", rho2=0.45, eta=2, buffer_size=3, q=0.5, p=BENCH_P, d=1.0):
     plant, kappa1, kappa2_factory = example_system()
-    kappa2 = kappa2_factory(rho2, cost_units=eta) if scheme in ("A2", "B2") else None
+    kappa2 = kappa2_factory(rho2) if scheme in ("A2", "B2") else None
     config = SchemeConfig(
         scheme=scheme,
         kappa1=kappa1,
         kappa2=kappa2,
         eta=eta,
         buffer_size=buffer_size,
-        d=1.0,
+        d=d,
         q=q,
         p=p,
     )
@@ -86,35 +85,44 @@ class TestSchemeConfig:
 
 
 class TestSampleEnv:
+    """The channel and processor outcomes ``(gamma, n)`` a trajectory records."""
+
+    @staticmethod
+    def outcomes(horizon, seed, **kwargs):
+        plant, config = bench_config(**kwargs)
+        traj = simulate_trajectory(plant, config, horizon, seed)
+        assert not traj.divergent
+        triggered = np.abs(traj.x[:-1]) > config.d
+        return traj.gamma, traj.n, triggered
+
     def test_untriggered_is_silent(self):
-        rng = np.random.default_rng(0)
-        assert sample_env(rng, False, 0.5, BENCH_P) == (2, 0)
+        gamma, n, triggered = self.outcomes(200, 0)
+        assert 0 < np.count_nonzero(triggered) < triggered.size
+        np.testing.assert_array_equal(gamma == 2, ~triggered)
+        assert np.all(n[~triggered] == 0)
 
     def test_q_zero_never_transmits(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            assert sample_env(rng, True, 0.0, BENCH_P) == (0, 0)
+        gamma, n, triggered = self.outcomes(50, 0, q=0.0)
+        assert np.all(triggered)
+        assert np.all(gamma == 0)
+        assert np.all(n == 0)
 
     def test_q_one_always_transmits(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            gamma, n = sample_env(rng, True, 1.0, BENCH_P)
-            assert gamma == 1
-            assert 0 <= n <= 4
+        gamma, n, triggered = self.outcomes(200, 0, q=1.0)
+        assert np.all(gamma[triggered] == 1)
+        assert np.all((0 <= n) & (n <= 4))
 
     def test_degenerate_pmf(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            assert sample_env(rng, True, 1.0, (0.0, 0.0, 0.0, 1.0)) == (1, 3)
+        gamma, n, triggered = self.outcomes(200, 0, q=1.0, p=(0.0, 0.0, 0.0, 1.0))
+        assert np.count_nonzero(triggered) >= 20
+        assert np.all(n[triggered] == 3)
 
     def test_grant_frequencies(self):
-        rng = np.random.default_rng(42)
-        counts = np.zeros(5)
-        draws = 40_000
-        for _ in range(draws):
-            gamma, n = sample_env(rng, True, 1.0, BENCH_P)
-            counts[n] += 1
-        np.testing.assert_allclose(counts / draws, BENCH_P, atol=0.01)
+        # With d = 0 the noisy state triggers every step.
+        gamma, n, triggered = self.outcomes(40_000, 42, q=1.0, d=0.0)
+        assert np.all(triggered)
+        counts = np.bincount(n, minlength=5)
+        np.testing.assert_allclose(counts / n.size, BENCH_P, atol=0.01)
 
 
 class TestSimulateTrajectory:
@@ -147,7 +155,7 @@ class TestSimulateTrajectory:
         config = SchemeConfig(
             scheme="A2",
             kappa1=ControlLaw(lambda x: 1.34 * x - 0.01 * math.sin(x) + 0.9 * abs(x)),
-            kappa2=kappa2_factory(0.45, cost_units=2),
+            kappa2=kappa2_factory(0.45),
             eta=2,
             buffer_size=3,
             d=1.0,
@@ -326,15 +334,14 @@ class TestExampleSystem:
 
     def test_fine_law_factory(self):
         plant, _, kappa2_factory = example_system()
-        kappa2 = kappa2_factory(0.45, cost_units=2)
-        assert kappa2.cost_units == 2
+        kappa2 = kappa2_factory(0.45)
         assert kappa2.contraction == 0.45
         nxt = plant.step(-3.0, kappa2(-3.0), 0.0)
         assert nxt == pytest.approx(0.45 * 3.0, rel=1e-9)
 
     def test_array_evaluation_matches_scalar(self):
         plant, kappa1, kappa2_factory = example_system()
-        kappa2 = kappa2_factory(0.45, cost_units=2)
+        kappa2 = kappa2_factory(0.45)
         rng = np.random.default_rng(4)
         x = np.concatenate([rng.normal(0.0, 30.0, 2000), rng.uniform(-1e12, 1e12, 2000),
                             [0.0, -0.0, 1.0, -1.0, 1e-300]])

@@ -17,7 +17,6 @@ from esac.stability import (
     closed_form_index,
     critical_alpha,
     gain_diagonal,
-    is_schur,
     solve_certificate,
     spectral_radius,
     theorem1_bounds,
@@ -333,6 +332,8 @@ class TestCertify:
         np.testing.assert_allclose(residual, 0.0, atol=1e-12)
 
 
-def test_is_schur_margin():
-    assert is_schur([[0.5]])
-    assert not is_schur([[1.0 - 1e-12]])
+def test_certificate_margin():
+    # A witness must prove the Perron root below 1 - SCHUR_TOL, not just below 1.
+    np.testing.assert_allclose(solve_certificate([[0.5]], [1.0]), [2.0])
+    with pytest.raises(ValueError, match="not Schur stable"):
+        solve_certificate([[1.0 - 1e-12]], [1.0])
