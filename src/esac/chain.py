@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import PMF_SUM_TOL, _as_prob_vector
+from .schemes import require_buffered
 
 
 def _validate_effective_pmf(l) -> np.ndarray:
@@ -51,13 +52,13 @@ def transition_matrix(l, eta: int) -> np.ndarray:
 
 
 def min_buffer_size(scheme: str, eta: int, n_max: int) -> int:
-    """Smallest buffer size for which the chain describes the scheme exactly.
+    """Buffer size for which the chain describes the buffered scheme exactly.
 
     The chain ignores the physical buffer size; it is valid whenever the
-    buffer never truncates a computed sequence.
+    buffer never truncates a computed sequence, which holds at this size:
+    ``n_max // eta`` fine entries plus ``eta - 1`` coarse ones, with
+    ``eta = 1`` for a one-law scheme.
     """
-    if scheme == "A1":
-        return n_max
-    if scheme == "A2":
-        return n_max // eta + (eta - 1)
-    raise ValueError(f"unknown buffered scheme {scheme!r}")
+    if not require_buffered(scheme):
+        eta = 1
+    return n_max // eta + eta - 1

@@ -28,12 +28,10 @@ import numpy as np
 from . import acceptance
 from .chain import min_buffer_size
 from .channel import ChannelModel
-from .schemes import ControlLaw
+from .schemes import ControlLaw, require_buffered, scheme_kind
 from .simulate import PlantModel, SchemeConfig, example_system, monte_carlo, simulate_trajectory
 from .stability import ContractionSpec, certify
 from .sweep import SweepSpec, boundary_curve
-
-SCHEMES = ("A1", "A2", "B1", "B2")
 
 
 @dataclass(frozen=True)
@@ -138,38 +136,39 @@ def _parse_key(key: str, raw: str):
 
 
 def _validate(cfg: RunConfig, explicit: set) -> RunConfig:
-    if cfg.scheme not in SCHEMES:
-        raise ConfigError(f"scheme must be one of {SCHEMES}, got {cfg.scheme!r}")
     try:
+        buffered, two_law = scheme_kind(cfg.scheme)
         channel = ChannelModel(q=cfg.q, p=np.array(cfg.p))
-    except ValueError as exc:  # message already names q or p and the valid range
+    except ValueError as exc:  # message already names the scheme, q or p
         raise ConfigError(str(exc)) from None
     n_max = channel.n_max if cfg.n_max is None else cfg.n_max
     if n_max != channel.n_max:
         raise ConfigError(f"n_max={cfg.n_max} inconsistent with p of length {len(cfg.p)}")
-    eta = 1 if cfg.scheme == "A1" else cfg.eta
+    eta = cfg.eta if two_law else 1
     if not 1 <= eta <= n_max:
         raise ConfigError(f"eta must satisfy 1 <= eta <= n_max={n_max}, got {eta}")
     if "rho2" in explicit and "epsilon" in explicit:
         raise ConfigError("give exactly one of rho2 and epsilon, not both")
-    rho2 = cfg.rho2
-    if rho2 is None and cfg.epsilon is not None and cfg.rho1 is not None:
-        # epsilon without rho1 is fine for sweep, which ranges over rho1
-        rho2 = cfg.epsilon * cfg.rho1
-    if cfg.scheme in ("A1", "B1"):
-        if rho2 is None:
-            rho2 = cfg.rho1
-        elif rho2 != cfg.rho1:
+    rho2, epsilon = cfg.rho2, cfg.epsilon
+    if not two_law:  # the coarse law runs in the fine law's place
+        if epsilon not in (None, 1.0):
+            raise ConfigError(f"scheme {cfg.scheme} runs the coarse law only: "
+                              f"epsilon={epsilon} must be 1 or be left out")
+        if rho2 not in (None, cfg.rho1):
             raise ConfigError(f"scheme {cfg.scheme} runs the coarse law only: "
                               f"rho2={rho2} must equal rho1={cfg.rho1} or be left out")
+        rho2, epsilon = cfg.rho1, 1.0
+    elif rho2 is None and epsilon is not None and cfg.rho1 is not None:
+        # epsilon without rho1 is fine for sweep, which ranges over rho1
+        rho2 = epsilon * cfg.rho1
     lam = cfg.lam
     if lam is None:
-        lam = min_buffer_size(cfg.scheme, eta, n_max) if cfg.scheme in ("A1", "A2") else 1
+        lam = min_buffer_size(cfg.scheme, eta, n_max) if buffered else 1
     if cfg.horizon < 1 or cfg.runs < 1:
         raise ConfigError("horizon and runs must be >= 1")
     if cfg.nu is not None and (len(cfg.nu) != n_max + 1 or any(v <= 0 for v in cfg.nu)):
         raise ConfigError(f"nu must be {n_max + 1} strictly positive entries")
-    return replace(cfg, eta=eta, lam=lam, n_max=n_max, rho2=rho2)
+    return replace(cfg, eta=eta, lam=lam, n_max=n_max, rho2=rho2, epsilon=epsilon)
 
 
 def _channel(cfg: RunConfig) -> ChannelModel:
@@ -188,13 +187,11 @@ def _fmt(v: float) -> str:
 
 def cmd_certify(cfg: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
-    if cfg.scheme not in ("A1", "A2"):
-        raise ConfigError("certify supports the buffered schemes A1 and A2")
+    minimum = min_buffer_size(cfg.scheme, cfg.eta, cfg.n_max)  # buffered schemes only
     _require(cfg, "alpha", "rho1", "rho2")
-    if cfg.lam < min_buffer_size(cfg.scheme, cfg.eta, cfg.n_max):
+    if cfg.lam < minimum:
         warnings.warn(
-            f"buffer size {cfg.lam} below the minimum "
-            f"{min_buffer_size(cfg.scheme, cfg.eta, cfg.n_max)}: the chain, and hence "
+            f"buffer size {cfg.lam} below the minimum {minimum}: the chain, and hence "
             "the certificate, does not describe this configuration",
             stacklevel=2,
         )
@@ -216,11 +213,8 @@ def cmd_certify(cfg: RunConfig, out=None) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.scheme not in ("A1", "A2"):
-        raise ConfigError("sweep supports the buffered schemes A1 and A2")
-    if cfg.scheme == "A1":
-        epsilon = 1.0
-    elif cfg.epsilon is not None:
+    require_buffered(cfg.scheme)
+    if cfg.epsilon is not None:
         epsilon = cfg.epsilon
     elif cfg.rho1 and cfg.rho2 is not None:
         epsilon = cfg.rho2 / cfg.rho1

@@ -1,27 +1,60 @@
-"""Executable per-step logic of the anytime control algorithms.
+"""The E-SAC schemes: one table of what they are and one stepper that runs them.
 
-Four variants are implemented.  ``B1`` and ``B2`` apply a control law
-directly when measurement and processor are available and output zero
-otherwise.  ``A1`` and ``A2`` maintain a buffer of tentative future inputs:
-surplus processing units are spent forward-iterating the plant model to
-predict future states and precompute inputs for them.  When no computation
-arrives the buffer is shifted (head consumed); when the trigger is silent
-the buffer is cleared and the input fixed to zero.
+:data:`SCHEMES` maps each scheme to ``(buffered, two_law)``, and every other
+module reads names through :func:`scheme_kind` or :func:`require_buffered`.
+``B1`` and ``B2`` apply a control law directly when measurement and
+processor are available and output zero otherwise.  ``A1`` and ``A2``
+maintain a buffer of tentative future inputs: surplus processing units are
+spent forward-iterating the plant model to predict future states and
+precompute inputs for them.  When no computation arrives the buffer is
+shifted (head consumed); when the trigger is silent the buffer is cleared
+and the input fixed to zero.  The two-law schemes fill the buffer with the
+fine law first: ``N`` granted units split into ``N // eta`` fine entries
+followed by ``N % eta`` coarse entries.
 
-``A2`` fills the buffer with the fine law first: ``N`` granted units split
-into ``N // eta`` fine entries followed by ``N % eta`` coarse entries.
-
-One stepper, :meth:`Buffer.step`, runs all four variants through the
-parameters ``(eta, buffer size)``: ``A1`` is ``A2`` with ``eta = 1`` and the
-coarse law in place of the fine law, ``B2`` is ``A2`` with a one-slot
-buffer, and ``B1`` is both.  The step updates the buffer in place and checks
-nothing: :class:`esac.simulate.SchemeConfig` validates the parameters and
-:func:`esac.simulate.simulate_trajectory` a scripted environment, once.
+:meth:`Buffer.step` runs all four through ``(eta, buffer size)``: a one-law
+scheme runs the coarse law in the fine law's place with ``eta = 1``, and an
+unbuffered scheme has a one-slot buffer.  The step updates the buffer in
+place and checks nothing: :class:`esac.simulate.SchemeConfig` validates the
+parameters once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
+
+
+class SchemeKind(NamedTuple):
+    buffered: bool
+    two_law: bool
+
+
+#: Whether each scheme keeps a buffer and whether it runs two laws.
+SCHEMES = {
+    "A1": SchemeKind(buffered=True, two_law=False),
+    "A2": SchemeKind(buffered=True, two_law=True),
+    "B1": SchemeKind(buffered=False, two_law=False),
+    "B2": SchemeKind(buffered=False, two_law=True),
+}
+
+
+def scheme_kind(scheme: str) -> SchemeKind:
+    """``(buffered, two_law)`` of ``scheme``; ``ValueError`` for an unknown name."""
+    try:
+        return SCHEMES[scheme]
+    except KeyError:
+        raise ValueError(f"unknown scheme {scheme!r}: expected one of "
+                         f"{', '.join(SCHEMES)}") from None
+
+
+def require_buffered(scheme: str) -> bool:
+    """Whether the buffered ``scheme`` runs two laws; ``ValueError`` for an
+    unbuffered one, which no buffer chain describes."""
+    buffered, two_law = scheme_kind(scheme)
+    if not buffered:
+        raise ValueError(f"scheme {scheme} keeps no buffer: only the buffered "
+                         f"schemes A1 and A2 have a buffer chain")
+    return two_law
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,8 @@
 Each step: check the trigger ``|x| > d``, sample the environment outcome
 ``(gamma, N)``, advance the scheme (buffer and input), then advance the
 plant with an additive normal disturbance.  Both engines below run every
-scheme through the parameters of :meth:`SchemeConfig.stepper_args`: A1 is
-A2 with ``eta = 1`` and the coarse law in place of the fine law, B2 is A2
-with one slot, and B1 is both.
+scheme through the parameters of :meth:`SchemeConfig.stepper_args`, read
+from the scheme table :data:`esac.schemes.SCHEMES`.
 
 Randomness comes from one ``numpy.random.Generator`` (PCG64) per
 trajectory, and one function, :func:`_decode_streams`, lays the stream out
@@ -38,13 +37,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .schemes import Buffer, ControlLaw
+from .schemes import Buffer, ControlLaw, scheme_kind
 
 #: States beyond this magnitude mark a run as divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -81,7 +79,7 @@ class PlantModel:
 class SchemeConfig:
     """Which algorithm runs the loop and with what parameters."""
 
-    scheme: str  # one of B1, B2, A1, A2
+    scheme: str  # a key of esac.schemes.SCHEMES
     kappa1: ControlLaw
     kappa2: ControlLaw | None
     eta: int
@@ -91,9 +89,7 @@ class SchemeConfig:
     p: tuple
 
     def __post_init__(self):
-        if self.scheme not in ("B1", "B2", "A1", "A2"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.scheme in ("B2", "A2") and self.kappa2 is None:
+        if scheme_kind(self.scheme).two_law and self.kappa2 is None:
             raise ValueError(f"scheme {self.scheme} requires a fine law")
         if self.eta < 1:
             raise ValueError(f"eta must be >= 1, got {self.eta}")
@@ -107,11 +103,10 @@ class SchemeConfig:
     def stepper_args(self) -> tuple:
         """``(buffer size, coarse law, fine law, eta)`` that run this scheme.
 
-        A1 is A2 with ``eta = 1`` and the coarse law as the fine law, B2 is
-        A2 with one slot, and B1 is both (see :meth:`Buffer.step`).
+        A one-law scheme runs the coarse law as the fine law with ``eta = 1``,
+        and an unbuffered scheme has one slot (see :meth:`Buffer.step`).
         """
-        buffered = self.scheme in ("A1", "A2")
-        two_law = self.scheme in ("A2", "B2")
+        buffered, two_law = scheme_kind(self.scheme)
         return (self.buffer_size if buffered else 1, self.kappa1,
                 self.kappa2 if two_law else self.kappa1, self.eta if two_law else 1)
 
@@ -186,43 +181,21 @@ def _decode_streams(plant: PlantModel, config: SchemeConfig, horizon: int, seeds
     return noise, transmits, grants
 
 
-def _check_script(forced_env, horizon: int):
-    # A scripted environment comes from outside the loop, so it is checked
-    # once here; the stepper itself validates nothing.
-    script = forced_env[:horizon]
-    if len(script) < horizon:
-        raise ValueError(f"forced_env has {len(script)} outcomes, fewer than horizon={horizon}")
-    for k, (gamma, n) in enumerate(script):
-        if gamma not in (0, 1, 2):
-            raise ValueError(f"forced_env[{k}]: gamma must be 0, 1 or 2, got {gamma}")
-        if not isinstance(n, numbers.Integral) or n < 0:
-            raise ValueError(f"forced_env[{k}]: N must be a nonnegative integer, got {n!r}")
-        if gamma != 1 and n != 0:
-            raise ValueError(
-                f"forced_env[{k}]: no processing units can be granted when gamma={gamma}, got N={n}")
-    return script
-
-
 def simulate_trajectory(
     plant: PlantModel,
     config: SchemeConfig,
     horizon: int,
     seed: int,
-    forced_env=None,
 ) -> Trajectory:
-    """Run one closed-loop realization for ``horizon`` steps.
+    """Run one closed-loop realization for ``horizon`` steps from ``seed``.
 
-    ``forced_env`` replaces environment sampling with a fixed list of
-    ``(gamma, n)`` outcomes (and implies a noise-free plant is usually
-    wanted); it is the hook for replaying scripted scenarios.  It must
-    hold at least ``horizon`` outcomes with ``gamma`` in {0, 1, 2} and ``n``
-    a nonnegative integer that is 0 unless ``gamma == 1``; otherwise
-    ``ValueError`` is raised before the first step.  Buffer-free schemes
-    record ``fine = coarse = 0``.
+    The environment outcomes are drawn from the seeded stream (see the
+    module docstring); :func:`esac.acceptance.run_example1` replays a
+    scripted scenario through :meth:`Buffer.step` directly.  Unbuffered
+    schemes record ``fine = coarse = 0``.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    script = None if forced_env is None else _check_script(forced_env, horizon)
     size, kappa1, kappa2, eta = config.stepper_args()
     f = lambda x, u: plant.step(x, u, 0.0)  # noqa: E731  (prediction model)
     # The memoryviews hand out Python floats, ints and bools, which are
@@ -248,9 +221,7 @@ def simulate_trajectory(
     divergent = False
     k = 0
     for k in range(horizon):
-        if script is not None:
-            gamma, n = script[k]
-        elif not abs(x) > d:
+        if not abs(x) > d:
             gamma, n = 2, 0
         elif transmits[cursor]:
             gamma, n = 1, grants[cursor + 1]
@@ -271,7 +242,7 @@ def simulate_trajectory(
         xs[k + 1] = x
         vs[k + 1] = lyapunov(x)
     end = k + 1 if not divergent else k
-    if config.scheme in ("B1", "B2"):  # buffer-free: its one slot holds no prediction
+    if not scheme_kind(config.scheme).buffered:  # its one slot holds no prediction
         fines.fill(0)
         coarses.fill(0)
     return Trajectory(

@@ -27,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import transition_matrix
+from .schemes import require_buffered
 
 #: Margin of Schur verdicts: a witness must prove spectral radius <= 1 - SCHUR_TOL.
 SCHUR_TOL = 1e-9
@@ -43,18 +44,17 @@ class ContractionSpec:
     """Per-mode Lyapunov growth/contraction bounds of a scheme.
 
     ``alpha`` bounds open-loop growth (empty buffer), ``rho1`` the coarse
-    law, ``rho2`` the fine law.  ``sigma_open`` bounds growth in the
-    deterministic (untriggered) mode and defaults to ``alpha`` since that
-    mode applies zero input.  ``d_bound`` is the Lyapunov ceiling inside the
-    trigger region.  The lower Lyapunov envelope plays no computational role
-    and is not carried here.
+    law, ``rho2`` the fine law.  ``alpha`` also bounds growth in the
+    deterministic (untriggered) mode, which applies zero input, so it is
+    the ``sigma_open`` of :func:`theorem1_bounds`.  ``d_bound`` is the
+    Lyapunov ceiling inside the trigger region.  The lower Lyapunov envelope
+    plays no computational role and is not carried here.
     """
 
     alpha: float
     rho1: float
     rho2: float
     eta: int
-    sigma_open: float | None = None
     d_bound: float = 1.0
 
     def __post_init__(self):
@@ -71,8 +71,6 @@ class ContractionSpec:
             )
         if self.rho2 == self.rho1 and self.eta > 1:
             warnings.warn("rho2 == rho1: fine law is no better than coarse", stacklevel=2)
-        if self.sigma_open is None:
-            object.__setattr__(self, "sigma_open", self.alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,10 +241,8 @@ def critical_alpha(
     of T(alpha) is nondecreasing in alpha; bisect the root-equals-one
     crossing over a bracket grown by doubling from alpha = 1.
     """
-    if scheme == "A1":
+    if not require_buffered(scheme):  # one law: the coarse law in the fine law's place
         eta, rho2 = 1, rho1
-    elif scheme != "A2":
-        raise ValueError(f"unknown buffered scheme {scheme!r}")
     if not (rho1 < 1.0 and rho2 < 1.0):
         raise ValueError("critical_alpha requires rho1 < 1 and rho2 < 1")
 
@@ -298,7 +294,7 @@ def certify(spec: ContractionSpec, l, nu=None) -> CertificationReport:
     except ValueError:  # no witness, including a singular I - T
         zeta = xi = c1 = c2 = None
     else:
-        xi, c1, c2 = theorem1_bounds(zeta, nu, spec.sigma_open, spec.d_bound)
+        xi, c1, c2 = theorem1_bounds(zeta, nu, spec.alpha, spec.d_bound)
     return CertificationReport(
         phi=phi,
         t_matrix=t,

@@ -13,6 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelModel
+from .schemes import require_buffered
 from .stability import critical_alpha
 
 #: Default rho1 grid: 0.05, 0.10, ..., 0.95.
@@ -41,8 +42,7 @@ class SweepSpec:
     rho1_grid: tuple = DEFAULT_RHO1_GRID
 
     def __post_init__(self):
-        if self.scheme not in ("A1", "A2"):
-            raise ValueError(f"sweep supports A1 and A2, got {self.scheme!r}")
+        require_buffered(self.scheme)
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         grid = tuple(float(r) for r in self.rho1_grid)

@@ -172,39 +172,6 @@ class TestSimulateTrajectory:
                 expected = -1.34 * expected + 0.01 * math.sin(expected)
             assert traj.x[k] == pytest.approx(expected, rel=1e-12)
 
-    def test_forced_env_replays_script(self):
-        plant, config = bench_config()
-        plant = PlantModel(step=plant.step, noise_std=0.0, x0=20.0, lyapunov=abs)
-        script = [(1, 4), (0, 0), (0, 0), (1, 2), (2, 0)]
-        traj = simulate_trajectory(plant, config, horizon=5, seed=99, forced_env=script)
-        np.testing.assert_array_equal(traj.gamma, [g for g, _ in script])
-        np.testing.assert_array_equal(traj.n, [n for _, n in script])
-
-    @staticmethod
-    def replay(script):
-        # The plant refuses to step, so a bad script must be rejected up front.
-        def no_step(x, u, w):
-            raise RuntimeError("stepped before the script was checked")
-
-        _, config = bench_config(scheme="A1", eta=1)
-        plant = PlantModel(step=no_step, noise_std=0.0, x0=20.0, lyapunov=abs)
-        return simulate_trajectory(plant, config, horizon=4, seed=1, forced_env=script)
-
-    def test_rejects_short_forced_env(self):
-        with pytest.raises(ValueError, match="fewer than horizon"):
-            self.replay([(1, 4)] * 3)
-
-    @pytest.mark.parametrize("outcome, fragment", [
-        ((1, -1), "nonnegative integer"),
-        ((1, 1.0), "nonnegative integer"),
-        ((3, 0), "gamma"),
-        ((0, 2), "granted"),
-        ((2, 1), "granted"),
-    ], ids=["negative-n", "float-n", "bad-gamma", "grant-without-trigger", "grant-when-silent"])
-    def test_rejects_bad_forced_env(self, outcome, fragment):
-        with pytest.raises(ValueError, match=fragment):
-            self.replay([(1, 4), outcome, (1, 0), (1, 0)])
-
     def test_divergence_truncates_and_flags(self):
         plant = PlantModel(
             step=lambda x, u, w: 10.0 * x + u + w,

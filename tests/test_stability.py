@@ -34,11 +34,6 @@ OMEGA_PER_ALPHA_Q3 = 0.8512265418572063  # one-law, rho1=0.9
 
 
 class TestContractionSpec:
-    def test_sigma_open_defaults_to_alpha(self):
-        spec = ContractionSpec(alpha=1.3, rho1=0.9, rho2=0.4, eta=2)
-        assert spec.sigma_open == 1.3
-        assert spec.d_bound == 1.0
-
     def test_rejects_rho2_above_rho1(self):
         with pytest.raises(ValueError):
             ContractionSpec(alpha=1.3, rho1=0.5, rho2=0.9, eta=2)
@@ -283,6 +278,10 @@ class TestCertify:
         assert report.c1 >= 1.0
         assert report.c2 > 0.0
         assert np.all(report.zeta > 0.0)
+        # The untriggered mode applies zero input, so it grows by alpha.
+        assert spec.d_bound == 1.0
+        assert (report.xi, report.c1, report.c2) == theorem1_bounds(
+            report.zeta, np.ones(5), sigma_open=1.35, d_bound=1.0)
 
     def test_q1_not_certified_above_threshold(self):
         spec = ContractionSpec(alpha=1.36, rho1=0.9, rho2=0.45, eta=2)
