@@ -6,25 +6,29 @@ plant with an additive normal disturbance.  Both engines below run every
 scheme through the parameters of :meth:`SchemeConfig.stepper_args`, read
 from the scheme table :data:`esac.schemes.SCHEMES`.
 
-Randomness comes from one ``numpy.random.Generator`` (PCG64) per
-trajectory, and one function, :func:`_decode_streams`, lays the stream out
-for both engines: the whole disturbance stream ``standard_normal(horizon)``
-up front, then ``2 * horizon`` uniforms, each decoded into a transmit flag
+Randomness comes from one ``numpy.random.Generator`` (PCG64), and one
+function, :func:`_decode_streams`, lays it out for both engines.  Each run
+draws its whole disturbance stream ``standard_normal(horizon)`` up front,
+then ``2 * horizon`` uniforms, each decoded into a transmit flag
 (``u < q``) and a unit grant (inverse transform on ``p``).  The engines
 read the decoded uniforms in order through a cursor: per step one for the
 channel outcome (triggered steps only) and one for the unit grant
-(successful transmissions only).  Monte Carlo run ``r`` is seeded with
-``base_seed ^ r``, so runs are independent of execution order; the
-reduction accumulates in run-index order.  Identical configuration and seed
-give bit-identical trajectories.
+(successful transmissions only).  A run consumes all of its draws, even if
+it diverges.  A Monte Carlo call makes one ``default_rng(base_seed)`` and
+its runs draw from it one after another in run order, so run 0 is the
+trajectory of ``simulate_trajectory(..., seed=base_seed)``, and different
+base seeds give independent runs
+(https://numpy.org/doc/stable/reference/random/parallel.html).  The
+reduction accumulates in run order.  Identical configuration and seed give
+bit-identical trajectories.
 
 :func:`monte_carlo` has two engines with bit-identical results.  A call of
 at least ``_BATCH_MIN_RUNS`` (26) runs advances its runs together: the state
 is an array with one entry per run, the buffers an array with one row per
 slot, and each step does the trigger test, the draws, the shift, the clear,
 a refill loop over the slots and the plant step on whole arrays.  Each step
-adds the runs' Lyapunov values one run at a time in run order, as the
-per-run loop does.  Narrower calls run :func:`simulate_trajectory` once per
+adds the runs' Lyapunov values and their squares one run at a time in run
+order, as the per-run loop does.  Narrower calls run :func:`simulate_trajectory` once per
 run, which steps one scalar :class:`~esac.schemes.Buffer` in place and is
 faster there because numpy's cost per call outweighs a width of a couple of
 dozen runs.
@@ -56,8 +60,21 @@ _BATCH_MIN_RUNS = 26
 #: ``_BATCH_MIN_RUNS``.  Stored at 4 bytes per draw on average (8 per
 #: disturbance, 2 per uniform while ``p`` has at most 256 entries), a batch
 #: holds at most 8 MiB up to a horizon of 26,886 steps and ``312 * horizon``
-#: bytes beyond, where the width floor takes over.
+#: bytes beyond, where the width floor takes over.  Decoding adds a float64
+#: slab of at most ``_DECODE_SLAB_DRAWS`` uniforms, or of one run's
+#: ``2 * horizon`` if that is more.
 _BATCH_MAX_DRAWS = 1 << 21
+
+#: Uniforms that :func:`_decode_streams` holds as float64 before it decodes
+#: them (32 KiB).  A larger slab decodes a little faster but adds its size
+#: to a batch's peak memory: on 2 vCPUs, the streams of a Q1 call of 512
+#: runs x 200 steps took 5.2 ms to decode at 32 KiB and 4.3 ms at 128 KiB.
+_DECODE_SLAB_DRAWS = 1 << 12
+
+#: Inner edges of the cumulative ``p`` up to which a grant is decoded as one
+#: ``>=`` pass per edge rather than by ``searchsorted``: the measured
+#: crossover of the two on 2 vCPUs lies near 96 edges.
+_COMPARE_MAX_EDGES = 64
 
 
 @dataclass(frozen=True)
@@ -66,7 +83,7 @@ class PlantModel:
 
     ``lyapunov`` maps a state to its nonnegative Lyapunov value.  Both
     callables must also work elementwise on float arrays (see the module
-    docstring).
+    docstring).  ``noise_std`` must be finite and nonnegative.
     """
 
     step: Callable
@@ -74,10 +91,18 @@ class PlantModel:
     x0: float
     lyapunov: Callable
 
+    def __post_init__(self):
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Which algorithm runs the loop and with what parameters."""
+    """Which algorithm runs the loop and with what parameters.
+
+    A step triggers when ``|x| > d``, so ``d`` must be nonnegative (an
+    infinite ``d`` never triggers).
+    """
 
     scheme: str  # a key of esac.schemes.SCHEMES
     kappa1: ControlLaw
@@ -95,6 +120,8 @@ class SchemeConfig:
             raise ValueError(f"eta must be >= 1, got {self.eta}")
         if self.buffer_size < 1:
             raise ValueError(f"buffer_size must be >= 1, got {self.buffer_size}")
+        if not self.d >= 0.0:
+            raise ValueError(f"d must be >= 0, got {self.d}")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {self.q}")
         if not all(v >= 0.0 for v in self.p) or not 0.0 < sum(self.p) < math.inf:
@@ -138,8 +165,12 @@ class Trajectory:
 class MonteCarloResult:
     """Mean Lyapunov path and trigger statistics over many realizations.
 
-    ``trigger_rate[k]`` is the fraction of runs whose state exceeded the
-    trigger threshold at step ``k`` (length ``horizon + 1``);
+    ``se_v[k]`` is the standard error of ``mean_v[k]``: the sample standard
+    deviation (``ddof=1``) of the runs' Lyapunov values at step ``k``
+    divided by ``sqrt(runs)``, from run-order sums of the values and their
+    squares; it is NaN when ``runs == 1``.  ``trigger_rate[k]`` is the
+    fraction of runs whose state exceeded the trigger threshold at step
+    ``k`` (length ``horizon + 1``);
     ``overall_trigger_rate`` aggregates it into the scalar channel-use
     diagnostic.  Divergent runs carry their last finite Lyapunov value
     forward (and count as triggered) and are tallied in ``divergent_runs``.
@@ -148,6 +179,7 @@ class MonteCarloResult:
     horizon: int
     runs: int
     mean_v: np.ndarray
+    se_v: np.ndarray
     trigger_rate: np.ndarray
     divergent_runs: int
 
@@ -156,27 +188,40 @@ class MonteCarloResult:
         return float(self.trigger_rate.mean())
 
 
-def _decode_streams(plant: PlantModel, config: SchemeConfig, horizon: int, seeds):
-    """The random streams of the runs seeded ``seeds``, decoded.
+def _decode_streams(plant: PlantModel, config: SchemeConfig, horizon: int,
+                    rng: np.random.Generator, count: int):
+    """The next ``count`` runs of the stream ``rng``, decoded.
 
-    Run ``i``'s ``default_rng(seeds[i])`` gives ``horizon`` normals, scaled
-    into the disturbances ``noise[:, i]``, then ``2 * horizon`` uniforms.
-    Each uniform ``u`` is stored as the two outcomes it can decide: the
-    transmit flag ``u < q`` in ``transmits[i]`` when read as a channel draw,
-    and a grant (inverse transform on ``p``) in ``grants[i]`` when read as a
-    grant draw.  That takes 2 bytes per uniform, not 8.
+    Run ``i`` draws ``horizon`` normals straight into ``noise[i]``, later
+    scaled into the disturbances, then ``2 * horizon`` uniforms.  Each
+    uniform ``u`` is stored as the two outcomes it can decide: the transmit
+    flag ``u < q`` in ``transmits[i]`` when read as a channel draw, and a
+    grant (inverse transform on ``p``) in ``grants[i]`` when read as a grant
+    draw.  That takes 2 bytes per uniform, not 8.  The uniforms are drawn
+    one run per row into a float64 slab of at most ``_DECODE_SLAB_DRAWS``
+    numbers (or one run's), and each filled slab is decoded at once.
     """
     cum = list(itertools.accumulate(config.p))
     inner, total = np.array(cum[:-1]), cum[-1]
-    noise = np.empty((horizon, len(seeds)))
-    transmits = np.empty((len(seeds), 2 * horizon), dtype=bool)
-    grants = np.empty((len(seeds), 2 * horizon), dtype=np.min_scalar_type(len(cum) - 1))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        noise[:, i] = rng.standard_normal(horizon)
-        uniforms = rng.random(2 * horizon)
-        transmits[i] = uniforms < config.q
-        grants[i] = np.searchsorted(inner, uniforms * total, side="right")
+    noise = np.empty((count, horizon))
+    transmits = np.empty((count, 2 * horizon), dtype=bool)
+    grants = np.empty((count, 2 * horizon), dtype=np.min_scalar_type(len(cum) - 1))
+    slab = np.empty((min(count, max(1, _DECODE_SLAB_DRAWS // (2 * horizon))), 2 * horizon))
+    for first in range(0, count, len(slab)):
+        uniforms = slab[: count - first]
+        last = first + len(uniforms)
+        for normals, row in zip(noise[first:last], uniforms):
+            rng.standard_normal(out=normals)
+            rng.random(out=row)
+        np.less(uniforms, config.q, out=transmits[first:last])
+        uniforms *= total
+        block = grants[first:last]
+        if inner.size <= _COMPARE_MAX_EDGES:
+            block.fill(0)
+            for edge in inner:
+                block += uniforms >= edge
+        else:
+            block[...] = np.searchsorted(inner, uniforms, side="right")
     noise *= plant.noise_std
     return noise, transmits, grants
 
@@ -185,14 +230,16 @@ def simulate_trajectory(
     plant: PlantModel,
     config: SchemeConfig,
     horizon: int,
-    seed: int,
+    seed: int | np.random.Generator,
 ) -> Trajectory:
     """Run one closed-loop realization for ``horizon`` steps from ``seed``.
 
-    The environment outcomes are drawn from the seeded stream (see the
-    module docstring); :func:`esac.acceptance.run_example1` replays a
-    scripted scenario through :meth:`Buffer.step` directly.  Unbuffered
-    schemes record ``fine = coarse = 0``.
+    ``seed`` is an int, which seeds a new ``default_rng``, or a
+    ``Generator``, which this run advances by its draws (see the module
+    docstring); :func:`monte_carlo` passes one ``Generator`` to its runs in
+    turn.  :func:`esac.acceptance.run_example1` replays a scripted scenario
+    through :meth:`Buffer.step` directly.  Unbuffered schemes record
+    ``fine = coarse = 0``.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -200,7 +247,7 @@ def simulate_trajectory(
     f = lambda x, u: plant.step(x, u, 0.0)  # noqa: E731  (prediction model)
     # The memoryviews hand out Python floats, ints and bools, which are
     # cheaper than numpy scalars in the scalar step loop below.
-    streams = _decode_streams(plant, config, horizon, [seed])
+    streams = _decode_streams(plant, config, horizon, np.random.default_rng(seed), 1)
     noise, transmits, grants = (memoryview(a.ravel()) for a in streams)
 
     xs = np.empty(horizon + 1)
@@ -266,54 +313,69 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Average the Lyapunov path over ``runs`` independent realizations.
 
-    Run ``r`` uses seed ``base_seed ^ r``; the reduction happens in
-    run-index order.  Wide calls take the batched engine, narrow ones the
-    per-run loop (see the module docstring); both give the same bits.
+    The result also carries the per-step standard error ``se_v`` (see
+    :class:`MonteCarloResult`).  The runs draw from one
+    ``default_rng(base_seed)`` in run order, so run 0 is
+    ``simulate_trajectory(plant, config, horizon, base_seed)``; the
+    reductions happen in run order.  Wide calls take the batched engine,
+    narrow ones the per-run loop (see the module docstring); both give the
+    same bits.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
+    rng = np.random.default_rng(base_seed)
     sum_v = np.zeros(horizon + 1)
+    sum_sq = np.zeros(horizon + 1)
     sum_trigger = np.zeros(horizon + 1)
     divergent_runs = 0
     if runs >= _BATCH_MIN_RUNS:
         width = max(_BATCH_MIN_RUNS, _BATCH_MAX_DRAWS // (3 * horizon))
         for first in range(0, runs, width):
-            seeds = [base_seed ^ r for r in range(first, min(runs, first + width))]
-            divergent_runs += _run_batch(plant, config, horizon, seeds, sum_v, sum_trigger)
+            divergent_runs += _run_batch(plant, config, horizon, rng, min(width, runs - first),
+                                         sum_v, sum_sq, sum_trigger)
     else:
-        for r in range(runs):
-            traj = simulate_trajectory(plant, config, horizon, base_seed ^ r)
+        for _ in range(runs):
+            traj = simulate_trajectory(plant, config, horizon, rng)
             v = traj.v
             trig = np.abs(traj.x) > config.d
             if v.size < horizon + 1:  # divergent: carry last finite value forward
                 v = np.concatenate([v, np.full(horizon + 1 - v.size, v[-1])])
                 trig = np.concatenate([trig, np.ones(horizon + 1 - trig.size, dtype=bool)])
             sum_v += v
+            sum_sq += v * v
             sum_trigger += trig
             divergent_runs += traj.divergent
+            del traj, v, trig  # free this run's arrays before the next run allocates its own
+    if runs > 1:
+        # Clipped at zero: rounding can leave a zero spread slightly negative.
+        spread = np.maximum(sum_sq - sum_v * sum_v / runs, 0.0)
+        se_v = np.sqrt(spread / (runs - 1) / runs)
+    else:
+        se_v = np.full(horizon + 1, np.nan)
     return MonteCarloResult(
         horizon=horizon,
         runs=runs,
         mean_v=sum_v / runs,
+        se_v=se_v,
         trigger_rate=sum_trigger / runs,
         divergent_runs=divergent_runs,
     )
 
 
-def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int, seeds: list,
-               sum_v: np.ndarray, sum_trigger: np.ndarray) -> int:
-    """Advance the runs seeded ``seeds`` together and add them into the sums.
+def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
+               rng: np.random.Generator, width: int, sum_v: np.ndarray, sum_sq: np.ndarray,
+               sum_trigger: np.ndarray) -> int:
+    """Advance the next ``width`` runs of ``rng`` together and add them into the sums.
 
     Reads each run's decoded stream as :func:`simulate_trajectory` does and
     returns the number of runs that diverged.  A diverged run keeps its last
     finite Lyapunov value and counts as triggered; its state is parked at
     zero so that it stays finite.
     """
-    width = len(seeds)
-    noise, transmits, grants = _decode_streams(plant, config, horizon, seeds)
+    noise, transmits, grants = _decode_streams(plant, config, horizon, rng, width)
     transmits, grants = transmits.ravel(), grants.ravel()
     cursor = np.arange(width) * (2 * horizon)  # flat index of each run's next draw
 
@@ -324,14 +386,16 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int, seeds: lis
     v = plant.lyapunov(x)
     dead = np.zeros(width, dtype=bool)
     trig = np.abs(x) > config.d
-    ordered = np.empty(width + 1)
+    ordered = np.empty((2, width + 1))  # rows: the values and their squares
 
     def add(k):
-        # Sequential sum in run order (cumsum, not a pairwise sum), continuing
-        # the running total, as the per-run loop adds its runs.
-        ordered[0] = sum_v[k]
-        ordered[1:] = v
-        sum_v[k] = np.cumsum(ordered, out=ordered)[-1]
+        # Sequential sums in run order (cumsum, not a pairwise sum), continuing
+        # the running totals, as the per-run loop adds its runs.
+        ordered[:, 0] = sum_v[k], sum_sq[k]
+        ordered[0, 1:] = v
+        np.multiply(v, v, out=ordered[1, 1:])
+        np.cumsum(ordered, axis=1, out=ordered)
+        sum_v[k], sum_sq[k] = ordered[:, -1]
         sum_trigger[k] += np.count_nonzero(trig)
 
     add(0)
@@ -347,7 +411,7 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int, seeds: lis
         if grant.size:
             _refill_rows(buf, x[grant], grant, n[grant].astype(np.intp), eta, kappa1, kappa2,
                          plant.step)
-        x = plant.step(x, buf[0], noise[k])
+        x = plant.step(x, buf[0], noise[:, k])
         size = np.abs(x)
         finite = size <= DIVERGENCE_LIMIT  # false for inf and nan too
         if np.count_nonzero(finite) < width:

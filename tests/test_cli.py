@@ -1,4 +1,6 @@
 import io
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -208,15 +210,29 @@ class TestSimulateCommand:
         main(common[:-1] + ["4", "--output", str(c)])
         assert a.read_bytes() != c.read_bytes()
 
+    @pytest.mark.parametrize("key, value", [
+        ("d", "nan"), ("d", "-1"), ("noise_std", "nan"), ("noise_std", "-1"),
+    ])
+    def test_rejects_bad_threshold_or_noise(self, key, value, tmp_path, capsys):
+        out = tmp_path / "mc.csv"
+        code = main(["simulate", "--rho1", "0.9", "--rho2", "0.45", "--runs", "4",
+                     "--horizon", "20", f"--{key}", value, "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+        assert not out.exists()
+
 
 DATA = Path(__file__).parent / "data"
 A2 = ["--scheme", "A2", "--eta", "2", "--rho1", "0.9", "--rho2", "0.45"]
 
-#: ``esac simulate`` runs whose output files were captured with ``--seed 3``
-#: from the per-run Monte Carlo loop over the immutable-buffer step functions
-#: (before the batched engine and the one scalar stepper existed).  Narrow
-#: calls take the per-run path, wide ones the batched engine; the B1 runs
-#: have diverging runs.
+#: ``esac simulate`` runs captured with ``--seed 3``.  The trajectory files
+#: come from the per-run loop over the immutable-buffer step functions
+#: (before the batched engine and the one scalar stepper existed).  The
+#: simulate files come from runs drawn in run order from one
+#: ``default_rng(3)``; they were checked byte for byte against the run-order
+#: reference of ``test_simulate.py``, and their run 0 is the trajectory
+#: file's run.  Narrow calls take the per-run path, wide ones the batched
+#: engine; the B1 runs have diverging runs.
 A1 = ["--scheme", "A1", "--rho1", "0.9", "--horizon", "120"]
 B1 = ["--scheme", "B1", "--rho1", "0.9", "--horizon", "200"]
 B2 = ["--scheme", "B2", "--eta", "2", "--rho1", "0.9", "--rho2", "0.45", "--horizon", "120"]
@@ -249,6 +265,15 @@ def test_example1_command(capsys):
     assert code == 0
     assert "A1:" in out and "A2:" in out
     assert "OK" in out
+
+
+def test_python_m_esac(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["esac", "certify", "--alpha", "1.35",
+                                      "--rho1", "0.9", "--rho2", "0.45"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("esac", run_name="__main__")
+    assert exc.value.code == 0
+    assert "CertifiedStable" in capsys.readouterr().out
 
 
 def test_config_file_flag(tmp_path, capsys):

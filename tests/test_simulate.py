@@ -1,10 +1,12 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import esac.simulate
+from esac.acceptance import benchmark_scheme_config
 from esac.schemes import ControlLaw
 from esac.simulate import (
     PlantModel,
@@ -44,20 +46,24 @@ def noise_free_plant():
 
 
 def reference_monte_carlo(plant, config, horizon, runs, base_seed):
-    """Mean over ``simulate_trajectory`` runs, added one run at a time."""
+    """Mean over ``simulate_trajectory`` runs drawn in turn from one
+    ``default_rng(base_seed)``, added one run at a time, and the runs'
+    Lyapunov paths (a divergent one carries its last finite value forward)."""
+    rng = np.random.default_rng(base_seed)
+    paths = np.empty((runs, horizon + 1))
     sum_v = np.zeros(horizon + 1)
     sum_trigger = np.zeros(horizon + 1)
     divergent = 0
-    for r in range(runs):
-        traj = simulate_trajectory(plant, config, horizon, base_seed ^ r)
-        v = np.full(horizon + 1, traj.v[-1])
+    for v in paths:
+        traj = simulate_trajectory(plant, config, horizon, rng)
+        v.fill(traj.v[-1])
         v[: traj.v.size] = traj.v
         trig = np.ones(horizon + 1, dtype=bool)
         trig[: traj.x.size] = np.abs(traj.x) > config.d
         sum_v += v
         sum_trigger += trig
         divergent += traj.divergent
-    return sum_v / runs, sum_trigger / runs, divergent
+    return sum_v / runs, sum_trigger / runs, divergent, paths
 
 
 class TestSchemeConfig:
@@ -72,6 +78,8 @@ class TestSchemeConfig:
         ("p", (0.0, 0.0)),
         ("p", ()),
         ("p", (0.5, float("nan"))),
+        ("d", float("nan")),
+        ("d", -1.0),
     ])
     @pytest.mark.parametrize("scheme", ["A2", "B2"])
     def test_rejects_bad_value(self, scheme, field, value):
@@ -82,6 +90,14 @@ class TestSchemeConfig:
     def test_accepts_edge_values(self):
         _, config = bench_config(q=1.0, p=(0.0, 1.0))
         assert dataclasses.replace(config, q=0.0).q == 0.0
+        assert dataclasses.replace(config, d=math.inf).d == math.inf
+
+
+class TestPlantModel:
+    @pytest.mark.parametrize("noise_std", [float("nan"), -1.0, math.inf])
+    def test_rejects_bad_noise_std(self, noise_std):
+        with pytest.raises(ValueError, match="noise_std"):
+            dataclasses.replace(noise_free_plant(), noise_std=noise_std)
 
 
 class TestSampleEnv:
@@ -205,9 +221,24 @@ class TestMonteCarlo:
     def test_mean_over_two_runs(self):
         plant, config = bench_config()
         result = monte_carlo(plant, config, horizon=40, runs=2, base_seed=5)
-        t0 = simulate_trajectory(plant, config, horizon=40, seed=5 ^ 0)
-        t1 = simulate_trajectory(plant, config, horizon=40, seed=5 ^ 1)
+        rng = np.random.default_rng(5)
+        t0 = simulate_trajectory(plant, config, horizon=40, seed=rng)
+        t1 = simulate_trajectory(plant, config, horizon=40, seed=rng)
         np.testing.assert_allclose(result.mean_v, (t0.v + t1.v) / 2.0, rtol=1e-15)
+
+    def test_single_run_has_nan_standard_error(self):
+        plant, config = bench_config()
+        result = monte_carlo(plant, config, horizon=40, runs=1, base_seed=5)
+        assert result.se_v.shape == (41,)
+        assert np.all(np.isnan(result.se_v))
+
+    def test_base_seeds_give_independent_runs(self):
+        plant, _, _ = example_system()
+        config = benchmark_scheme_config("Q1")
+        means = [monte_carlo(plant, config, horizon=200, runs=256, base_seed=seed).mean_v
+                 for seed in (0, 1, 7)]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert np.max(np.abs(means[i] - means[j])) > 1.0
 
     def test_trigger_rate_shape_and_range(self):
         plant, config = bench_config()
@@ -250,15 +281,27 @@ WIDTHS = [5, 16, esac.simulate._BATCH_MIN_RUNS, 40]
 
 
 class TestMonteCarloOracle:
-    """Both engines equal the run-order mean of ``simulate_trajectory`` bit for bit."""
+    """Both engines equal the run-order mean of ``simulate_trajectory`` bit for
+    bit, and give the same standard errors."""
 
     def check(self, plant, config, horizon, runs, base_seed):
         result = monte_carlo(plant, config, horizon, runs, base_seed)
-        mean_v, trigger_rate, divergent = reference_monte_carlo(
+        # The same call through the other engine.
+        batched = runs >= esac.simulate._BATCH_MIN_RUNS
+        with mock.patch.object(esac.simulate, "_BATCH_MIN_RUNS", runs + 1 if batched else 1):
+            other = monte_carlo(plant, config, horizon, runs, base_seed)
+        mean_v, trigger_rate, divergent, paths = reference_monte_carlo(
             plant, config, horizon, runs, base_seed)
-        np.testing.assert_array_equal(result.mean_v, mean_v)
-        np.testing.assert_array_equal(result.trigger_rate, trigger_rate)
-        assert result.divergent_runs == divergent
+        for res in (result, other):
+            np.testing.assert_array_equal(res.mean_v, mean_v)
+            np.testing.assert_array_equal(res.trigger_rate, trigger_rate)
+            assert res.divergent_runs == divergent
+        np.testing.assert_array_equal(result.se_v, other.se_v)
+        # The sums-of-squares form loses up to about sqrt(eps) * max|v| to
+        # cancellation where the runs agree.
+        np.testing.assert_allclose(
+            result.se_v, np.std(paths, axis=0, ddof=1) / math.sqrt(runs),
+            rtol=1e-9, atol=10 * math.sqrt(np.finfo(float).eps) * np.abs(paths).max())
         return result
 
     @pytest.mark.parametrize("runs", WIDTHS)
