@@ -71,11 +71,6 @@ _BATCH_MAX_DRAWS = 1 << 21
 #: runs x 200 steps took 5.2 ms to decode at 32 KiB and 4.3 ms at 128 KiB.
 _DECODE_SLAB_DRAWS = 1 << 12
 
-#: Inner edges of the cumulative ``p`` up to which a grant is decoded as one
-#: ``>=`` pass per edge rather than by ``searchsorted``: the measured
-#: crossover of the two on 2 vCPUs lies near 96 edges.
-_COMPARE_MAX_EDGES = 64
-
 
 @dataclass(frozen=True)
 class PlantModel:
@@ -216,12 +211,9 @@ def _decode_streams(plant: PlantModel, config: SchemeConfig, horizon: int,
         np.less(uniforms, config.q, out=transmits[first:last])
         uniforms *= total
         block = grants[first:last]
-        if inner.size <= _COMPARE_MAX_EDGES:
-            block.fill(0)
-            for edge in inner:
-                block += uniforms >= edge
-        else:
-            block[...] = np.searchsorted(inner, uniforms, side="right")
+        block.fill(0)
+        for edge in inner:  # the count of inner edges <= u, as searchsorted(side="right")
+            block += uniforms >= edge
     noise *= plant.noise_std
     return noise, transmits, grants
 
