@@ -8,10 +8,12 @@ by a fresh computation of ``N = j`` units (probability ``l[j]``, landing in
 state ``j``) or, when no computation arrives (probability ``l[0]``),
 shifted: the head entry is consumed.  The empty state 0 stays empty, a
 coarse-only state ``i < eta`` moves to ``i - 1``, and a state whose head is
-a fine entry moves to ``i - eta``.
+a fine entry moves to ``i - eta`` (:func:`shift_targets`).
 
 The transition matrix is built directly from this rule; by construction
-every row sums to one exactly.
+every row sums to one exactly.  The batched Monte Carlo engine in
+:mod:`esac.simulate` keeps each run's buffer as its state ``i`` and shifts
+it by the same rule.
 """
 from __future__ import annotations
 
@@ -33,6 +35,12 @@ def _validate_effective_pmf(l) -> np.ndarray:
     return l
 
 
+def shift_targets(states: int, eta: int) -> list[int]:
+    """The state that a shift leads to from each state ``0 .. states - 1``:
+    the head entry is consumed."""
+    return [max(i - (1 if i < eta else eta), 0) for i in range(states)]
+
+
 def transition_matrix(l, eta: int) -> np.ndarray:
     """Read-only ``(n_max + 1) x (n_max + 1)`` triggered-period transition matrix.
 
@@ -45,8 +53,8 @@ def transition_matrix(l, eta: int) -> np.ndarray:
         raise ValueError(f"eta must be >= 1, got {eta}")
     pi = np.tile(l, (l.size, 1))
     pi[:, 0] = 0.0
-    for i in range(l.size):
-        pi[i, max(i - (1 if i < eta else eta), 0)] += l[0]
+    for i, j in enumerate(shift_targets(l.size, eta)):
+        pi[i, j] += l[0]
     pi.flags.writeable = False
     return pi
 
@@ -56,9 +64,10 @@ def min_buffer_size(scheme: str, eta: int, n_max: int) -> int:
 
     The chain ignores the physical buffer size; it is valid whenever the
     buffer never truncates a computed sequence, which holds at this size:
-    ``n_max // eta`` fine entries plus ``eta - 1`` coarse ones, with
-    ``eta = 1`` for a one-law scheme.
+    the most entries, ``n // eta`` fine plus ``n % eta`` coarse, that a
+    grant of ``n <= n_max`` units computes, with ``eta = 1`` for a one-law
+    scheme.
     """
     if not require_buffered(scheme):
         eta = 1
-    return n_max // eta + eta - 1
+    return max(sum(divmod(n, eta)) for n in range(n_max + 1))

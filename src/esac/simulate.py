@@ -23,14 +23,14 @@ reduction accumulates in run order.  Identical configuration and seed give
 bit-identical trajectories.
 
 :func:`monte_carlo` has two engines with bit-identical results.  A call of
-at least ``_BATCH_MIN_RUNS`` (26) runs advances its runs together: the state
-is an array with one entry per run, the buffers an array with one row per
-slot, and each step does the trigger test, the draws, the shift, the clear,
-a refill loop over the slots and the plant step on whole arrays.  Each step
-adds the runs' Lyapunov values and their squares one run at a time in run
-order, as the per-run loop does.  Narrower calls run :func:`simulate_trajectory` once per
+at least ``_BATCH_MIN_RUNS`` (16) runs advances its runs together on arrays
+with one entry per run: a run's buffer is its chain state (as in
+:mod:`esac.chain`) with its head entry, and an entry is computed only when
+it becomes the head (see :func:`_run_batch`).  Each step adds the runs'
+Lyapunov values and their squares one run at a time in run order, as the
+per-run loop does.  Narrower calls run :func:`simulate_trajectory` once per
 run, which steps one scalar :class:`~esac.schemes.Buffer` in place and is
-faster there because numpy's cost per call outweighs a width of a couple of
+faster there because numpy's cost per call outweighs a width of about a
 dozen runs.
 
 Plant and law callables must therefore work elementwise on float arrays as
@@ -46,6 +46,7 @@ from typing import Callable
 
 import numpy as np
 
+from .chain import shift_targets
 from .schemes import Buffer, ControlLaw, scheme_kind
 
 #: States beyond this magnitude mark a run as divergent.
@@ -53,13 +54,13 @@ DIVERGENCE_LIMIT = 1e12
 
 #: Narrowest ``monte_carlo`` call that takes the batched engine: the measured
 #: crossover, where both engines run the benchmark loops equally fast.
-_BATCH_MIN_RUNS = 26
+_BATCH_MIN_RUNS = 16
 
 #: Pre-drawn numbers (one disturbance and two uniforms per run and step)
 #: that size a batch: it is as wide as this allows but never narrower than
 #: ``_BATCH_MIN_RUNS``.  Stored at 4 bytes per draw on average (8 per
 #: disturbance, 2 per uniform while ``p`` has at most 256 entries), a batch
-#: holds at most 8 MiB up to a horizon of 26,886 steps and ``312 * horizon``
+#: holds at most 8 MiB up to a horizon of 43,690 steps and ``192 * horizon``
 #: bytes beyond, where the width floor takes over.  Decoding adds a float64
 #: slab of at most ``_DECODE_SLAB_DRAWS`` uniforms, or of one run's
 #: ``2 * horizon`` if that is more.
@@ -363,24 +364,37 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
     """Advance the next ``width`` runs of ``rng`` together and add them into the sums.
 
     Reads each run's decoded stream as :func:`simulate_trajectory` does and
-    returns the number of runs that diverged.  A diverged run keeps its last
-    finite Lyapunov value and counts as triggered; its state is parked at
-    zero so that it stays finite.
+    returns the number of runs that diverged.  A run's buffer is its chain
+    state (0 is empty) with the head input ``u`` and the predicted state
+    ``chi`` that ``u`` was computed at.  An entry is computed only when it
+    becomes the head, by the floating-point operations of :meth:`Buffer.step`.
+    A diverged run keeps its last finite Lyapunov value and counts as
+    triggered; its plant state is parked at zero and it takes silent steps.
     """
     noise, transmits, grants = _decode_streams(plant, config, horizon, rng, width)
     transmits, grants = transmits.ravel(), grants.ravel()
     cursor = np.arange(width) * (2 * horizon)  # flat index of each run's next draw
 
     slots, kappa1, kappa2, eta = config.stepper_args()
-    buf = np.zeros((slots, width))  # slot-major
+    # The states that a shift and a grant of n units lead to; a grant lands in a state <= n.
+    shift_to = np.array(shift_targets(len(config.p), eta), dtype=np.intp)
+    grant_to = np.zeros_like(shift_to)
+    probe, zero = Buffer(slots), ControlLaw(lambda x: 0.0)
+    for n in range(1, len(config.p)):
+        probe.step(0.0, 1, n, zero, zero, eta, lambda x, u: x)  # splits and truncates n
+        grant_to[n] = probe.fine_count * eta + probe.coarse_count
 
     x = np.full(width, plant.x0, dtype=float)
+    state = np.zeros(width, dtype=np.intp)
+    u = np.zeros(width)  # the head input
+    chi = np.zeros(width)  # the predicted state that u was computed at
     v = plant.lyapunov(x)
     dead = np.zeros(width, dtype=bool)
+    ndead = 0
     trig = np.abs(x) > config.d
     ordered = np.empty((2, width + 1))  # rows: the values and their squares
 
-    def add(k):
+    def add(k, triggered):
         # Sequential sums in run order (cumsum, not a pairwise sum), continuing
         # the running totals, as the per-run loop adds its runs.
         ordered[:, 0] = sum_v[k], sum_sq[k]
@@ -388,62 +402,44 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
         np.multiply(v, v, out=ordered[1, 1:])
         np.cumsum(ordered, axis=1, out=ordered)
         sum_v[k], sum_sq[k] = ordered[:, -1]
-        sum_trigger[k] += np.count_nonzero(trig)
+        sum_trigger[k] += triggered
 
-    add(0)
+    add(0, np.count_nonzero(trig))
     for k in range(horizon):
         sent = trig & transmits[cursor]
         cursor += trig
         n = grants[cursor]
         cursor += sent
-        buf[:-1] = buf[1:]
-        buf[-1] = 0.0
-        buf[:, ~trig] = 0.0
-        grant = np.flatnonzero(sent & (n > 0))
-        if grant.size:
-            _refill_rows(buf, x[grant], grant, n[grant].astype(np.intp), eta, kappa1, kappa2,
-                         plant.step)
-        x = plant.step(x, buf[0], noise[:, k])
+        n *= sent  # units granted
+        state = shift_to[state]
+        state *= trig  # a silent step clears
+        moved = state > 0  # shifted onto a stored entry, unless granted below
+        granted = np.flatnonzero(n)
+        if granted.size:
+            state[granted] = grant_to[n[granted]]
+            chi[granted] = x[granted]
+            moved[granted] = False
+        rows = np.flatnonzero(moved)
+        if rows.size:
+            chi[rows] = plant.step(chi[rows], u[rows], 0.0)
+        u.fill(0.0)  # an empty buffer applies zero
+        fine = state >= eta
+        for law, mask in ((kappa2, fine), (kappa1, (state > 0) ^ fine)):
+            rows = np.flatnonzero(mask)
+            if rows.size == width:
+                u[:] = law(chi)
+            elif rows.size:
+                u[rows] = law(chi[rows])
+        x = plant.step(x, u, noise[:, k])
         size = np.abs(x)
-        finite = size <= DIVERGENCE_LIMIT  # false for inf and nan too
-        if np.count_nonzero(finite) < width:
-            dead |= ~finite
-            x[dead] = 0.0
-            buf[:, dead] = 0.0
-        v = np.where(dead, v, plant.lyapunov(x))
-        trig = (size > config.d) | dead
-        add(k + 1)
-    return int(np.count_nonzero(dead))
-
-
-def _refill_rows(buf, chi, rows, n, eta, kappa1, kappa2, step):
-    """Overwrite the buffers ``rows`` with predictions from the states ``chi``.
-
-    A grant of ``n`` units gives ``n // eta`` fine-law entries, then
-    ``n % eta`` coarse-law ones, truncated at the buffer size; each entry
-    is the law applied to the state predicted by the noise-free plant.
-    """
-    fine = n // eta
-    count = np.minimum(fine + n % eta, buf.shape[0])
-    buf[:, rows] = 0.0
-    for j in range(buf.shape[0]):
-        use_fine = fine > j
-        fine_rows = np.count_nonzero(use_fine)
-        if fine_rows == rows.size:
-            u = kappa2(chi)
-        elif fine_rows == 0:
-            u = kappa1(chi)
-        else:
-            u = np.where(use_fine, kappa2(chi), kappa1(chi))
-        buf[j, rows] = u
-        # Predict the next state only for the rows that have another entry.
-        live = count > j + 1
-        more = np.count_nonzero(live)
-        if more == 0:
-            break
-        if more < rows.size:
-            rows, chi, u, fine, count = rows[live], chi[live], u[live], fine[live], count[live]
-        chi = step(chi, u, 0.0)
+        if ndead or not size.max() <= DIVERGENCE_LIMIT:  # max is nan if any is
+            dead |= ~(size <= DIVERGENCE_LIMIT)  # also catches inf and nan
+            ndead = np.count_nonzero(dead)
+            x[dead] = size[dead] = 0.0  # a dead run takes silent steps
+        v = np.where(dead, v, plant.lyapunov(x)) if ndead else plant.lyapunov(x)
+        trig = size > config.d
+        add(k + 1, np.count_nonzero(trig) + ndead)
+    return int(ndead)
 
 
 def example_system(rho1: float = 0.9):

@@ -135,7 +135,19 @@ def test_rows_always_sum_to_one(eta, weights):
 
 def test_min_buffer_size():
     assert min_buffer_size("A1", 1, 4) == 4
-    assert min_buffer_size("A2", 2, 4) == 3
-    assert min_buffer_size("A2", 3, 4) == 3
+    assert min_buffer_size("A2", 2, 4) == 2  # n = 3 computes (1, 1)
+    assert min_buffer_size("A2", 3, 4) == 2  # n = 2 and n = 4 compute two entries
     with pytest.raises(ValueError):
         min_buffer_size("B2", 1, 4)
+
+
+@pytest.mark.parametrize("n_max", range(1, 9))
+def test_min_buffer_size_is_the_most_entries_a_grant_computes(n_max):
+    law = ControlLaw(lambda x: x)
+    for eta in range(1, n_max + 1):
+        entries = []
+        for n in range(n_max + 1):
+            buf = Buffer(n_max)  # a grant of n units computes at most n entries
+            buf.step(1.0, 1, n, law, law, eta, lambda x, u: x)
+            entries.append(sum(buf.counts))
+        assert min_buffer_size("A2", eta, n_max) == max(entries), f"eta={eta}"

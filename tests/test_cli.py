@@ -14,7 +14,7 @@ class TestParseConfig:
         assert cfg.scheme == "A2"
         assert cfg.eta == 2
         assert cfg.n_max == 4
-        assert cfg.lam == 3  # minimum buffer size for A2, eta=2, n_max=4
+        assert cfg.lam == 2  # minimum buffer size for A2, eta=2, n_max=4
         assert cfg.q == 0.5
         assert cfg.p == (0.2,) * 5
 

@@ -132,7 +132,7 @@ def test_cli_resolves_one_law_schemes(scheme):
         assert (cfg.eta, cfg.rho2, cfg.epsilon) == (1, 0.8, 1.0)
     else:
         assert (cfg.eta, cfg.rho2, cfg.epsilon) == (3, None, None)
-    assert cfg.lam == {"A1": 4, "A2": 3, "B1": 1, "B2": 1}[scheme]
+    assert cfg.lam == {"A1": 4, "A2": 2, "B1": 1, "B2": 1}[scheme]
 
 
 @pytest.mark.parametrize("scheme", ["A1", "B1"])

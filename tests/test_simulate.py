@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 from unittest import mock
@@ -277,7 +278,17 @@ class TestMonteCarlo:
             monte_carlo(plant, config, horizon=0, runs=runs, base_seed=1)
 
 
-WIDTHS = [5, 16, esac.simulate._BATCH_MIN_RUNS, 40]
+#: Run counts for the oracle, on both sides of the engine threshold and wider.
+WIDTHS = sorted({5, 16, 26, 40, esac.simulate._BATCH_MIN_RUNS - 1, esac.simulate._BATCH_MIN_RUNS})
+
+P5 = (0.1, 0.2, 0.3, 0.2, 0.2)
+P6 = (0.1, 0.1, 0.2, 0.2, 0.2, 0.2)
+#: ``(scheme, eta, buffer_size, p)``.  The buffer truncates grants in A1 at
+#: 3 slots, A2 at 1 slot (fine entries cut) and A2 at ``eta = 3`` with 2
+#: slots and ``n <= 5``, where ``n = 5`` computes one fine and two coarse
+#: entries and keeps one of each (state 4).
+SCHEME_CASES = [("A1", 1, 3, P5), ("A2", 2, 3, P5), ("A2", 3, 2, P5), ("A2", 2, 1, P5),
+                ("A2", 3, 2, P6), ("B1", 1, 1, P5), ("B2", 2, 1, P5)]
 
 
 class TestMonteCarloOracle:
@@ -296,6 +307,7 @@ class TestMonteCarloOracle:
             np.testing.assert_array_equal(res.mean_v, mean_v)
             np.testing.assert_array_equal(res.trigger_rate, trigger_rate)
             assert res.divergent_runs == divergent
+            assert type(res.divergent_runs) is int
         np.testing.assert_array_equal(result.se_v, other.se_v)
         # The sums-of-squares form loses up to about sqrt(eps) * max|v| to
         # cancellation where the runs agree, with max|v| taken at each step.
@@ -306,12 +318,10 @@ class TestMonteCarloOracle:
         return result
 
     @pytest.mark.parametrize("runs", WIDTHS)
-    @pytest.mark.parametrize("scheme, eta, buffer_size", [
-        ("A1", 1, 3), ("A2", 2, 3), ("A2", 3, 2), ("B1", 1, 1), ("B2", 2, 1),
-    ])
-    def test_schemes(self, scheme, eta, buffer_size, runs):
-        plant, config = bench_config(scheme=scheme, eta=eta, buffer_size=buffer_size,
-                                     p=(0.1, 0.2, 0.3, 0.2, 0.2))
+    @pytest.mark.parametrize("scheme, eta, buffer_size, p", SCHEME_CASES, ids=[
+        f"{s}-{e}-{b}" + ("" if p is P5 else f"-p{len(p)}") for s, e, b, p in SCHEME_CASES])
+    def test_schemes(self, scheme, eta, buffer_size, p, runs):
+        plant, config = bench_config(scheme=scheme, eta=eta, buffer_size=buffer_size, p=p)
         self.check(plant, config, horizon=60, runs=runs, base_seed=11)
 
     @pytest.mark.parametrize("runs", WIDTHS)
@@ -334,6 +344,50 @@ class TestMonteCarloOracle:
         plant, config = bench_config()
         self.check(plant, config, horizon=horizon, runs=45, base_seed=21)
         self.check(divergent_plant(), config, horizon=horizon, runs=45, base_seed=21)
+
+
+@pytest.mark.parametrize("scheme, eta", [("A1", 1), ("A2", 2)])
+def test_batched_evaluations_follow_use(scheme, eta):
+    """The batched engine predicts a state once per shift onto a stored entry
+    and calls each law at most once per step, at the heads that apply it."""
+    horizon, runs, seed = 60, esac.simulate._BATCH_MIN_RUNS + 8, 4
+    plant, config = bench_config(scheme=scheme, eta=eta, buffer_size=3, p=P5)
+    tally = collections.Counter()  # points evaluated, and calls
+
+    def counted(law, name):
+        def evaluate(x):
+            tally[name] += np.size(x)
+            tally[name + " calls"] += 1
+            return law.evaluate(x)
+        return ControlLaw(evaluate) if law is not None else None
+
+    def step(x, u, w):
+        if np.ndim(w) == 0 and w == 0.0:  # the prediction model
+            tally["predict"] += np.size(x)
+        return plant.step(x, u, w)
+
+    counting = dataclasses.replace(config, kappa1=counted(config.kappa1, "coarse"),
+                                   kappa2=counted(config.kappa2, "fine"))
+    monte_carlo(dataclasses.replace(plant, step=step), counting, horizon, runs, seed)
+
+    shifts = fine_heads = coarse_heads = 0
+    rng = np.random.default_rng(seed)
+    for _ in range(runs):
+        traj = simulate_trajectory(plant, config, horizon, rng)
+        assert not traj.divergent
+        refilled = (traj.gamma == 1) & (traj.n > 0)
+        stored = traj.fine + traj.coarse > 0
+        shifts += np.count_nonzero((traj.gamma != 2) & ~refilled & stored)
+        fine_heads += np.count_nonzero(traj.fine > 0)
+        coarse_heads += np.count_nonzero((traj.fine == 0) & (traj.coarse > 0))
+    assert shifts > 0
+    assert tally["predict"] == shifts
+    if scheme == "A1":  # the coarse law runs in the fine law's place
+        fine_heads, coarse_heads = 0, fine_heads
+    assert tally["fine"] == fine_heads
+    assert tally["coarse"] == coarse_heads
+    assert tally["fine calls"] <= horizon
+    assert tally["coarse calls"] <= horizon
 
 
 class TestExampleSystem:
