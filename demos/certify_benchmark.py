@@ -1,30 +1,35 @@
-"""Certify the three benchmark configurations analytically.
+"""Certify the three benchmark configurations and the unbuffered baselines.
 
 Walks the full pipeline once per configuration: build the effective
 availability pmf, assemble the buffer chain and certification matrix,
 check the Perron root, and (when certified) print the geometric bound
-constants.  The last block pushes alpha past the boundary to show a
+constants.  The unbuffered schemes B1 and B2 run the same chain with one
+slot: ``fold_grants`` moves each grant's mass to the state that the one
+slot leaves.  The last block pushes alpha past the boundary to show a
 refusal.
 """
 import numpy as np
 
-from esac import ChannelModel, ContractionSpec, certify, critical_alpha
+from esac import ChannelModel, ContractionSpec, certify, critical_alpha, min_buffer_size
+from esac.chain import fold_grants
 
 channel = ChannelModel(q=0.5, p=np.full(5, 0.2))
 
 CONFIGS = [
-    ("two-law, eta=2", 2, 0.9, 0.45),
-    ("two-law, eta=3", 3, 0.9, 0.45),
-    ("one-law", 1, 0.9, 0.9),
+    ("A2", "two-law, eta=2", 2, 0.9, 0.45),
+    ("A2", "two-law, eta=3", 3, 0.9, 0.45),
+    ("A1", "one-law", 1, 0.9, 0.9),
+    ("B1", "unbuffered one-law", 1, 0.9, 0.9),
+    ("B2", "unbuffered two-law, eta=2", 2, 0.9, 0.45),
 ]
 
-for name, eta, rho1, rho2 in CONFIGS:
-    scheme = "A1" if eta == 1 else "A2"
+for scheme, name, eta, rho1, rho2 in CONFIGS:
     boundary = critical_alpha(scheme, eta, rho1, rho2, channel.l, channel.n_max)
     alpha = 1.35 if boundary.closed > 1.35 else round(boundary.closed - 0.01, 2)
     spec = ContractionSpec(alpha=alpha, rho1=rho1, rho2=rho2, eta=eta)
-    report = certify(spec, channel.l)
-    print(f"{name}  (rho1={rho1}, rho2={rho2})")
+    slots = min_buffer_size(scheme, eta, channel.n_max)  # 1 for B1 and B2
+    report = certify(spec, fold_grants(channel.l, eta, slots))
+    print(f"{scheme} {name}  (rho1={rho1}, rho2={rho2}, lambda={slots})")
     print(f"  boundary alpha*     {boundary.closed:.6f}  "
           f"(bisection agrees to {boundary.discrepancy:.1e})")
     print(f"  tested at alpha     {alpha}")

@@ -24,9 +24,10 @@ BENCH_Q = 0.5
 BENCH_P = (0.2, 0.2, 0.2, 0.2, 0.2)
 BENCH_N_MAX = 4
 
-#: Hand-derived boundary open-loop bounds for the three benchmark
-#: configurations (two-law eta=2, two-law eta=3, one-law).
-EXPECTED_ALPHA_STAR = {"Q1": 1.35265, "Q2": 1.26609, "Q3": 1.17477}
+#: Hand-derived boundary open-loop bounds of the benchmark configurations
+#: (two-law eta=2 and 3, one-law) and of B1 and B2 (eta=2), whose one-slot
+#: ``T`` has rank one and boundary ``(1 - rho1 l_coarse - rho2 l_fine) / l0``.
+EXPECTED_ALPHA_STAR = {"Q1": 1.35265, "Q2": 1.26609, "Q3": 1.17477, "B1": 1.06667, "B2": 1.29167}
 
 
 class CriterionResult(NamedTuple):
@@ -46,11 +47,13 @@ def _bench_config(tag: str):
         "Q1": ("A2", 2, 0.9, 0.45),
         "Q2": ("A2", 3, 0.9, 0.45),
         "Q3": ("A1", 1, 0.9, 0.9),
+        "B1": ("B1", 1, 0.9, 0.9),
+        "B2": ("B2", 2, 0.9, 0.45),
     }[tag]
 
 
 def criterion_boundaries() -> CriterionResult:
-    """Boundary open-loop bounds of the three benchmark configurations."""
+    """Boundary open-loop bounds of the benchmark configurations and of B1 and B2."""
     l = _bench_channel().l
     worst = 0.0
     details = []

@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import acceptance
-from .chain import min_buffer_size
+from .chain import fold_grants, min_buffer_size
 from .channel import ChannelModel
-from .schemes import ControlLaw, require_buffered, scheme_kind
+from .schemes import ControlLaw, scheme_kind
 from .simulate import PlantModel, SchemeConfig, example_system, monte_carlo, simulate_trajectory
 from .stability import ContractionSpec, certify
 from .sweep import SweepSpec, boundary_curve
@@ -41,7 +40,7 @@ class RunConfig:
     scheme: str = "A2"
     eta: int = 2
     lam: int | None = None  # buffer size; defaults to the scheme's minimum
-    n_max: int | None = None
+    n_max: int | None = None  # resolved from p
     d: float = 1.0
     q: float = 0.5
     p: tuple = (0.2, 0.2, 0.2, 0.2, 0.2)
@@ -83,7 +82,6 @@ _KEY_PARSERS = {
     "scheme": str,
     "eta": _parse_int,
     "lambda": _parse_int,
-    "n_max": _parse_int,
     "d": _parse_float,
     "q": _parse_float,
     "p": _parse_vector,
@@ -137,20 +135,17 @@ def _parse_key(key: str, raw: str):
 
 def _validate(cfg: RunConfig, explicit: set) -> RunConfig:
     try:
-        buffered, two_law = scheme_kind(cfg.scheme)
-        channel = ChannelModel(q=cfg.q, p=np.array(cfg.p))
+        kind = scheme_kind(cfg.scheme)
+        n_max = ChannelModel(q=cfg.q, p=np.array(cfg.p)).n_max
     except ValueError as exc:  # message already names the scheme, q or p
         raise ConfigError(str(exc)) from None
-    n_max = channel.n_max if cfg.n_max is None else cfg.n_max
-    if n_max != channel.n_max:
-        raise ConfigError(f"n_max={cfg.n_max} inconsistent with p of length {len(cfg.p)}")
-    eta = cfg.eta if two_law else 1
+    eta = cfg.eta if kind.two_law else 1
     if not 1 <= eta <= n_max:
         raise ConfigError(f"eta must satisfy 1 <= eta <= n_max={n_max}, got {eta}")
     if "rho2" in explicit and "epsilon" in explicit:
         raise ConfigError("give exactly one of rho2 and epsilon, not both")
     rho2, epsilon = cfg.rho2, cfg.epsilon
-    if not two_law:  # the coarse law runs in the fine law's place
+    if not kind.two_law:  # the coarse law runs in the fine law's place
         if epsilon not in (None, 1.0):
             raise ConfigError(f"scheme {cfg.scheme} runs the coarse law only: "
                               f"epsilon={epsilon} must be 1 or be left out")
@@ -161,11 +156,9 @@ def _validate(cfg: RunConfig, explicit: set) -> RunConfig:
     elif rho2 is None and epsilon is not None and cfg.rho1 is not None:
         # epsilon without rho1 is fine for sweep, which ranges over rho1
         rho2 = epsilon * cfg.rho1
-    lam = cfg.lam
-    if lam is None:
-        lam = min_buffer_size(cfg.scheme, eta, n_max) if buffered else 1
-    if cfg.horizon < 1 or cfg.runs < 1:
-        raise ConfigError("horizon and runs must be >= 1")
+    lam = min_buffer_size(cfg.scheme, eta, n_max) if cfg.lam is None else kind.slots(cfg.lam)
+    if min(lam, cfg.horizon, cfg.runs) < 1:
+        raise ConfigError("lambda, horizon and runs must be >= 1")
     if cfg.nu is not None and (len(cfg.nu) != n_max + 1 or any(v <= 0 for v in cfg.nu)):
         raise ConfigError(f"nu must be {n_max + 1} strictly positive entries")
     return replace(cfg, eta=eta, lam=lam, n_max=n_max, rho2=rho2, epsilon=epsilon)
@@ -187,17 +180,10 @@ def _fmt(v: float) -> str:
 
 def cmd_certify(cfg: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
-    minimum = min_buffer_size(cfg.scheme, cfg.eta, cfg.n_max)  # buffered schemes only
     _require(cfg, "alpha", "rho1", "rho2")
-    if cfg.lam < minimum:
-        warnings.warn(
-            f"buffer size {cfg.lam} below the minimum {minimum}: the chain, and hence "
-            "the certificate, does not describe this configuration",
-            stacklevel=2,
-        )
     spec = ContractionSpec(alpha=cfg.alpha, rho1=cfg.rho1, rho2=cfg.rho2, eta=cfg.eta,
                            d_bound=cfg.d)
-    report = certify(spec, _channel(cfg).l, nu=cfg.nu)
+    report = certify(spec, fold_grants(_channel(cfg).l, cfg.eta, cfg.lam), nu=cfg.nu)
     index_name = "omega" if cfg.eta == 1 else "psi"
     print(f"scheme            {cfg.scheme} (eta={cfg.eta}, n_max={cfg.n_max})", file=out)
     print(f"alpha/rho1/rho2   {_fmt(cfg.alpha)} / {_fmt(cfg.rho1)} / {_fmt(cfg.rho2)}", file=out)
@@ -213,7 +199,6 @@ def cmd_certify(cfg: RunConfig, out=None) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    require_buffered(cfg.scheme)
     if cfg.epsilon is not None:
         epsilon = cfg.epsilon
     elif cfg.rho1 and cfg.rho2 is not None:

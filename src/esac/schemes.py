@@ -1,7 +1,7 @@
 """The E-SAC schemes: one table of what they are and one stepper that runs them.
 
 :data:`SCHEMES` maps each scheme to ``(buffered, two_law)``, and every other
-module reads names through :func:`scheme_kind` or :func:`require_buffered`.
+module reads names through :func:`scheme_kind`.
 ``B1`` and ``B2`` apply a control law directly when measurement and
 processor are available and output zero otherwise.  ``A1`` and ``A2``
 maintain a buffer of tentative future inputs: surplus processing units are
@@ -14,9 +14,9 @@ followed by ``N % eta`` coarse entries.
 
 :meth:`Buffer.step` runs all four through ``(eta, buffer size)``: a one-law
 scheme runs the coarse law in the fine law's place with ``eta = 1``, and an
-unbuffered scheme has a one-slot buffer.  The step updates the buffer in
-place and checks nothing: :class:`esac.simulate.SchemeConfig` validates the
-parameters once.
+unbuffered scheme has one slot (:meth:`SchemeKind.slots`).  The step updates
+the buffer in place and checks nothing: :class:`esac.simulate.SchemeConfig`
+validates the parameters once.
 """
 from __future__ import annotations
 
@@ -27,6 +27,10 @@ from typing import Callable, NamedTuple
 class SchemeKind(NamedTuple):
     buffered: bool
     two_law: bool
+
+    def slots(self, buffer_size: int) -> int:
+        """Slots of the buffer that runs this scheme: an unbuffered one has one."""
+        return buffer_size if self.buffered else 1
 
 
 #: Whether each scheme keeps a buffer and whether it runs two laws.
@@ -45,16 +49,6 @@ def scheme_kind(scheme: str) -> SchemeKind:
     except KeyError:
         raise ValueError(f"unknown scheme {scheme!r}: expected one of "
                          f"{', '.join(SCHEMES)}") from None
-
-
-def require_buffered(scheme: str) -> bool:
-    """Whether the buffered ``scheme`` runs two laws; ``ValueError`` for an
-    unbuffered one, which no buffer chain describes."""
-    buffered, two_law = scheme_kind(scheme)
-    if not buffered:
-        raise ValueError(f"scheme {scheme} keeps no buffer: only the buffered "
-                         f"schemes A1 and A2 have a buffer chain")
-    return two_law
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import shift_targets
+from .chain import grant_targets, shift_targets
 from .schemes import Buffer, ControlLaw, scheme_kind
 
 #: States beyond this magnitude mark a run as divergent.
@@ -129,9 +129,9 @@ class SchemeConfig:
         A one-law scheme runs the coarse law as the fine law with ``eta = 1``,
         and an unbuffered scheme has one slot (see :meth:`Buffer.step`).
         """
-        buffered, two_law = scheme_kind(self.scheme)
-        return (self.buffer_size if buffered else 1, self.kappa1,
-                self.kappa2 if two_law else self.kappa1, self.eta if two_law else 1)
+        kind = scheme_kind(self.scheme)
+        return (kind.slots(self.buffer_size), self.kappa1,
+                self.kappa2 if kind.two_law else self.kappa1, self.eta if kind.two_law else 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,20 +369,15 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
     ``chi`` that ``u`` was computed at.  An entry is computed only when it
     becomes the head, by the floating-point operations of :meth:`Buffer.step`.
     A diverged run keeps its last finite Lyapunov value and counts as
-    triggered; its plant state is parked at zero and it takes silent steps.
+    triggered; it is parked at zero, takes silent steps and runs no plant code.
     """
     noise, transmits, grants = _decode_streams(plant, config, horizon, rng, width)
     transmits, grants = transmits.ravel(), grants.ravel()
     cursor = np.arange(width) * (2 * horizon)  # flat index of each run's next draw
 
     slots, kappa1, kappa2, eta = config.stepper_args()
-    # The states that a shift and a grant of n units lead to; a grant lands in a state <= n.
     shift_to = np.array(shift_targets(len(config.p), eta), dtype=np.intp)
-    grant_to = np.zeros_like(shift_to)
-    probe, zero = Buffer(slots), ControlLaw(lambda x: 0.0)
-    for n in range(1, len(config.p)):
-        probe.step(0.0, 1, n, zero, zero, eta, lambda x, u: x)  # splits and truncates n
-        grant_to[n] = probe.fine_count * eta + probe.coarse_count
+    grant_to = np.array(grant_targets(len(config.p), eta, slots), dtype=np.intp)
 
     x = np.full(width, plant.x0, dtype=float)
     state = np.zeros(width, dtype=np.intp)
@@ -430,13 +425,20 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
                 u[:] = law(chi)
             elif rows.size:
                 u[rows] = law(chi[rows])
-        x = plant.step(x, u, noise[:, k])
+        if ndead:  # the plant steps the live runs only
+            x[live] = plant.step(x[live], u[live], noise[live, k])
+        else:
+            x = plant.step(x, u, noise[:, k])
         size = np.abs(x)
         if ndead or not size.max() <= DIVERGENCE_LIMIT:  # max is nan if any is
             dead |= ~(size <= DIVERGENCE_LIMIT)  # also catches inf and nan
             ndead = np.count_nonzero(dead)
             x[dead] = size[dead] = 0.0  # a dead run takes silent steps
-        v = np.where(dead, v, plant.lyapunov(x)) if ndead else plant.lyapunov(x)
+            live = np.flatnonzero(~dead)
+            v = v.copy()  # a dead run keeps its last finite value
+            v[live] = plant.lyapunov(x[live])
+        else:
+            v = plant.lyapunov(x)
         trig = size > config.d
         add(k + 1, np.count_nonzero(trig) + ndead)
     return int(ndead)

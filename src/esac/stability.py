@@ -1,4 +1,4 @@
-"""Stochastic stability certification for the buffered anytime schemes.
+"""Stochastic stability certification for the anytime schemes.
 
 The certification matrix is ``T = Phi @ Pi`` where ``Phi`` is the diagonal
 of per-state Lyapunov gain bounds and ``Pi`` the buffer-chain transition
@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import transition_matrix
-from .schemes import require_buffered
+from .chain import fold_grants, transition_matrix
+from .schemes import scheme_kind
 
 #: Margin of Schur verdicts: a witness must prove spectral radius <= 1 - SCHUR_TOL.
 SCHUR_TOL = 1e-9
@@ -235,19 +235,22 @@ def critical_alpha(
 ) -> CriticalAlpha:
     """Open-loop bound at which the stability certificate crosses 1.
 
+    The buffer has ``n_max`` slots, which never truncate, or one for B1 and B2.
     Only row 0 of ``T`` carries alpha, so ``T(alpha)`` is ``T(1)`` with that
     row scaled.  Closed-form method: the index is linear in alpha, so the
     boundary is ``1 / index(alpha=1)``.  Bisection method: the Perron root
     of T(alpha) is nondecreasing in alpha; bisect the root-equals-one
     crossing over a bracket grown by doubling from alpha = 1.
     """
-    if not require_buffered(scheme):  # one law: the coarse law in the fine law's place
+    kind = scheme_kind(scheme)
+    if not kind.two_law:  # the coarse law in the fine law's place
         eta, rho2 = 1, rho1
     if not (rho1 < 1.0 and rho2 < 1.0):
         raise ValueError("critical_alpha requires rho1 < 1 and rho2 < 1")
 
     spec = ContractionSpec(alpha=1.0, rho1=rho1, rho2=rho2, eta=eta)
-    t_one = certification_matrix(gain_diagonal(spec, n_max), transition_matrix(l, eta))
+    pi = transition_matrix(fold_grants(l, eta, kind.slots(n_max)), eta)
+    t_one = certification_matrix(gain_diagonal(spec, n_max), pi)
     closed = 1.0 / _schur_index(t_one)
 
     def radius(alpha: float) -> float:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelModel
-from .schemes import require_buffered
+from .schemes import scheme_kind
 from .stability import critical_alpha
 
 #: Default rho1 grid: 0.05, 0.10, ..., 0.95.
@@ -34,7 +34,7 @@ class BoundaryPoint(NamedTuple):
 class SweepSpec:
     """One boundary curve: scheme, fine-law cost, contraction ratio, grid."""
 
-    scheme: str  # A1 or A2
+    scheme: str  # a key of esac.schemes.SCHEMES
     eta: int
     epsilon: float
     channel: ChannelModel
@@ -42,7 +42,7 @@ class SweepSpec:
     rho1_grid: tuple = DEFAULT_RHO1_GRID
 
     def __post_init__(self):
-        require_buffered(self.scheme)
+        scheme_kind(self.scheme)
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         grid = tuple(float(r) for r in self.rho1_grid)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from esac.chain import min_buffer_size, transition_matrix
+from esac.chain import fold_grants, grant_targets, min_buffer_size, transition_matrix
 from esac.schemes import Buffer, ControlLaw
 
 L_BENCH = np.array([0.6, 0.1, 0.1, 0.1, 0.1])
@@ -137,8 +137,8 @@ def test_min_buffer_size():
     assert min_buffer_size("A1", 1, 4) == 4
     assert min_buffer_size("A2", 2, 4) == 2  # n = 3 computes (1, 1)
     assert min_buffer_size("A2", 3, 4) == 2  # n = 2 and n = 4 compute two entries
-    with pytest.raises(ValueError):
-        min_buffer_size("B2", 1, 4)
+    for eta in (1, 2, 3):  # an unbuffered scheme has one slot
+        assert min_buffer_size("B1", eta, 4) == min_buffer_size("B2", eta, 4) == 1
 
 
 @pytest.mark.parametrize("n_max", range(1, 9))
@@ -151,3 +151,43 @@ def test_min_buffer_size_is_the_most_entries_a_grant_computes(n_max):
             buf.step(1.0, 1, n, law, law, eta, lambda x, u: x)
             entries.append(sum(buf.counts))
         assert min_buffer_size("A2", eta, n_max) == max(entries), f"eta={eta}"
+
+
+@pytest.mark.parametrize("n_max", range(1, 9))
+def test_grant_targets_match_the_stepper(n_max):
+    """The table says where ``Buffer.step`` leaves a grant, truncation included."""
+    law = ControlLaw(lambda x: x)
+    for eta in range(1, n_max + 1):
+        for slots in range(1, n_max + 2):
+            landed = []
+            for n in range(n_max + 1):
+                buf = Buffer(slots)
+                buf.step(1.0, 1, n, law, law, eta, lambda x, u: x)
+                landed.append(buf.fine_count * eta + buf.coarse_count)
+            assert grant_targets(n_max + 1, eta, slots) == landed, f"eta={eta}, slots={slots}"
+
+
+@given(
+    eta=st.integers(1, 6),
+    weights=st.lists(st.integers(1, 40), min_size=2, max_size=13),
+    extra=st.integers(0, 3),
+)
+def test_fold_is_the_identity_from_the_minimum_buffer(eta, weights, extra):
+    l = np.array(weights, dtype=float) / sum(weights)
+    eta = min(eta, l.size - 1)
+    slots = min_buffer_size("A2", eta, l.size - 1) + extra
+    np.testing.assert_array_equal(fold_grants(l, eta, slots), l)
+
+
+def test_one_law_chain_of_two_slots():
+    # Grants of 3 and 4 units are cut to two entries and land in state 2;
+    # states 3 and 4 are never entered.
+    expected = np.array([
+        [0.6, 0.1, 0.3, 0.0, 0.0],
+        [0.6, 0.1, 0.3, 0.0, 0.0],
+        [0.0, 0.7, 0.3, 0.0, 0.0],
+        [0.0, 0.1, 0.9, 0.0, 0.0],
+        [0.0, 0.1, 0.3, 0.6, 0.0],
+    ])
+    pi = transition_matrix(fold_grants(L_BENCH, 1, 2), 1)
+    np.testing.assert_allclose(pi, expected, rtol=0, atol=1e-15)

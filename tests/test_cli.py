@@ -1,6 +1,7 @@
 import io
 import runpy
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -64,8 +65,9 @@ class TestParseConfig:
             ("scheme = C1", "scheme"),
             ("eta = 9", "eta"),
             ("rho1 = 0.8\nrho2 = 0.4\nepsilon = 0.5", "exactly one"),
-            ("n_max = 3", "inconsistent"),
+            ("n_max = 3", "unknown key"),  # n_max follows from p
             ("runs = 0", "runs"),
+            ("lambda = 0", "lambda"),
             ("nu = 1 2", "nu"),
         ],
     )
@@ -111,10 +113,30 @@ class TestCertifyCommand:
             assert line[17] == " "
             assert line[18] != " "
 
-    def test_warns_on_undersized_buffer(self):
-        cfg = parse_config("alpha = 1.2\nrho1 = 0.9\nrho2 = 0.45\nlambda = 1")
-        with pytest.warns(UserWarning, match="below the minimum"):
-            cmd_certify(cfg, out=io.StringIO())
+    def test_undersized_buffer_certifies_its_own_chain(self):
+        # One slot cuts every grant to one entry, as in the unbuffered
+        # scheme: A2 at lambda = 1 prints B2's report, without a warning.
+        reports = []
+        for scheme in ("A2", "B2"):
+            cfg = parse_config(f"scheme = {scheme}\nalpha = 1.2\nrho1 = 0.9\n"
+                               "rho2 = 0.45\nlambda = 1")
+            buf = io.StringIO()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cmd_certify(cfg, out=buf) == 0
+            reports.append(buf.getvalue().splitlines()[1:])
+        assert reports[0] == reports[1]
+        assert "verdict           CertifiedStable" in reports[0]
+
+    def test_one_slot_a1_is_not_certified(self, capsys):
+        # With one slot T has rank one: its radius is 1.1 * 0.6 + 0.9 * 0.4.
+        # The untruncated chain, radius 0.97, would certify this loop.
+        code = main(["certify", "--scheme", "A1", "--lambda", "1", "--alpha", "1.1",
+                     "--rho1", "0.9"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "spectral radius   1.02\n" in out
+        assert "verdict           NotCertified\n" in out
 
     def test_missing_alpha_is_config_error(self, capsys):
         code = main(["certify", "--rho1", "0.9", "--rho2", "0.45"])
@@ -122,9 +144,15 @@ class TestCertifyCommand:
         assert code == 1
         assert "alpha" in err
 
-    def test_b_scheme_rejected(self, capsys):
+    def test_b_scheme_certified_as_one_slot(self, capsys):
+        # B1's boundary is (1 - 0.9 * 0.4) / 0.6 = 1.0667.
         code = main(["certify", "--scheme", "B1", "--alpha", "1.2", "--rho1", "0.9"])
-        assert code == 1
+        assert code == 2
+        assert "spectral radius   1.08\n" in capsys.readouterr().out
+        code = main(["certify", "--scheme", "B1", "--alpha", "1.05", "--rho1", "0.9",
+                     "--lambda", "3"])  # an unbuffered scheme has one slot whatever lambda says
+        assert code == 0
+        assert "spectral radius   0.99\n" in capsys.readouterr().out
 
     def test_one_law_scheme_uses_rho1(self, capsys):
         # A1 runs the coarse law only: its boundary at rho1 = 0.9 is 1.17477.

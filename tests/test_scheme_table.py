@@ -1,6 +1,6 @@
 """Every module reads A1, A2, B1 and B2 from the one table in ``esac.schemes``:
 the same schemes are accepted everywhere, and every refusal of a name uses
-one of two messages."""
+one message."""
 import dataclasses
 
 import pytest
@@ -18,14 +18,23 @@ NAMES = ["A1", "A2", "B1", "B2", "C1"]
 UNKNOWN = "unknown scheme 'C1': expected one of A1, A2, B1, B2"
 
 
-def unbuffered(scheme):
-    return (f"scheme {scheme} keeps no buffer: only the buffered schemes "
-            f"A1 and A2 have a buffer chain")
+#: What the library and the CLI give for each scheme at rho1 = 0.9,
+#: rho2 = 0.45, eta = 2 (ignored by the one-law schemes) on the benchmark
+#: channel: the minimum buffer size, the boundary open-loop bound, and the
+#: exit code of ``certify`` at alpha = 1.2.  B1 and B2 are one-slot buffers
+#: with the rank-one boundaries (1 - 0.9 * 0.4) / 0.6 and
+#: (1 - 0.9 * 0.1 - 0.45 * 0.3) / 0.6.
+ACCEPTED = {
+    "A1": (4, 1.174775, 2),
+    "A2": (2, 1.352656, 0),
+    "B1": (1, 16 / 15, 2),
+    "B2": (1, 0.775 / 0.6, 0),
+}
 
 
 def refusal(scheme):
-    """The message that refuses ``scheme`` where a buffer chain is needed."""
-    return {"B1": unbuffered("B1"), "B2": unbuffered("B2"), "C1": UNKNOWN}.get(scheme)
+    """The message that refuses ``scheme``: only an unknown name is refused."""
+    return None if scheme in ACCEPTED else UNKNOWN
 
 
 def test_table():
@@ -81,9 +90,16 @@ def call_library(target, scheme):
 @pytest.mark.parametrize("scheme", NAMES)
 @pytest.mark.parametrize("target", ["critical_alpha", "SweepSpec", "min_buffer_size"])
 def test_library_accepts_buffered_schemes_only(target, scheme):
+    """Every scheme in the table runs a buffer, B1 and B2 one of one slot, so
+    all four are accepted."""
     message = refusal(scheme)
     if message is None:
-        call_library(target, scheme)
+        result = call_library(target, scheme)
+        size, alpha_star, _ = ACCEPTED[scheme]
+        if target == "min_buffer_size":
+            assert result == size
+        elif target == "critical_alpha":
+            assert result.closed == pytest.approx(alpha_star, abs=1e-6)
     else:
         with pytest.raises(ValueError) as info:
             call_library(target, scheme)
@@ -113,7 +129,7 @@ def test_commands_accept_buffered_schemes_only(command, scheme, tmp_path, capsys
     code, err = run_command(command, scheme, tmp_path, capsys)
     message = refusal(scheme)
     if message is None:
-        assert code in ((0, 2) if command == "certify" else (0,))
+        assert code == (ACCEPTED[scheme][2] if command == "certify" else 0)
         assert err == ""
     else:
         assert code == 1

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -329,6 +330,23 @@ class TestMonteCarloOracle:
     def test_divergent_plant(self, scheme, runs):
         _, config = bench_config(scheme=scheme, eta=2 if scheme == "A2" else 1, q=0.3)
         result = self.check(divergent_plant(), config, horizon=40, runs=runs, base_seed=3)
+        assert result.divergent_runs > 0
+
+    @pytest.mark.parametrize("runs", WIDTHS)
+    def test_dead_runs_call_no_plant_code(self, runs):
+        # Both callables warn at zero, where a dead run is parked; a live run
+        # of this plant never reaches zero.
+        def at_zero_warns(x):
+            return 0.0 * np.log(np.abs(x))
+
+        base = divergent_plant()
+        plant = dataclasses.replace(
+            base, step=lambda x, u, w: base.step(x, u, w) + at_zero_warns(x),
+            lyapunov=lambda x: np.log1p(np.abs(x)) + at_zero_warns(x))
+        _, config = bench_config(scheme="B1", eta=1, q=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = self.check(plant, config, horizon=40, runs=runs, base_seed=3)
         assert result.divergent_runs > 0
 
     @pytest.mark.parametrize("runs", WIDTHS)

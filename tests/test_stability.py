@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from esac.acceptance import random_config
+from esac.chain import fold_grants, min_buffer_size
 from esac.channel import effective_availability
 from esac.stability import (
     CERTIFIED,
@@ -260,8 +262,60 @@ class TestCriticalAlpha:
         assert a2.closed == pytest.approx(a1.closed, rel=1e-12)
 
     def test_rejects_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            critical_alpha("B1", 1, 0.9, 0.9, L_BENCH, 4)
+        with pytest.raises(ValueError, match="unknown scheme 'C1'"):
+            critical_alpha("C1", 1, 0.9, 0.9, L_BENCH, 4)
+
+    @pytest.mark.parametrize("scheme, eta, rho2, l_coarse, l_fine", [
+        ("B1", 1, 0.9, 0.0, 0.4),
+        ("B2", 2, 0.45, 0.1, 0.3),
+        ("B2", 3, 0.45, 0.2, 0.2),
+    ])
+    def test_unbuffered_boundaries(self, scheme, eta, rho2, l_coarse, l_fine):
+        # One slot: a grant of n units leaves one fine entry if n >= eta and
+        # one coarse entry otherwise, so every row of Pi reads
+        # (l0, l_coarse, l_fine) on the states it reaches.  T has rank one
+        # and its Perron root is alpha l0 + rho1 l_coarse + rho2 l_fine.
+        result = critical_alpha(scheme, eta, 0.9, rho2, L_BENCH, 4)
+        assert result.closed == pytest.approx((1.0 - 0.9 * l_coarse - rho2 * l_fine) / 0.6,
+                                              rel=1e-12)
+        assert result.discrepancy < 1e-6
+
+    @pytest.mark.parametrize("slots, expected", [
+        (1, 16 / 15),  # B1's boundary: a one-slot buffer is the unbuffered scheme
+        (2, 2471 / 2190),
+        (3, 27607 / 23730),
+        (4, 1.0 / OMEGA_PER_ALPHA_Q3),  # the minimum buffer: nothing is cut
+    ])
+    def test_truncated_one_law_boundaries(self, slots, expected):
+        # Exact rationals from Gaussian elimination in fractions on the chain
+        # of the states 0..slots that a grant, cut to `slots` entries, reaches.
+        spec = ContractionSpec(alpha=1.0, rho1=0.9, rho2=0.9, eta=1)
+        index = closed_form_index(spec, fold_grants(L_BENCH, 1, slots))
+        assert 1.0 / index == pytest.approx(expected, rel=1e-12)
+
+    def test_boundary_grows_with_the_buffer(self):
+        """alpha* is nondecreasing in the buffer size, so an unbuffered scheme
+        never has a larger boundary than its buffered twin at equal eta."""
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            spec, l = random_config(rng)
+            n_max = l.size - 1
+            at_one = dataclasses.replace(spec, alpha=1.0)
+            boundaries = []
+            for slots in range(1, min_buffer_size("A2", spec.eta, n_max) + 2):
+                folded = fold_grants(l, spec.eta, slots)
+                alpha_star = 1.0 / closed_form_index(at_one, folded)
+                report = certify(dataclasses.replace(spec, alpha=alpha_star), folded)
+                assert report.spectral_radius == pytest.approx(1.0, abs=1e-9), (spec, l, slots)
+                boundaries.append(alpha_star)
+            assert all(a <= b * (1 + 1e-12) for a, b in zip(boundaries, boundaries[1:])), \
+                (spec, l, boundaries)
+            unbuffered, buffered = (
+                critical_alpha(scheme, spec.eta, spec.rho1, spec.rho2, l, n_max).closed
+                for scheme in (("B2", "A2") if spec.eta > 1 else ("B1", "A1")))
+            assert unbuffered == pytest.approx(boundaries[0], rel=1e-12)
+            assert buffered == pytest.approx(boundaries[-1], rel=1e-12)
+            assert unbuffered <= buffered * (1 + 1e-12), (spec, l)
 
 
 class TestCertify:

@@ -25,8 +25,8 @@ class TestSweepSpec:
     def test_rejects_bad_epsilon_and_scheme(self):
         with pytest.raises(ValueError):
             SweepSpec("A2", 2, 1.5, BENCH, 4)
-        with pytest.raises(ValueError):
-            SweepSpec("B1", 1, 0.5, BENCH, 4)
+        with pytest.raises(ValueError, match="unknown scheme 'C1'"):
+            SweepSpec("C1", 1, 0.5, BENCH, 4)
 
 
 class TestBoundaryCurve:
@@ -49,6 +49,12 @@ class TestBoundaryCurve:
         a1 = boundary_curve(SweepSpec("A1", 1, 1.0, BENCH, 4, rho1_grid=grid))
         for p2, p1 in zip(a2, a1):
             assert p2.alpha_star_closed == pytest.approx(p1.alpha_star_closed, rel=1e-12)
+
+    def test_b1_curve_is_rank_one(self):
+        # One slot: rho(T) = alpha l0 + rho1 (1 - l0) with l0 = 0.6.
+        for pt in boundary_curve(SweepSpec("B1", 1, 1.0, BENCH, 4)):
+            assert pt.alpha_star_closed == pytest.approx((1.0 - 0.4 * pt.rho1) / 0.6, rel=1e-12)
+            assert pt.discrepancy < 1e-6
 
     def test_threshold_decreases_with_rho1(self):
         # A weaker coarse law leaves less room for open-loop growth.
