@@ -3,7 +3,7 @@
 Subcommands
 -----------
 certify    print a certification report; exit 0 if certified, 2 if not
-sweep      write the stability-boundary CSV (``rho1,alpha_star_closed,alpha_star_spectral``)
+sweep      write the boundary CSV (``rho1,alpha_star_closed,alpha_star_lower,alpha_star_upper``)
 simulate   write the Monte Carlo mean-V CSV (``k,mean_v,trigger_rate``)
 example1   print and verify the scripted three-step buffer traces
 selftest   run the acceptance suite, one pass/fail line per criterion
@@ -30,7 +30,7 @@ from .channel import ChannelModel
 from .schemes import ControlLaw, scheme_kind
 from .simulate import PlantModel, SchemeConfig, example_system, monte_carlo, simulate_trajectory
 from .stability import ContractionSpec, certify
-from .sweep import SweepSpec, boundary_curve
+from .sweep import BoundaryPoint, SweepSpec, boundary_curve
 
 
 @dataclass(frozen=True)
@@ -205,14 +205,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
         epsilon = cfg.rho2 / cfg.rho1
     else:
         raise ConfigError("sweep requires epsilon (or rho1 with rho2)")
+    if cfg.lam < (minimum := min_buffer_size(cfg.scheme, cfg.eta, cfg.n_max)):
+        raise ConfigError(f"sweep traces the untruncated buffer: lambda={cfg.lam} is below "
+                          f"{cfg.scheme}'s minimum {minimum}; use certify for a truncated buffer")
     spec = SweepSpec(scheme=cfg.scheme, eta=cfg.eta, epsilon=epsilon,
                      channel=_channel(cfg), n_max=cfg.n_max)
     path = cfg.output or "sweep.csv"
     with open(path, "w", newline="\n") as fh:
-        fh.write("rho1,alpha_star_closed,alpha_star_spectral\n")
+        fh.write(",".join(BoundaryPoint._fields) + "\n")
         for point in boundary_curve(spec):
-            fh.write(f"{_fmt(point.rho1)},{_fmt(point.alpha_star_closed)},"
-                     f"{_fmt(point.alpha_star_spectral)}\n")
+            fh.write(",".join(_fmt(v) for v in point) + "\n")
     print(f"wrote {path}")
     return 0
 

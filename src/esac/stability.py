@@ -15,7 +15,7 @@ state (``closed_form_index``): ``psi`` for the two-law scheme A2 and, with
 ``eta = 1`` and ``rho2 = rho1``, ``omega`` for the one-law scheme A1.  Given
 contractions < 1 it is < 1 exactly when ``T`` is Schur stable, and it is
 linear in the open-loop bound alpha, which yields the critical alpha in
-closed form.
+closed form; :func:`critical_alpha` brackets it by two witnesses.
 """
 from __future__ import annotations
 
@@ -31,9 +31,6 @@ from .schemes import scheme_kind
 
 #: Margin of Schur verdicts: a witness must prove spectral radius <= 1 - SCHUR_TOL.
 SCHUR_TOL = 1e-9
-
-#: Bracket width at which the critical-alpha bisection stops.
-BISECT_TOL = 1e-9
 
 CERTIFIED = "CertifiedStable"
 NOT_CERTIFIED = "NotCertified"
@@ -171,10 +168,12 @@ def theorem1_bounds(zeta, nu, sigma_open: float, d_bound: float) -> tuple[float,
     return xi, c1, c2
 
 
-def _schur_index(t: np.ndarray) -> float:
-    # Schur complement of T at its first row and column:
-    # t00 + t01 (I - t11)^{-1} t10.
-    return t[0, 0] + t[0, 1:] @ np.linalg.solve(np.eye(t.shape[0] - 1) - t[1:, 1:], t[1:, 0])
+def _schur_index(t: np.ndarray, r: float = 1.0) -> tuple[float, np.ndarray]:
+    # Schur complement of T at its first row and column, at r: t00 + t01 z
+    # with z = (r I - t11)^{-1} t10; then T with row 0 scaled by r / index
+    # maps [1; z] to r [1; z].
+    z = np.linalg.solve(r * np.eye(t.shape[0] - 1) - t[1:, 1:], t[1:, 0])
+    return t[0, 0] + t[0, 1:] @ z, z
 
 
 def block_schur_g1(h) -> tuple[float, bool]:
@@ -196,7 +195,7 @@ def block_schur_g1(h) -> tuple[float, bool]:
         raise ValueError("trailing block must have inf-norm < 1")
     if not np.trace(m @ m) < 1.0:
         raise ValueError("trailing block must satisfy trace(M @ M) < 1")
-    g1 = 1.0 - _schur_index(h)
+    g1 = 1.0 - _schur_index(h)[0]
     return g1, g1 > SCHUR_TOL
 
 
@@ -211,18 +210,22 @@ def closed_form_index(spec: ContractionSpec, l) -> float:
     if not (spec.rho1 < 1.0 and spec.rho2 < 1.0):
         raise ValueError("closed form requires rho1 < 1 and rho2 < 1; use spectral_radius instead")
     pi = transition_matrix(l, spec.eta)
-    return _schur_index(certification_matrix(gain_diagonal(spec, pi.shape[0] - 1), pi))
+    return _schur_index(certification_matrix(gain_diagonal(spec, pi.shape[0] - 1), pi))[0]
 
 
 class CriticalAlpha(NamedTuple):
-    """Boundary open-loop bound computed by both exposed methods."""
+    """Closed-form boundary open-loop bound inside a witnessed bracket."""
 
     closed: float
-    bisection: float
+    lower: float
+    upper: float
+    lower_witness: np.ndarray
+    upper_witness: np.ndarray
 
     @property
     def discrepancy(self) -> float:
-        return abs(self.closed - self.bisection)
+        """Proven bound on ``|closed - alpha*|``: both lie in ``(lower, upper]``."""
+        return max(self.closed - self.lower, self.upper - self.closed)
 
 
 def critical_alpha(
@@ -237,10 +240,12 @@ def critical_alpha(
 
     The buffer has ``n_max`` slots, which never truncate, or one for B1 and B2.
     Only row 0 of ``T`` carries alpha, so ``T(alpha)`` is ``T(1)`` with that
-    row scaled.  Closed-form method: the index is linear in alpha, so the
-    boundary is ``1 / index(alpha=1)``.  Bisection method: the Perron root
-    of T(alpha) is nondecreasing in alpha; bisect the root-equals-one
-    crossing over a bracket grown by doubling from alpha = 1.
+    row scaled, and ``T(r / index(r))`` maps ``[1; z(r)]`` to ``r [1; z(r)]``
+    (see ``_schur_index``).  ``closed`` is ``r = 1``.  ``upper`` is
+    ``r = 1 + SCHUR_TOL``: ``w = [1; z(r)] >= 0`` with ``T w >= w`` proves the
+    Perron root >= 1.  ``lower`` is ``r = 1 - SCHUR_TOL``: ``w = (I - T)^{-1} 1``
+    with ``w > 0`` and ``T w < w`` proves it < 1 (Collatz-Wielandt bounds).
+    Raises ``ArithmeticError`` when a check fails.
     """
     kind = scheme_kind(scheme)
     if not kind.two_law:  # the coarse law in the fine law's place
@@ -251,27 +256,17 @@ def critical_alpha(
     spec = ContractionSpec(alpha=1.0, rho1=rho1, rho2=rho2, eta=eta)
     pi = transition_matrix(fold_grants(l, eta, kind.slots(n_max)), eta)
     t_one = certification_matrix(gain_diagonal(spec, n_max), pi)
-    closed = 1.0 / _schur_index(t_one)
+    closed = 1.0 / _schur_index(t_one)[0]
 
-    def radius(alpha: float) -> float:
-        t = t_one.copy()
-        t[0] *= alpha
-        return spectral_radius(t)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(64):
-        if radius(hi) >= 1.0:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise ArithmeticError("bisection bracket failure: spectral radius stayed below 1")
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if radius(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return CriticalAlpha(closed=closed, bisection=0.5 * (lo + hi))
+    index, z = _schur_index(t_one, 1.0 + SCHUR_TOL)
+    upper, up = (1.0 + SCHUR_TOL) / index, np.r_[1.0, z]
+    lower = (1.0 - SCHUR_TOL) / _schur_index(t_one, 1.0 - SCHUR_TOL)[0]
+    t_low, t_up = (np.r_[a, np.ones(n_max)][:, None] * t_one for a in (lower, upper))
+    low = np.linalg.solve(np.eye(n_max + 1) - t_low, np.ones(n_max + 1))
+    if not (lower < closed < upper and np.all(low > 0.0) and np.all(t_low @ low < low)
+            and np.all(up >= 0.0) and np.all(t_up @ up >= up)):
+        raise ArithmeticError(f"no witnessed bracket around the closed-form alpha*={closed}")
+    return CriticalAlpha(closed, lower, upper, low, up)
 
 
 def certify(spec: ContractionSpec, l, nu=None) -> CertificationReport:
@@ -287,7 +282,7 @@ def certify(spec: ContractionSpec, l, nu=None) -> CertificationReport:
     n_max = pi.shape[0] - 1
     phi = gain_diagonal(spec, n_max)
     t = certification_matrix(phi, pi)
-    closed_form = _schur_index(t) if spec.rho1 < 1.0 and spec.rho2 < 1.0 else None
+    closed_form = _schur_index(t)[0] if spec.rho1 < 1.0 and spec.rho2 < 1.0 else None
 
     nu = np.ones(n_max + 1) if nu is None else np.asarray(nu, dtype=float)
     if nu.shape != (n_max + 1,) or np.any(nu <= 0.0):

@@ -1,9 +1,8 @@
 """Stability-guarantee boundary curves over the coarse-law contraction.
 
 For each grid value of ``rho1`` the fine-law contraction is
-``rho2 = epsilon * rho1`` and the boundary open-loop bound is computed by
-both methods of :func:`esac.stability.critical_alpha`, so closed-form and
-spectral-radius values (and their discrepancy) travel together.
+``rho2 = epsilon * rho1`` and :func:`esac.stability.critical_alpha` gives
+the closed-form boundary open-loop bound inside its witnessed bracket.
 """
 from __future__ import annotations
 
@@ -23,11 +22,13 @@ DEFAULT_RHO1_GRID = tuple(np.round(np.arange(0.05, 1.0, 0.05), 10))
 class BoundaryPoint(NamedTuple):
     rho1: float
     alpha_star_closed: float
-    alpha_star_spectral: float
+    alpha_star_lower: float
+    alpha_star_upper: float
 
     @property
-    def discrepancy(self) -> float:
-        return abs(self.alpha_star_closed - self.alpha_star_spectral)
+    def discrepancy(self) -> float:  # proven bound on |alpha_star_closed - alpha*|
+        return max(self.alpha_star_closed - self.alpha_star_lower,
+                   self.alpha_star_upper - self.alpha_star_closed)
 
 
 @dataclass(frozen=True)
@@ -61,5 +62,5 @@ def boundary_curve(spec: SweepSpec) -> list[BoundaryPoint]:
         result = critical_alpha(
             spec.scheme, spec.eta, rho1, rho2, spec.channel.l, spec.n_max
         )
-        points.append(BoundaryPoint(rho1, result.closed, result.bisection))
+        points.append(BoundaryPoint(rho1, result.closed, result.lower, result.upper))
     return points

@@ -178,11 +178,31 @@ class TestSweepCommand:
         ])
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "rho1,alpha_star_closed,alpha_star_spectral"
+        assert lines[0] == "rho1,alpha_star_closed,alpha_star_lower,alpha_star_upper"
         assert len(lines) == 20  # header + 19 grid points
-        first = lines[1].split(",")
-        assert float(first[0]) == 0.05
-        assert abs(float(first[1]) - float(first[2])) < 1e-6
+        assert float(lines[1].split(",")[0]) == 0.05
+        for line in lines[1:]:
+            _, closed, lower, upper = map(float, line.split(","))
+            assert lower < closed < upper
+            assert upper - lower < 1e-6
+
+    def test_refuses_truncated_buffer(self, tmp_path, capsys):
+        # The curve is the untruncated chain's; A1 at n_max = 4 needs 4 slots.
+        out = tmp_path / "curve.csv"
+        code = main(["sweep", "--scheme", "A1", "--lambda", "1", "--epsilon", "1",
+                     "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "lambda" in err and "certify" in err
+        assert not out.exists()
+
+    def test_buffer_at_or_above_minimum_sweeps_the_same_curve(self, tmp_path):
+        paths = [tmp_path / f"{lam}.csv" for lam in ("default", "4", "6")]
+        for path in paths:
+            lam = [] if path.stem == "default" else ["--lambda", path.stem]
+            assert main(["sweep", "--scheme", "A1", "--epsilon", "1", *lam,
+                         "--output", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

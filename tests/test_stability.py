@@ -35,6 +35,24 @@ PSI_PER_ALPHA_Q2 = 0.7898341196164967  # eta=3, rho1=0.9, rho2=0.45
 OMEGA_PER_ALPHA_Q3 = 0.8512265418572063  # one-law, rho1=0.9
 
 
+def assert_witnessed_bracket(result, scheme, eta, rho1, rho2, l):
+    """Check both witnesses of ``critical_alpha``'s bracket against ``T`` as
+    ``certify`` builds it, and the bracket against ``numpy.linalg.eigvals``."""
+    if scheme in ("A1", "B1"):
+        eta, rho2 = 1, rho1
+    folded = fold_grants(l, eta, min_buffer_size(scheme, eta, l.size - 1))
+    t_lower, t_upper = (
+        certify(ContractionSpec(alpha=a, rho1=rho1, rho2=rho2, eta=eta), folded).t_matrix
+        for a in (result.lower, result.upper))
+    assert result.lower < result.closed < result.upper
+    low, up = result.lower_witness, result.upper_witness
+    assert np.all(low > 0.0) and np.all(t_lower @ low < low)
+    assert np.all(up >= 0.0) and np.any(up > 0.0) and np.all(t_upper @ up >= up)
+    radius = [np.abs(np.linalg.eigvals(t)).max() for t in (t_lower, t_upper)]
+    assert radius[0] < 1.0 <= radius[1]
+    assert result.discrepancy == max(result.closed - result.lower, result.upper - result.closed)
+
+
 class TestContractionSpec:
     def test_rejects_rho2_above_rho1(self):
         with pytest.raises(ValueError):
@@ -276,8 +294,46 @@ class TestCriticalAlpha:
         # (l0, l_coarse, l_fine) on the states it reaches.  T has rank one
         # and its Perron root is alpha l0 + rho1 l_coarse + rho2 l_fine.
         result = critical_alpha(scheme, eta, 0.9, rho2, L_BENCH, 4)
-        assert result.closed == pytest.approx((1.0 - 0.9 * l_coarse - rho2 * l_fine) / 0.6,
-                                              rel=1e-12)
+        expected = (1.0 - 0.9 * l_coarse - rho2 * l_fine) / 0.6
+        assert result.closed == pytest.approx(expected, rel=1e-12)
+        assert result.lower < expected <= result.upper
+        assert result.discrepancy < 1e-6
+        assert_witnessed_bracket(result, scheme, eta, 0.9, rho2, L_BENCH)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bracket_is_witnessed_on_random_configs(self, seed):
+        rng = np.random.default_rng([seed, 2])
+        for _ in range(50):
+            spec, l = random_config(rng)
+            for scheme in (("A2", "B2") if spec.eta > 1 else ("A1", "B1")):
+                result = critical_alpha(scheme, spec.eta, spec.rho1, spec.rho2, l, l.size - 1)
+                assert_witnessed_bracket(result, scheme, spec.eta, spec.rho1, spec.rho2, l)
+                assert result.discrepancy < 1e-6
+
+    @pytest.mark.parametrize("scheme, eta, rho1, rho2", [
+        ("A2", 2, 0.9, 0.0),  # fine rows of T vanish: T is reducible
+        ("A2", 3, 0.9, 0.0),
+        ("B2", 2, 0.9, 0.0),
+        ("A1", 1, 1.0 - 1e-12, 1.0 - 1e-12),  # alpha* -> 1 as rho1 -> 1
+        ("A2", 2, 1.0 - 1e-12, 0.0),
+    ])
+    def test_bracket_edge_cases(self, scheme, eta, rho1, rho2):
+        result = critical_alpha(scheme, eta, rho1, rho2, L_BENCH, 4)
+        assert_witnessed_bracket(result, scheme, eta, rho1, rho2, L_BENCH)
+        assert result.discrepancy < 1e-6
+        if rho2 == 0.0:
+            # The eigenvector [1; z(r)] has zero entries here, so it proves
+            # the upper end but could never pass a strict lower-end check.
+            assert np.any(result.upper_witness == 0.0)
+
+    def test_uses_no_eigenvalue_solver(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("critical_alpha called an eigenvalue solver")
+
+        monkeypatch.setattr("esac.stability.spectral_radius", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        result = critical_alpha("A2", 2, 0.9, 0.45, L_BENCH, 4)
+        assert result.closed == pytest.approx(1.0 / PSI_PER_ALPHA_Q1, rel=1e-12)
         assert result.discrepancy < 1e-6
 
     @pytest.mark.parametrize("slots, expected", [
