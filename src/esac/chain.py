@@ -13,8 +13,8 @@ consumed, so 0 stays empty, a coarse-only state ``i < eta`` moves to
 A grant of ``n`` units lands in state ``n`` unless the buffer truncates it:
 :func:`transition_matrix` is the chain of a buffer that never does, and of
 any buffer, such as the one slot of ``B1`` and ``B2``, given
-:func:`fold_grants` of ``l``.  The batched Monte Carlo engine in
-:mod:`esac.simulate` moves each run's state ``i`` by the same two tables.
+:func:`fold_grants` of ``l``.  Both Monte Carlo engines in
+:mod:`esac.simulate` move each run's state ``i`` by the same two tables.
 """
 from __future__ import annotations
 

@@ -210,10 +210,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
                           f"{cfg.scheme}'s minimum {minimum}; use certify for a truncated buffer")
     spec = SweepSpec(scheme=cfg.scheme, eta=cfg.eta, epsilon=epsilon,
                      channel=_channel(cfg), n_max=cfg.n_max)
-    path = cfg.output or "sweep.csv"
+    path, points = cfg.output or "sweep.csv", boundary_curve(spec)  # no file for a failed curve
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(BoundaryPoint._fields) + "\n")
-        for point in boundary_curve(spec):
+        for point in points:
             fh.write(",".join(_fmt(v) for v in point) + "\n")
     print(f"wrote {path}")
     return 0

@@ -14,9 +14,9 @@ followed by ``N % eta`` coarse entries.
 
 :meth:`Buffer.step` runs all four through ``(eta, buffer size)``: a one-law
 scheme runs the coarse law in the fine law's place with ``eta = 1``, and an
-unbuffered scheme has one slot (:meth:`SchemeKind.slots`).  The step updates
-the buffer in place and checks nothing: :class:`esac.simulate.SchemeConfig`
-validates the parameters once.
+unbuffered scheme has one slot (:meth:`SchemeKind.slots`).  It stores every
+entry of a grant and is the scripted and reference stepper: both engines of
+:mod:`esac.simulate` step the buffer's chain state (:mod:`esac.chain`) instead.
 """
 from __future__ import annotations
 
@@ -100,7 +100,7 @@ class Buffer:
         entries kept first); each entry is the law applied to the state
         that the prediction model ``f(x, u)`` forward-iterates from ``x``.
         No grant shifts the buffer (head consumed, zero enters last), and a
-        silent trigger clears it and applies zero.
+        silent trigger clears it and applies zero.  It checks nothing.
         """
         values = self.values
         if gamma == 1 and n:

@@ -22,16 +22,18 @@ base seeds give independent runs
 reduction accumulates in run order.  Identical configuration and seed give
 bit-identical trajectories.
 
-:func:`monte_carlo` has two engines with bit-identical results.  A call of
-at least ``_BATCH_MIN_RUNS`` (16) runs advances its runs together on arrays
-with one entry per run: a run's buffer is its chain state (as in
-:mod:`esac.chain`) with its head entry, and an entry is computed only when
-it becomes the head (see :func:`_run_batch`).  Each step adds the runs'
-Lyapunov values and their squares one run at a time in run order, as the
-per-run loop does.  Narrower calls run :func:`simulate_trajectory` once per
-run, which steps one scalar :class:`~esac.schemes.Buffer` in place and is
-faster there because numpy's cost per call outweighs a width of about a
-dozen runs.
+:func:`monte_carlo` has two engines with bit-identical results, and both
+step a run's buffer as its chain state (as in :mod:`esac.chain`) with its
+head entry: the state moves by :func:`~esac.chain.shift_targets` and
+:func:`~esac.chain.grant_targets`, and an entry is computed only when it
+becomes the head.  A call of at least ``_BATCH_MIN_RUNS`` (24) runs
+advances its runs together on arrays with one entry per run (see
+:func:`_run_batch`); each step adds the runs' Lyapunov values and their
+squares one run at a time in run order, as the per-run loop does.
+Narrower calls run :func:`simulate_trajectory`, its scalar twin, once per
+run, which is faster there because numpy's cost per call outweighs a
+width of about two dozen runs.  :meth:`esac.schemes.Buffer.step`, which
+stores every entry of a grant, is the scripted and reference stepper.
 
 Plant and law callables must therefore work elementwise on float arrays as
 well as on scalars (``np.sin``, not ``math.sin``), giving each element the
@@ -47,20 +49,20 @@ from typing import Callable
 import numpy as np
 
 from .chain import grant_targets, shift_targets
-from .schemes import Buffer, ControlLaw, scheme_kind
+from .schemes import ControlLaw, scheme_kind
 
 #: States beyond this magnitude mark a run as divergent.
 DIVERGENCE_LIMIT = 1e12
 
 #: Narrowest ``monte_carlo`` call that takes the batched engine: the measured
 #: crossover, where both engines run the benchmark loops equally fast.
-_BATCH_MIN_RUNS = 16
+_BATCH_MIN_RUNS = 24
 
 #: Pre-drawn numbers (one disturbance and two uniforms per run and step)
 #: that size a batch: it is as wide as this allows but never narrower than
 #: ``_BATCH_MIN_RUNS``.  Stored at 4 bytes per draw on average (8 per
 #: disturbance, 2 per uniform while ``p`` has at most 256 entries), a batch
-#: holds at most 8 MiB up to a horizon of 43,690 steps and ``192 * horizon``
+#: holds at most 8 MiB up to a horizon of 29,127 steps and ``288 * horizon``
 #: bytes beyond, where the width floor takes over.  Decoding adds a float64
 #: slab of at most ``_DECODE_SLAB_DRAWS`` uniforms, or of one run's
 #: ``2 * horizon`` if that is more.
@@ -124,10 +126,11 @@ class SchemeConfig:
             raise ValueError(f"p must be nonnegative with a positive finite sum, got {self.p}")
 
     def stepper_args(self) -> tuple:
-        """``(buffer size, coarse law, fine law, eta)`` that run this scheme.
+        """``(slots, coarse law, fine law, eta)`` that run this scheme.
 
         A one-law scheme runs the coarse law as the fine law with ``eta = 1``,
-        and an unbuffered scheme has one slot (see :meth:`Buffer.step`).
+        and an unbuffered scheme has one slot.  Both engines step the chain
+        state of these parameters; :meth:`esac.schemes.Buffer.step` takes them too.
         """
         kind = scheme_kind(self.scheme)
         return (kind.slots(self.buffer_size), self.kappa1,
@@ -230,14 +233,16 @@ def simulate_trajectory(
     ``seed`` is an int, which seeds a new ``default_rng``, or a
     ``Generator``, which this run advances by its draws (see the module
     docstring); :func:`monte_carlo` passes one ``Generator`` to its runs in
-    turn.  :func:`esac.acceptance.run_example1` replays a scripted scenario
-    through :meth:`Buffer.step` directly.  Unbuffered schemes record
-    ``fine = coarse = 0``.
+    turn.  It steps the chain state as :func:`_run_batch` does and records
+    ``(fine, coarse) = divmod(state, eta)``, or ``(0, 0)`` for an unbuffered
+    scheme.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    size, kappa1, kappa2, eta = config.stepper_args()
-    f = lambda x, u: plant.step(x, u, 0.0)  # noqa: E731  (prediction model)
+    slots, kappa1, kappa2, eta = config.stepper_args()
+    shift_to = shift_targets(len(config.p), eta)
+    grant_to = grant_targets(len(config.p), eta, slots)
+    coarse_law, fine_law = kappa1.evaluate, kappa2.evaluate
     # The memoryviews hand out Python floats, ints and bools, which are
     # cheaper than numpy scalars in the scalar step loop below.
     streams = _decode_streams(plant, config, horizon, np.random.default_rng(seed), 1)
@@ -246,14 +251,10 @@ def simulate_trajectory(
     xs = np.empty(horizon + 1)
     vs = np.empty(horizon + 1)
     us = np.empty(horizon)
-    gammas = np.empty(horizon, dtype=np.int64)
-    ns = np.empty(horizon, dtype=np.int64)
-    fines = np.empty(horizon, dtype=np.int64)
-    coarses = np.empty(horizon, dtype=np.int64)
+    gammas, ns, states = np.empty((3, horizon), dtype=np.int64)
 
     x = plant.x0
-    buf = Buffer(size)
-    buf_step = buf.step
+    state, u, chi = 0, 0.0, 0.0  # chain state, head input, state u was computed at
     step, lyapunov, d = plant.step, plant.lyapunov, config.d
     xs[0] = x
     vs[0] = lyapunov(x)
@@ -261,27 +262,31 @@ def simulate_trajectory(
     divergent = False
     k = 0
     for k in range(horizon):
-        if not abs(x) > d:
-            gamma, n = 2, 0
-        elif transmits[cursor]:
-            gamma, n = 1, grants[cursor + 1]
-            cursor += 2
+        if not abs(x) > d:  # a silent step clears
+            gamma, n, state = 2, 0, 0
         else:
-            gamma, n = 0, 0
-            cursor += 1
-        u = buf_step(x, gamma, n, kappa1, kappa2, eta, f)
+            gamma = 1 if transmits[cursor] else 0
+            n = grants[cursor + 1] if gamma else 0
+            cursor += 1 + gamma
+            if n:
+                state, chi = grant_to[n], x
+            else:
+                state = shift_to[state]
+                if state:  # shifted onto a stored entry
+                    chi = step(chi, u, 0.0)
+        u = fine_law(chi) if state >= eta else coarse_law(chi) if state else 0.0
         x = step(x, u, noise[k])
         gammas[k] = gamma
         ns[k] = n
         us[k] = u
-        fines[k] = buf.fine_count
-        coarses[k] = buf.coarse_count
+        states[k] = state
         if not abs(x) <= DIVERGENCE_LIMIT:  # also catches inf and nan
             divergent = True
             break
         xs[k + 1] = x
         vs[k + 1] = lyapunov(x)
     end = k + 1 if not divergent else k
+    fines, coarses = np.divmod(states[: k + 1], eta)
     if not scheme_kind(config.scheme).buffered:  # its one slot holds no prediction
         fines.fill(0)
         coarses.fill(0)
@@ -290,8 +295,8 @@ def simulate_trajectory(
         u=us[: k + 1],
         gamma=gammas[: k + 1],
         n=ns[: k + 1],
-        fine=fines[: k + 1],
-        coarse=coarses[: k + 1],
+        fine=fines,
+        coarse=coarses,
         v=vs[: end + 1],
         divergent=divergent,
     )
@@ -367,7 +372,7 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
     returns the number of runs that diverged.  A run's buffer is its chain
     state (0 is empty) with the head input ``u`` and the predicted state
     ``chi`` that ``u`` was computed at.  An entry is computed only when it
-    becomes the head, by the floating-point operations of :meth:`Buffer.step`.
+    becomes the head, as :func:`simulate_trajectory` computes it.
     A diverged run keeps its last finite Lyapunov value and counts as
     triggered; it is parked at zero, takes silent steps and runs no plant code.
     """

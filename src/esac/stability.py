@@ -245,7 +245,8 @@ def critical_alpha(
     ``r = 1 + SCHUR_TOL``: ``w = [1; z(r)] >= 0`` with ``T w >= w`` proves the
     Perron root >= 1.  ``lower`` is ``r = 1 - SCHUR_TOL``: ``w = (I - T)^{-1} 1``
     with ``w > 0`` and ``T w < w`` proves it < 1 (Collatz-Wielandt bounds).
-    Raises ``ArithmeticError`` when a check fails.
+    Raises ``ValueError`` when ``l[0] = 0`` and ``ArithmeticError`` when a
+    check fails.
     """
     kind = scheme_kind(scheme)
     if not kind.two_law:  # the coarse law in the fine law's place
@@ -256,7 +257,11 @@ def critical_alpha(
     spec = ContractionSpec(alpha=1.0, rho1=rho1, rho2=rho2, eta=eta)
     pi = transition_matrix(fold_grants(l, eta, kind.slots(n_max)), eta)
     t_one = certification_matrix(gain_diagonal(spec, n_max), pi)
-    closed = 1.0 / _schur_index(t_one)[0]
+    index = _schur_index(t_one)[0]
+    if not index > 0.0:  # 0 exactly when l[0] = 0: no state ever returns to the empty one
+        raise ValueError("l[0] = 0: the Perron root of T does not depend on alpha, "
+                         "so there is no stability boundary")
+    closed = 1.0 / index
 
     index, z = _schur_index(t_one, 1.0 + SCHUR_TOL)
     upper, up = (1.0 + SCHUR_TOL) / index, np.r_[1.0, z]

@@ -204,6 +204,19 @@ class TestSweepCommand:
                          "--output", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
 
+    def test_no_boundary_without_misses(self, tmp_path, capsys):
+        # q = 1 and p[0] = 0 give l[0] = 0: a clean refusal, with no warning.
+        out = tmp_path / "curve.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--q", "1", "--p", "0 0.5 0.5", "--epsilon", "0.5",
+                         "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "l[0] = 0" in err and "no stability boundary" in err
+        assert "Warning" not in err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):

@@ -9,7 +9,7 @@ import pytest
 
 import esac.simulate
 from esac.acceptance import benchmark_scheme_config
-from esac.schemes import ControlLaw
+from esac.schemes import Buffer, ControlLaw, scheme_kind
 from esac.simulate import (
     PlantModel,
     SchemeConfig,
@@ -280,7 +280,8 @@ class TestMonteCarlo:
 
 
 #: Run counts for the oracle, on both sides of the engine threshold and wider.
-WIDTHS = sorted({5, 16, 26, 40, esac.simulate._BATCH_MIN_RUNS - 1, esac.simulate._BATCH_MIN_RUNS})
+WIDTHS = sorted({5, 15, 16, 26, 40,
+                 esac.simulate._BATCH_MIN_RUNS - 1, esac.simulate._BATCH_MIN_RUNS})
 
 P5 = (0.1, 0.2, 0.3, 0.2, 0.2)
 P6 = (0.1, 0.1, 0.2, 0.2, 0.2, 0.2)
@@ -364,11 +365,14 @@ class TestMonteCarloOracle:
         self.check(divergent_plant(), config, horizon=horizon, runs=45, base_seed=21)
 
 
+@pytest.mark.parametrize("runs", [esac.simulate._BATCH_MIN_RUNS - 1,
+                                  esac.simulate._BATCH_MIN_RUNS + 8], ids=["narrow", "batched"])
 @pytest.mark.parametrize("scheme, eta", [("A1", 1), ("A2", 2)])
-def test_batched_evaluations_follow_use(scheme, eta):
-    """The batched engine predicts a state once per shift onto a stored entry
-    and calls each law at most once per step, at the heads that apply it."""
-    horizon, runs, seed = 60, esac.simulate._BATCH_MIN_RUNS + 8, 4
+def test_evaluations_follow_use(scheme, eta, runs):
+    """Both engines predict a state once per shift onto a stored entry and
+    evaluate each law only at the heads that apply it: the batched engine in
+    at most one call per step, the per-run loop in one call per point."""
+    horizon, seed = 60, 4
     plant, config = bench_config(scheme=scheme, eta=eta, buffer_size=3, p=P5)
     tally = collections.Counter()  # points evaluated, and calls
 
@@ -404,8 +408,38 @@ def test_batched_evaluations_follow_use(scheme, eta):
         fine_heads, coarse_heads = 0, fine_heads
     assert tally["fine"] == fine_heads
     assert tally["coarse"] == coarse_heads
-    assert tally["fine calls"] <= horizon
-    assert tally["coarse calls"] <= horizon
+    batched = runs >= esac.simulate._BATCH_MIN_RUNS
+    for law in ("fine", "coarse"):
+        calls = tally[law + " calls"]
+        assert calls <= horizon if batched else calls == tally[law]
+
+
+REPLAY_CASES = [("bench", *case, 0.5) for case in SCHEME_CASES] + [
+    ("divergent", "A2", 2, 3, P5, 0.3), ("divergent", "B1", 1, 1, P5, 0.3)]
+
+
+@pytest.mark.parametrize("plant_name, scheme, eta, buffer_size, p, q", REPLAY_CASES, ids=[
+    f"{t}-{s}-{e}-{b}" + ("" if p is P5 else f"-p{len(p)}") for t, s, e, b, p, _ in REPLAY_CASES])
+def test_trajectory_replays_through_buffer_step(plant_name, scheme, eta, buffer_size, p, q):
+    """The chain-state loop of ``simulate_trajectory`` applies the inputs, and
+    records the counts, of the reference stepper ``Buffer.step``, which
+    computes and stores every entry of a grant."""
+    base, config = bench_config(scheme=scheme, eta=eta, buffer_size=buffer_size, p=p, q=q)
+    plant = divergent_plant() if plant_name == "divergent" else base
+    traj = simulate_trajectory(plant, config, 400, seed=17)
+    assert traj.divergent or plant_name == "bench"
+    assert np.any((traj.gamma == 1) & (traj.n > 0)) and np.any(traj.gamma == 0)
+
+    size, kappa1, kappa2, eta = config.stepper_args()
+    buf = Buffer(size)
+    f = lambda x, u: plant.step(x, u, 0.0)  # noqa: E731  (prediction model)
+    applied = np.empty(traj.steps)
+    counts = np.empty((traj.steps, 2), dtype=np.int64)
+    for k in range(traj.steps):
+        applied[k] = buf.step(traj.x[k], traj.gamma[k], traj.n[k], kappa1, kappa2, eta, f)
+        counts[k] = buf.counts if scheme_kind(scheme).buffered else (0, 0)
+    np.testing.assert_array_equal(traj.u.view(np.uint64), applied.view(np.uint64))
+    np.testing.assert_array_equal(np.c_[traj.fine, traj.coarse], counts)
 
 
 class TestExampleSystem:

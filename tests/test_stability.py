@@ -283,6 +283,16 @@ class TestCriticalAlpha:
         with pytest.raises(ValueError, match="unknown scheme 'C1'"):
             critical_alpha("C1", 1, 0.9, 0.9, L_BENCH, 4)
 
+    @pytest.mark.parametrize("scheme, eta", [("A1", 1), ("A2", 2), ("B2", 2)])
+    def test_rejects_l0_zero(self, scheme, eta):
+        # With l[0] = 0 no state returns to the empty one, so alpha does not
+        # move the Perron root: a ValueError, before any division.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"l\[0\] = 0: .* no stability boundary"):
+                critical_alpha(scheme, eta, 0.9, 0.45 if eta > 1 else 0.9,
+                               [0.0, 0.2, 0.3, 0.3, 0.2], 4)
+
     @pytest.mark.parametrize("scheme, eta, rho2, l_coarse, l_fine", [
         ("B1", 1, 0.9, 0.0, 0.4),
         ("B2", 2, 0.45, 0.1, 0.3),
