@@ -26,7 +26,6 @@ from .stability import (
     block_schur_g1,
     certification_matrix,
     certify,
-    closed_form_index,
     critical_alpha,
     gain_diagonal,
     solve_certificate,
@@ -52,7 +51,6 @@ __all__ = [
     "boundary_curve",
     "certification_matrix",
     "certify",
-    "closed_form_index",
     "critical_alpha",
     "effective_availability",
     "example_system",

@@ -3,18 +3,18 @@
 During triggered periods the buffer content is summarised by the pair
 ``(F, C)``: the number of fine-law and coarse-law tentative inputs stored.
 State ``i`` (zero-based) is ``(i // eta, i % eta)``, giving ``n_max + 1``
-states in total.  On each triggered step the buffer is either overwritten
-by a fresh computation of ``N = n`` units (probability ``l[n]``), landing in
-the state of :func:`grant_targets`, or, when no computation arrives
-(probability ``l[0]``), shifted by :func:`shift_targets`: the head is
-consumed, so 0 stays empty, a coarse-only state ``i < eta`` moves to
-``i - 1`` and a state with a fine head to ``i - eta``.
+states in total.  Each triggered step draws one mode, and
+:func:`jump_table` says where each mode leads from each state: with no
+computation (probability ``l[0]``) the head is consumed, so 0 stays empty,
+a coarse-only state ``i < eta`` moves to ``i - 1`` and a state with a fine
+head to ``i - eta``; a fresh computation of ``N = n`` units (probability
+``l[n]``) overwrites the buffer.
 
 A grant of ``n`` units lands in state ``n`` unless the buffer truncates it:
 :func:`transition_matrix` is the chain of a buffer that never does, and of
 any buffer, such as the one slot of ``B1`` and ``B2``, given
 :func:`fold_grants` of ``l``.  Both Monte Carlo engines in
-:mod:`esac.simulate` move each run's state ``i`` by the same two tables.
+:mod:`esac.simulate` move each run's state ``i`` by the same table.
 """
 from __future__ import annotations
 
@@ -36,24 +36,21 @@ def _validate_effective_pmf(l) -> np.ndarray:
     return l
 
 
-def shift_targets(states: int, eta: int) -> list[int]:
-    """The state that a shift leads to from each state ``0 .. states - 1``:
-    the head entry is consumed."""
-    return [max(i - (1 if i < eta else eta), 0) for i in range(states)]
-
-
-def grant_targets(states: int, eta: int, slots: int) -> list[int]:
-    """The state that a grant of each ``n = 0 .. states - 1`` units leads to in
-    a ``slots``-slot buffer: ``min(n // eta, slots)`` fine entries, then coarse
-    ones up to the slot count, as :meth:`esac.schemes.Buffer.step` cuts it."""
-    fine = [min(n // eta, slots) for n in range(states)]
-    return [f * eta + min(n % eta, slots - f) for n, f in enumerate(fine)]
+def jump_table(states: int, eta: int, slots: int) -> list[list[int]]:
+    """Where a triggered step leads from each state ``i = 0 .. states - 1``:
+    ``table[i][0]`` with no computation, which consumes the head entry, and
+    ``table[i][n]`` after a grant of ``n`` units to a ``slots``-slot buffer:
+    ``min(n // eta, slots)`` fine entries, then coarse ones up to the slot
+    count, as :meth:`esac.schemes.Buffer.step` cuts it."""
+    fine = [min(n // eta, slots) for n in range(1, states)]
+    grants = [f * eta + min(n % eta, slots - f) for n, f in enumerate(fine, 1)]
+    return [[max(i - 1, 0) if i < eta else i - eta, *grants] for i in range(states)]
 
 
 def fold_grants(l, eta: int, slots: int) -> np.ndarray:
     """``l`` with each grant's mass moved to its state in a ``slots``-slot
     buffer: :func:`transition_matrix` of the result is that buffer's chain."""
-    return np.bincount(grant_targets(len(l), eta, slots), weights=l, minlength=len(l))
+    return np.bincount(jump_table(len(l), eta, slots)[0], weights=l, minlength=len(l))
 
 
 def transition_matrix(l, eta: int) -> np.ndarray:
@@ -61,15 +58,15 @@ def transition_matrix(l, eta: int) -> np.ndarray:
 
     Row ``i``: entry ``l[j]`` in column ``j`` for every ``j >= 1`` (a fresh
     computation overwrites the buffer), plus ``l[0]`` mass on the state
-    that a shift of ``i`` leads to.
+    that no computation leads to from ``i`` (column 0 of :func:`jump_table`).
     """
     l = _validate_effective_pmf(l)
     if eta < 1:
         raise ValueError(f"eta must be >= 1, got {eta}")
     pi = np.tile(l, (l.size, 1))
     pi[:, 0] = 0.0
-    for i, j in enumerate(shift_targets(l.size, eta)):
-        pi[i, j] += l[0]
+    for i, row in enumerate(jump_table(l.size, eta, l.size)):
+        pi[i, row[0]] += l[0]
     pi.flags.writeable = False
     return pi
 

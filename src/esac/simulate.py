@@ -24,8 +24,8 @@ bit-identical trajectories.
 
 :func:`monte_carlo` has two engines with bit-identical results, and both
 step a run's buffer as its chain state (as in :mod:`esac.chain`) with its
-head entry: the state moves by :func:`~esac.chain.shift_targets` and
-:func:`~esac.chain.grant_targets`, and an entry is computed only when it
+head entry: each triggered step moves the state by one lookup in
+:func:`~esac.chain.jump_table`, and an entry is computed only when it
 becomes the head.  A call of at least ``_BATCH_MIN_RUNS`` (24) runs
 advances its runs together on arrays with one entry per run (see
 :func:`_run_batch`); each step adds the runs' Lyapunov values and their
@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import grant_targets, shift_targets
+from .chain import jump_table
 from .schemes import ControlLaw, scheme_kind
 
 #: States beyond this magnitude mark a run as divergent.
@@ -235,13 +235,12 @@ def simulate_trajectory(
     docstring); :func:`monte_carlo` passes one ``Generator`` to its runs in
     turn.  It steps the chain state as :func:`_run_batch` does and records
     ``(fine, coarse) = divmod(state, eta)``, or ``(0, 0)`` for an unbuffered
-    scheme.
+    scheme.  The Lyapunov values come from one call on the recorded states.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     slots, kappa1, kappa2, eta = config.stepper_args()
-    shift_to = shift_targets(len(config.p), eta)
-    grant_to = grant_targets(len(config.p), eta, slots)
+    table = jump_table(len(config.p), eta, slots)
     coarse_law, fine_law = kappa1.evaluate, kappa2.evaluate
     # The memoryviews hand out Python floats, ints and bools, which are
     # cheaper than numpy scalars in the scalar step loop below.
@@ -249,15 +248,13 @@ def simulate_trajectory(
     noise, transmits, grants = (memoryview(a.ravel()) for a in streams)
 
     xs = np.empty(horizon + 1)
-    vs = np.empty(horizon + 1)
     us = np.empty(horizon)
     gammas, ns, states = np.empty((3, horizon), dtype=np.int64)
 
     x = plant.x0
     state, u, chi = 0, 0.0, 0.0  # chain state, head input, state u was computed at
-    step, lyapunov, d = plant.step, plant.lyapunov, config.d
+    step, d = plant.step, config.d
     xs[0] = x
-    vs[0] = lyapunov(x)
     cursor = 0  # index of the next unread uniform
     divergent = False
     k = 0
@@ -268,12 +265,11 @@ def simulate_trajectory(
             gamma = 1 if transmits[cursor] else 0
             n = grants[cursor + 1] if gamma else 0
             cursor += 1 + gamma
+            state = table[state][n]
             if n:
-                state, chi = grant_to[n], x
-            else:
-                state = shift_to[state]
-                if state:  # shifted onto a stored entry
-                    chi = step(chi, u, 0.0)
+                chi = x
+            elif state:  # shifted onto a stored entry
+                chi = step(chi, u, 0.0)
         u = fine_law(chi) if state >= eta else coarse_law(chi) if state else 0.0
         x = step(x, u, noise[k])
         gammas[k] = gamma
@@ -284,7 +280,6 @@ def simulate_trajectory(
             divergent = True
             break
         xs[k + 1] = x
-        vs[k + 1] = lyapunov(x)
     end = k + 1 if not divergent else k
     fines, coarses = np.divmod(states[: k + 1], eta)
     if not scheme_kind(config.scheme).buffered:  # its one slot holds no prediction
@@ -297,7 +292,7 @@ def simulate_trajectory(
         n=ns[: k + 1],
         fine=fines,
         coarse=coarses,
-        v=vs[: end + 1],
+        v=plant.lyapunov(xs[: end + 1]),
         divergent=divergent,
     )
 
@@ -381,8 +376,7 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
     cursor = np.arange(width) * (2 * horizon)  # flat index of each run's next draw
 
     slots, kappa1, kappa2, eta = config.stepper_args()
-    shift_to = np.array(shift_targets(len(config.p), eta), dtype=np.intp)
-    grant_to = np.array(grant_targets(len(config.p), eta, slots), dtype=np.intp)
+    table = np.array(jump_table(len(config.p), eta, slots), dtype=np.intp)
 
     x = np.full(width, plant.x0, dtype=float)
     state = np.zeros(width, dtype=np.intp)
@@ -411,20 +405,16 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
         n = grants[cursor]
         cursor += sent
         n *= sent  # units granted
-        state = shift_to[state]
+        state = table[state, n]
         state *= trig  # a silent step clears
-        moved = state > 0  # shifted onto a stored entry, unless granted below
-        granted = np.flatnonzero(n)
-        if granted.size:
-            state[granted] = grant_to[n[granted]]
-            chi[granted] = x[granted]
-            moved[granted] = False
-        rows = np.flatnonzero(moved)
+        granted, stored = n > 0, state > 0
+        np.copyto(chi, x, where=granted)
+        rows = np.flatnonzero(stored & ~granted)  # shifted onto a stored entry
         if rows.size:
             chi[rows] = plant.step(chi[rows], u[rows], 0.0)
         u.fill(0.0)  # an empty buffer applies zero
         fine = state >= eta
-        for law, mask in ((kappa2, fine), (kappa1, (state > 0) ^ fine)):
+        for law, mask in ((kappa2, fine), (kappa1, stored ^ fine)):
             rows = np.flatnonzero(mask)
             if rows.size == width:
                 u[:] = law(chi)

@@ -10,12 +10,13 @@ bound ``E{V(x_k)} <= C1 * xi**k * E{V(x_0)} + C2`` on the expected
 Lyapunov value.  The Perron root itself is reported from
 ``numpy.linalg.eigvals``.
 
-The closed-form index is the Schur complement of ``T`` at the empty-buffer
-state (``closed_form_index``): ``psi`` for the two-law scheme A2 and, with
-``eta = 1`` and ``rho2 = rho1``, ``omega`` for the one-law scheme A1.  Given
-contractions < 1 it is < 1 exactly when ``T`` is Schur stable, and it is
-linear in the open-loop bound alpha, which yields the critical alpha in
-closed form; :func:`critical_alpha` brackets it by two witnesses.
+The closed-form index (``CertificationReport.closed_form``) is the Schur
+complement of ``T`` at the empty-buffer state: ``psi`` for the two-law
+scheme A2 and, with ``eta = 1`` and ``rho2 = rho1``, ``omega`` for the
+one-law scheme A1.  Given contractions < 1 it is < 1 exactly when ``T``
+is Schur stable, and it is linear in the open-loop bound alpha, which
+yields the critical alpha in closed form; :func:`critical_alpha` brackets
+it by two witnesses.
 """
 from __future__ import annotations
 
@@ -199,20 +200,6 @@ def block_schur_g1(h) -> tuple[float, bool]:
     return g1, g1 > SCHUR_TOL
 
 
-def closed_form_index(spec: ContractionSpec, l) -> float:
-    """Closed-form stability index of the buffered schemes.
-
-    The Schur complement of ``T`` at the empty-buffer state; ``psi`` of the
-    two-law scheme A2 and, with ``ContractionSpec(eta=1, rho2=rho1)``,
-    ``omega`` of the one-law scheme A1.  Requires both contractions < 1.
-    Linear in ``spec.alpha``; < 1 exactly when ``T`` is Schur stable.
-    """
-    if not (spec.rho1 < 1.0 and spec.rho2 < 1.0):
-        raise ValueError("closed form requires rho1 < 1 and rho2 < 1; use spectral_radius instead")
-    pi = transition_matrix(l, spec.eta)
-    return _schur_index(certification_matrix(gain_diagonal(spec, pi.shape[0] - 1), pi))[0]
-
-
 class CriticalAlpha(NamedTuple):
     """Closed-form boundary open-loop bound inside a witnessed bracket."""
 
@@ -245,9 +232,11 @@ def critical_alpha(
     ``r = 1 + SCHUR_TOL``: ``w = [1; z(r)] >= 0`` with ``T w >= w`` proves the
     Perron root >= 1.  ``lower`` is ``r = 1 - SCHUR_TOL``: ``w = (I - T)^{-1} 1``
     with ``w > 0`` and ``T w < w`` proves it < 1 (Collatz-Wielandt bounds).
-    Raises ``ValueError`` when ``l[0] = 0`` and ``ArithmeticError`` when a
-    check fails.
+    Raises ``ValueError`` when ``n_max != len(l) - 1`` or ``l[0] = 0``, and
+    ``ArithmeticError`` when a check fails.
     """
+    if n_max != len(l) - 1:
+        raise ValueError(f"n_max={n_max} does not match the channel: l has {len(l)} entries")
     kind = scheme_kind(scheme)
     if not kind.two_law:  # the coarse law in the fine law's place
         eta, rho2 = 1, rho1

@@ -44,6 +44,9 @@ class SweepSpec:
 
     def __post_init__(self):
         scheme_kind(self.scheme)
+        if self.n_max != len(self.channel.l) - 1:
+            raise ValueError(f"n_max={self.n_max} does not match the channel: "
+                             f"l has {len(self.channel.l)} entries")
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         grid = tuple(float(r) for r in self.rho1_grid)

@@ -25,7 +25,6 @@ def test_exported_names():
         "boundary_curve",
         "certification_matrix",
         "certify",
-        "closed_form_index",
         "critical_alpha",
         "effective_availability",
         "example_system",
@@ -38,6 +37,7 @@ def test_exported_names():
         "theorem1_bounds",
         "transition_matrix",
     ]
+    assert len(esac.__all__) == 27
     for name in esac.__all__:
         assert hasattr(esac, name), name
 

@@ -356,8 +356,9 @@ class TestMonteCarloOracle:
         self.check(noise_free_plant(), config, horizon=60, runs=runs, base_seed=8)
 
     def test_runs_split_into_batches(self, monkeypatch):
-        # 45 runs in batches of 20, 20 and 5: the run-order sum continues
-        # across batch boundaries.
+        # 45 runs in batches of 24 and 21 (the width floor _BATCH_MIN_RUNS
+        # lifts the patched width of 20): the run-order sum continues across
+        # the batch boundary.
         horizon = 30
         monkeypatch.setattr(esac.simulate, "_BATCH_MAX_DRAWS", 3 * horizon * 20)
         plant, config = bench_config()

@@ -16,7 +16,6 @@ from esac.stability import (
     block_schur_g1,
     certification_matrix,
     certify,
-    closed_form_index,
     critical_alpha,
     gain_diagonal,
     solve_certificate,
@@ -199,50 +198,51 @@ class TestBlockSchur:
 
 
 class TestClosedForms:
+    """The closed-form index that ``certify`` reports: psi, or omega at ``eta = 1``."""
+
     def test_psi_q1_frozen_ratio(self):
         spec = ContractionSpec(alpha=1.0, rho1=0.9, rho2=0.45, eta=2)
-        assert closed_form_index(spec, L_BENCH) == pytest.approx(
+        assert certify(spec, L_BENCH).closed_form == pytest.approx(
             PSI_PER_ALPHA_Q1, rel=1e-12
         )
 
     def test_psi_q2_frozen_ratio(self):
         spec = ContractionSpec(alpha=1.0, rho1=0.9, rho2=0.45, eta=3)
-        assert closed_form_index(spec, L_BENCH) == pytest.approx(
+        assert certify(spec, L_BENCH).closed_form == pytest.approx(
             PSI_PER_ALPHA_Q2, rel=1e-12
         )
 
     def test_omega_q3_frozen_ratio(self):
         spec = ContractionSpec(alpha=1.0, rho1=0.9, rho2=0.9, eta=1)
-        assert closed_form_index(spec, L_BENCH) == pytest.approx(
+        assert certify(spec, L_BENCH).closed_form == pytest.approx(
             OMEGA_PER_ALPHA_Q3, rel=1e-12
         )
 
     def test_psi_linear_in_alpha(self):
         s1 = ContractionSpec(alpha=1.0, rho1=0.9, rho2=0.45, eta=2)
         s2 = ContractionSpec(alpha=1.7, rho1=0.9, rho2=0.45, eta=2)
-        assert closed_form_index(s2, L_BENCH) == pytest.approx(
-            1.7 * closed_form_index(s1, L_BENCH), rel=1e-12
+        assert certify(s2, L_BENCH).closed_form == pytest.approx(
+            1.7 * certify(s1, L_BENCH).closed_form, rel=1e-12
         )
 
     def test_omega_single_slot_buffer(self):
         # n_max = 1, l = [1/2, 1/2], rho1 = 1/2: Omega = (2/3) alpha.
         spec = ContractionSpec(alpha=1.0, rho1=0.5, rho2=0.5, eta=1)
-        assert closed_form_index(spec, [0.5, 0.5]) == pytest.approx(
+        assert certify(spec, [0.5, 0.5]).closed_form == pytest.approx(
             2.0 / 3.0, rel=1e-12
         )
 
     def test_closed_form_requires_contractions(self):
         spec = ContractionSpec(alpha=1.0, rho1=1.1, rho2=0.45, eta=2)
-        with pytest.raises(ValueError):
-            closed_form_index(spec, L_BENCH)
-        with pytest.raises(ValueError):
-            closed_form_index(ContractionSpec(alpha=1.0, rho1=1.0, rho2=1.0, eta=1), L_BENCH)
+        assert certify(spec, L_BENCH).closed_form is None
+        spec = ContractionSpec(alpha=1.0, rho1=1.0, rho2=1.0, eta=1)
+        assert certify(spec, L_BENCH).closed_form is None
 
     def test_index_one_exactly_at_perron_root_one(self):
         # At alpha = alpha* the Perron root of T is 1 and so is the index.
         alpha_star = 1.0 / PSI_PER_ALPHA_Q1
         spec = ContractionSpec(alpha=alpha_star, rho1=0.9, rho2=0.45, eta=2)
-        assert closed_form_index(spec, L_BENCH) == pytest.approx(1.0, rel=1e-12)
+        assert certify(spec, L_BENCH).closed_form == pytest.approx(1.0, rel=1e-12)
 
 
 class TestCriticalAlpha:
@@ -282,6 +282,11 @@ class TestCriticalAlpha:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme 'C1'"):
             critical_alpha("C1", 1, 0.9, 0.9, L_BENCH, 4)
+
+    @pytest.mark.parametrize("n_max", [3, 5])
+    def test_rejects_n_max_off_the_channel(self, n_max):
+        with pytest.raises(ValueError, match=rf"n_max={n_max} .* l has 5 entries"):
+            critical_alpha("A2", 2, 0.9, 0.45, L_BENCH, n_max)
 
     @pytest.mark.parametrize("scheme, eta", [("A1", 1), ("A2", 2), ("B2", 2)])
     def test_rejects_l0_zero(self, scheme, eta):
@@ -356,7 +361,7 @@ class TestCriticalAlpha:
         # Exact rationals from Gaussian elimination in fractions on the chain
         # of the states 0..slots that a grant, cut to `slots` entries, reaches.
         spec = ContractionSpec(alpha=1.0, rho1=0.9, rho2=0.9, eta=1)
-        index = closed_form_index(spec, fold_grants(L_BENCH, 1, slots))
+        index = certify(spec, fold_grants(L_BENCH, 1, slots)).closed_form
         assert 1.0 / index == pytest.approx(expected, rel=1e-12)
 
     def test_boundary_grows_with_the_buffer(self):
@@ -370,7 +375,7 @@ class TestCriticalAlpha:
             boundaries = []
             for slots in range(1, min_buffer_size("A2", spec.eta, n_max) + 2):
                 folded = fold_grants(l, spec.eta, slots)
-                alpha_star = 1.0 / closed_form_index(at_one, folded)
+                alpha_star = 1.0 / certify(at_one, folded).closed_form
                 report = certify(dataclasses.replace(spec, alpha=alpha_star), folded)
                 assert report.spectral_radius == pytest.approx(1.0, abs=1e-9), (spec, l, slots)
                 boundaries.append(alpha_star)

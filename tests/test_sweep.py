@@ -28,6 +28,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="unknown scheme 'C1'"):
             SweepSpec("C1", 1, 0.5, BENCH, 4)
 
+    @pytest.mark.parametrize("n_max", [3, 5])
+    def test_rejects_n_max_off_the_channel(self, n_max):
+        with pytest.raises(ValueError, match=rf"n_max={n_max} .* l has 5 entries"):
+            SweepSpec("A2", 2, 0.5, BENCH, n_max)
+
 
 class TestBoundaryCurve:
     def test_benchmark_point_on_curve(self):
