@@ -72,13 +72,8 @@ def random_config(rng: np.random.Generator) -> tuple[ContractionSpec, np.ndarray
     Dirichlet processor pmf; a quarter of the draws are the one-law scheme
     (``eta = 1``, ``rho2 = rho1``), the rest two-law with any ``eta``.
     """
-    while True:
-        n_max = int(rng.integers(2, 9))
-        q = rng.uniform(0.0, 1.0)
-        p = rng.dirichlet(np.ones(n_max + 1))
-        if not np.any(p >= 1.0):
-            break
-    l = effective_availability(q, p)
+    n_max = int(rng.integers(2, 9))
+    l = effective_availability(rng.uniform(0.0, 1.0), rng.dirichlet(np.ones(n_max + 1)))
     rho1 = rng.uniform(0.01, 0.99)
     rho2 = rho1 * rng.uniform(0.0, 1.0)
     alpha = rng.uniform(0.01, 3.0)
@@ -124,12 +119,8 @@ def criterion_transition_matrix(steps: int = 100_000, seed: int = 7) -> Criterio
     worst_row = 0.0
     for eta in range(1, 7):
         for n_max in range(max(eta, 1), 13):
-            q = rng.uniform(0.0, 1.0)
-            p = rng.dirichlet(np.ones(n_max + 1))
-            if np.any(p >= 1.0):
-                continue
-            pi = transition_matrix(effective_availability(q, p), eta)
-            worst_row = max(worst_row, np.abs(pi.sum(axis=1) - 1.0).max())
+            l = effective_availability(rng.uniform(0.0, 1.0), rng.dirichlet(np.ones(n_max + 1)))
+            worst_row = max(worst_row, np.abs(transition_matrix(l, eta).sum(axis=1) - 1.0).max())
 
     # One-law structure: l0 on column 1 for the first two rows, then on the
     # superdiagonal folded into l_{i-1}.

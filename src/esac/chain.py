@@ -20,20 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import PMF_SUM_TOL, _as_prob_vector
+from .channel import _as_pmf
 from .schemes import scheme_kind
-
-
-def _validate_effective_pmf(l) -> np.ndarray:
-    l = _as_prob_vector(l, "l")
-    if np.any(l < 0.0) or np.any(l > 1.0):
-        raise ValueError("l entries must lie in [0, 1]")
-    total = l.sum()
-    if abs(total - 1.0) > PMF_SUM_TOL:
-        raise ValueError(f"l must sum to 1 within {PMF_SUM_TOL}, got sum {total!r}")
-    if l.size < 2:
-        raise ValueError("l must have length n_max + 1 >= 2")
-    return l
 
 
 def jump_table(states: int, eta: int, slots: int) -> list[list[int]]:
@@ -60,7 +48,9 @@ def transition_matrix(l, eta: int) -> np.ndarray:
     computation overwrites the buffer), plus ``l[0]`` mass on the state
     that no computation leads to from ``i`` (column 0 of :func:`jump_table`).
     """
-    l = _validate_effective_pmf(l)
+    l = _as_pmf(l, "l")
+    if l.size < 2:
+        raise ValueError("l must have length n_max + 1 >= 2")
     if eta < 1:
         raise ValueError(f"eta must be >= 1, got {eta}")
     pi = np.tile(l, (l.size, 1))

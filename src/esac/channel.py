@@ -9,6 +9,11 @@ the no-computation event gives the effective availability pmf ``l``:
     l[j] = p[j]*q,  j >= 1         (j units granted)
 
 ``l`` drives the buffer-content Markov chain.
+
+One rule says what a valid channel is, and every layer (the certificate,
+the simulator's :class:`~esac.simulate.SchemeConfig` and the command line)
+checks it here: ``q`` lies in [0, 1], and ``p`` is a nonempty vector with
+entries in [0, 1] that sums to one within ``PMF_SUM_TOL``.
 """
 from __future__ import annotations
 
@@ -21,13 +26,18 @@ import numpy as np
 PMF_SUM_TOL = 1e-9
 
 
-def _as_prob_vector(p, name: str) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-D vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return p
+def _as_pmf(v, name: str) -> np.ndarray:
+    """``v`` as a float pmf: nonempty, 1-D, entries in [0, 1], sum within
+    ``PMF_SUM_TOL`` of one.  The range test also refuses NaN and infinities."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-D vector, got shape {v.shape}")
+    if not (v.min() >= 0.0 and v.max() <= 1.0):
+        raise ValueError(f"{name} entries must lie in [0, 1], got {v}")
+    total = v.sum()
+    if abs(total - 1.0) > PMF_SUM_TOL:
+        raise ValueError(f"{name} must sum to 1 within {PMF_SUM_TOL}, got sum {total!r}")
+    return v
 
 
 def effective_availability(q: float, p) -> np.ndarray:
@@ -38,7 +48,8 @@ def effective_availability(q: float, p) -> np.ndarray:
     q : float
         Probability of successful transmission given a trigger, in [0, 1].
     p : array_like
-        Processor-availability pmf ``p[0..n_max]``; must sum to one.
+        Processor-availability pmf ``p[0..n_max]``: entries in [0, 1],
+        summing to one.
 
     Returns
     -------
@@ -47,13 +58,7 @@ def effective_availability(q: float, p) -> np.ndarray:
     """
     if not (0.0 <= q <= 1.0):
         raise ValueError(f"q must be in [0, 1], got {q}")
-    p = _as_prob_vector(p, "p")
-    if np.any(p < 0.0) or np.any(p >= 1.0):
-        raise ValueError("p entries must lie in [0, 1)")
-    total = p.sum()
-    if abs(total - 1.0) > PMF_SUM_TOL:
-        raise ValueError(f"p must sum to 1 within {PMF_SUM_TOL}, got sum {total!r}")
-    l = q * p
+    l = q * _as_pmf(p, "p")
     l[0] += 1.0 - q
     return l
 
@@ -71,7 +76,7 @@ class ChannelModel:
     l: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        p = _as_prob_vector(self.p, "p")
+        p = np.array(self.p, dtype=float)  # a copy: the caller's array stays writeable
         l = effective_availability(self.q, p)
         p.flags.writeable = False
         l.flags.writeable = False

@@ -49,6 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .chain import jump_table
+from .channel import effective_availability
 from .schemes import ControlLaw, scheme_kind
 
 #: States beyond this magnitude mark a run as divergent.
@@ -99,7 +100,9 @@ class SchemeConfig:
     """Which algorithm runs the loop and with what parameters.
 
     A step triggers when ``|x| > d``, so ``d`` must be nonnegative (an
-    infinite ``d`` never triggers).
+    infinite ``d`` never triggers).  ``q`` and ``p`` must pass the one channel
+    rule of :mod:`esac.channel` that the certificate checks: ``q`` in [0, 1]
+    and ``p`` a pmf, entries in [0, 1] summing to one, never renormalised.
     """
 
     scheme: str  # a key of esac.schemes.SCHEMES
@@ -120,10 +123,7 @@ class SchemeConfig:
             raise ValueError(f"buffer_size must be >= 1, got {self.buffer_size}")
         if not self.d >= 0.0:
             raise ValueError(f"d must be >= 0, got {self.d}")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q must lie in [0, 1], got {self.q}")
-        if not all(v >= 0.0 for v in self.p) or not 0.0 < sum(self.p) < math.inf:
-            raise ValueError(f"p must be nonnegative with a positive finite sum, got {self.p}")
+        effective_availability(self.q, self.p)
 
     def stepper_args(self) -> tuple:
         """``(slots, coarse law, fine law, eta)`` that run this scheme.

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from esac.channel import ChannelModel, effective_availability
+from esac.simulate import SchemeConfig, example_system, monte_carlo, simulate_trajectory
+from esac.stability import ContractionSpec, certify
 
 
 def test_effective_availability_uniform_half():
@@ -32,9 +34,14 @@ def test_rejects_pmf_not_summing_to_one():
 
 def test_rejects_pmf_entry_out_of_range():
     with pytest.raises(ValueError):
-        effective_availability(0.5, [1.0, 0.0])
-    with pytest.raises(ValueError):
         effective_availability(0.5, [-0.1, 0.6, 0.5])
+    with pytest.raises(ValueError):
+        effective_availability(0.5, [1.5, -0.5])
+
+
+def test_accepts_pmf_entry_equal_to_one():
+    # a processor that never grants: every step is a miss, whatever q is
+    np.testing.assert_array_equal(effective_availability(0.5, [1.0, 0.0]), [1.0, 0.0])
 
 
 def test_rejects_empty_pmf():
@@ -48,8 +55,6 @@ def test_rejects_empty_pmf():
 )
 def test_effective_pmf_is_a_pmf(q, weights):
     p = np.array(weights, dtype=float) / sum(weights)
-    if np.any(p >= 1.0):
-        return
     l = effective_availability(q, p)
     assert l.size == p.size
     assert np.all(l >= 0.0)
@@ -63,3 +68,56 @@ def test_channel_model_derives_l_and_n_max():
     np.testing.assert_allclose(ch.l, [0.6, 0.1, 0.1, 0.1, 0.1], atol=1e-15)
     with pytest.raises(ValueError):
         ch.l[0] = 0.5  # derived vector is read-only
+
+
+def test_channel_model_copies_the_callers_array():
+    arr = np.array([0.2] * 5)
+    ch = ChannelModel(q=0.5, p=arr)
+    assert ch.p is not arr
+    assert arr.flags.writeable
+    arr[0] = 0.3
+    assert ch.p[0] == 0.2
+
+
+@pytest.mark.parametrize("q, p, valid", [
+    (0.5, (0, 0, 1), True),
+    (1.0, (0, 1), True),
+    (0.0, (1.0,), True),
+    (0.5, (0.2,) * 5, True),
+    (0.5, (2,) * 5, False),  # unnormalised: refused, never renormalised
+    (0.5, (0.5, 0.4), False),
+    (0.5, (0.5, float("nan")), False),
+    (0.5, (-0.1, 0.6, 0.5), False),
+    (1.5, (0.5, 0.5), False),
+    (0.5, (), False),
+])
+def test_one_channel_rule_for_every_layer(q, p, valid):
+    _, kappa1, _ = example_system()
+
+    def accepts(make):
+        try:
+            make()
+        except ValueError:
+            return False
+        return True
+
+    assert accepts(lambda: ChannelModel(q=q, p=p)) is valid
+    assert accepts(lambda: SchemeConfig(scheme="A1", kappa1=kappa1, kappa2=None, eta=1,
+                                        buffer_size=2, d=1.0, q=q, p=p)) is valid
+
+
+def test_certify_and_monte_carlo_take_the_same_channel():
+    # A processor that always grants 2 units: l = (0.5, 0, 0.5).
+    channel = ChannelModel(q=0.5, p=(0, 0, 1))
+    np.testing.assert_array_equal(channel.l, [0.5, 0.0, 0.5])
+    report = certify(ContractionSpec(alpha=1.1, rho1=0.9, rho2=0.9, eta=1), channel.l)
+    assert report.certified
+    assert report.spectral_radius == pytest.approx(0.952769256907, abs=1e-12)
+    plant, kappa1, _ = example_system()
+    config = SchemeConfig(scheme="A1", kappa1=kappa1, kappa2=None, eta=1, buffer_size=2,
+                          d=1.0, q=channel.q, p=tuple(channel.p))
+    assert set(simulate_trajectory(plant, config, 200, seed=1).n) == {0, 2}
+    for runs in (4, 32):  # the per-run loop and the batched engine
+        result = monte_carlo(plant, config, 50, runs, 1)
+        assert result.divergent_runs == 0
+        assert np.all(np.isfinite(result.mean_v))

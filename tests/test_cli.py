@@ -160,6 +160,16 @@ class TestCertifyCommand:
         assert code == 2
         assert "NotCertified" in capsys.readouterr().out
 
+    def test_processor_that_always_grants_two_units(self, capsys):
+        # p = (0, 0, 1) at q = 0.5 gives l = (0.5, 0, 0.5), a valid chain.
+        code = main(["certify", "--scheme", "A1", "--q", "0.5", "--p", "0 0 1",
+                     "--alpha", "1.1", "--rho1", "0.9"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "spectral radius   0.952769256907\n" in out
+        assert "closed form omega 0.870503597122\n" in out
+        assert "verdict           CertifiedStable\n" in out
+
     @pytest.mark.parametrize("scheme", ["A1", "B1"])
     def test_one_law_scheme_rejects_rho2(self, scheme, capsys):
         code = main(["certify", "--scheme", scheme, "--alpha", "1.3",
@@ -217,6 +227,14 @@ class TestSweepCommand:
         assert "Warning" not in err
         assert not out.exists()
 
+    def test_processor_that_always_grants_two_units(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        code = main(["sweep", "--scheme", "A1", "--q", "0.5", "--p", "0 0 1", "--epsilon", "1",
+                     "--output", str(out)])
+        assert code == 0
+        rows = {row[0]: row for row in (line.split(",") for line in out.read_text().splitlines())}
+        assert float(rows["0.9"][1]) == pytest.approx(1.263636363636, abs=1e-11)
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
@@ -270,6 +288,15 @@ class TestSimulateCommand:
         c = tmp_path / "c.csv"
         main(common[:-1] + ["4", "--output", str(c)])
         assert a.read_bytes() != c.read_bytes()
+
+    def test_rejects_unnormalised_p(self, tmp_path, capsys):
+        # the same rule as certify: p is never renormalised
+        out = tmp_path / "mc.csv"
+        code = main(["simulate", "--rho1", "0.9", "--rho2", "0.45", "--p", "2 2 2 2 2",
+                     "--runs", "4", "--horizon", "20", "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: p ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("d", "nan"), ("d", "-1"), ("noise_std", "nan"), ("noise_std", "-1"),
