@@ -15,7 +15,7 @@ import numpy as np
 from .chain import min_buffer_size, transition_matrix
 from .channel import ChannelModel, effective_availability
 from .schemes import Buffer, scheme_kind
-from .simulate import PlantModel, SchemeConfig, example_system, monte_carlo, simulate_trajectory
+from .simulate import PlantModel, SchemeConfig, example_system, monte_carlo
 from .stability import ContractionSpec, block_schur_g1, certify, critical_alpha
 from .sweep import SweepSpec, boundary_curve
 

@@ -49,8 +49,6 @@ def transition_matrix(l, eta: int) -> np.ndarray:
     that no computation leads to from ``i`` (column 0 of :func:`jump_table`).
     """
     l = _as_pmf(l, "l")
-    if l.size < 2:
-        raise ValueError("l must have length n_max + 1 >= 2")
     if eta < 1:
         raise ValueError(f"eta must be >= 1, got {eta}")
     pi = np.tile(l, (l.size, 1))

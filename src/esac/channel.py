@@ -12,8 +12,9 @@ the no-computation event gives the effective availability pmf ``l``:
 
 One rule says what a valid channel is, and every layer (the certificate,
 the simulator's :class:`~esac.simulate.SchemeConfig` and the command line)
-checks it here: ``q`` lies in [0, 1], and ``p`` is a nonempty vector with
-entries in [0, 1] that sums to one within ``PMF_SUM_TOL``.
+checks it here: ``q`` lies in [0, 1], and ``p`` is a vector of at least two
+entries (``n_max >= 1``: a processor that can never compute has no loop to
+certify) in [0, 1] that sums to one within ``PMF_SUM_TOL``.
 """
 from __future__ import annotations
 
@@ -27,11 +28,13 @@ PMF_SUM_TOL = 1e-9
 
 
 def _as_pmf(v, name: str) -> np.ndarray:
-    """``v`` as a float pmf: nonempty, 1-D, entries in [0, 1], sum within
-    ``PMF_SUM_TOL`` of one.  The range test also refuses NaN and infinities."""
+    """``v`` as a float pmf: 1-D with at least two entries, entries in [0, 1],
+    sum within ``PMF_SUM_TOL`` of one.  The range test also refuses NaN and
+    infinities."""
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-D vector, got shape {v.shape}")
+    if v.ndim != 1 or v.size < 2:
+        raise ValueError(f"{name} must be a 1-D vector of at least two entries "
+                         f"(n_max >= 1), got shape {v.shape}")
     if not (v.min() >= 0.0 and v.max() <= 1.0):
         raise ValueError(f"{name} entries must lie in [0, 1], got {v}")
     total = v.sum()
@@ -48,8 +51,8 @@ def effective_availability(q: float, p) -> np.ndarray:
     q : float
         Probability of successful transmission given a trigger, in [0, 1].
     p : array_like
-        Processor-availability pmf ``p[0..n_max]``: entries in [0, 1],
-        summing to one.
+        Processor-availability pmf ``p[0..n_max]``, ``n_max >= 1``: entries
+        in [0, 1], summing to one.
 
     Returns
     -------

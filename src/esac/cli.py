@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands
------------
+Subcommands (the keys of :data:`COMMANDS`)
+------------------------------------------
 certify    print a certification report; exit 0 if certified, 2 if not
 sweep      write the boundary CSV (``rho1,alpha_star_closed,alpha_star_lower,alpha_star_upper``)
-simulate   write the Monte Carlo mean-V CSV (``k,mean_v,trigger_rate``)
+simulate   write the Monte Carlo mean-V CSV (``k,mean_v,trigger_rate``) and, with
+           ``--trajectory-csv``, the seed run's CSV (``k,x,u,gamma,N,F,C,v``)
 example1   print and verify the scripted three-step buffer traces
 selftest   run the acceptance suite, one pass/fail line per criterion
 
@@ -12,9 +13,9 @@ Configuration comes from an optional ``key=value`` file (``#`` comments)
 overridden by command-line flags of the same names.  Exit codes: 0 success
 (certified), 2 not certified, 1 configuration or numerical error.
 
-Numbers in CSV files are written with 12 significant digits, ``.`` decimal
-separator and ``\\n`` line endings, so identical configuration and seed
-produce byte-identical files.
+Every CSV file is written by :func:`_write_csv`: numbers with 12 significant
+digits and ``.`` decimal separator, ``\\n`` line endings, so identical
+configuration and seed produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import acceptance
 from .chain import fold_grants, min_buffer_size
 from .channel import ChannelModel
-from .schemes import ControlLaw, scheme_kind
+from .schemes import scheme_kind
 from .simulate import PlantModel, SchemeConfig, example_system, monte_carlo, simulate_trajectory
 from .stability import ContractionSpec, certify
 from .sweep import BoundaryPoint, SweepSpec, boundary_curve
@@ -156,6 +157,8 @@ def _validate(cfg: RunConfig, explicit: set) -> RunConfig:
     elif rho2 is None and epsilon is not None and cfg.rho1 is not None:
         # epsilon without rho1 is fine for sweep, which ranges over rho1
         rho2 = epsilon * cfg.rho1
+    elif epsilon is None and rho2 is not None and cfg.rho1:
+        epsilon = rho2 / cfg.rho1
     lam = min_buffer_size(cfg.scheme, eta, n_max) if cfg.lam is None else kind.slots(cfg.lam)
     if min(lam, cfg.horizon, cfg.runs) < 1:
         raise ConfigError("lambda, horizon and runs must be >= 1")
@@ -178,8 +181,17 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
+def _write_csv(path: str, header, rows) -> None:
+    """Write ``rows`` under the column names ``header``: floats through
+    :func:`_fmt`, anything else through ``str``."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    print(f"wrote {path}")
+
+
 def cmd_certify(cfg: RunConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
     _require(cfg, "alpha", "rho1", "rho2")
     spec = ContractionSpec(alpha=cfg.alpha, rho1=cfg.rho1, rho2=cfg.rho2, eta=cfg.eta,
                            d_bound=cfg.d)
@@ -199,66 +211,43 @@ def cmd_certify(cfg: RunConfig, out=None) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.epsilon is not None:
-        epsilon = cfg.epsilon
-    elif cfg.rho1 and cfg.rho2 is not None:
-        epsilon = cfg.rho2 / cfg.rho1
-    else:
+    if cfg.epsilon is None:
         raise ConfigError("sweep requires epsilon (or rho1 with rho2)")
     if cfg.lam < (minimum := min_buffer_size(cfg.scheme, cfg.eta, cfg.n_max)):
         raise ConfigError(f"sweep traces the untruncated buffer: lambda={cfg.lam} is below "
                           f"{cfg.scheme}'s minimum {minimum}; use certify for a truncated buffer")
-    spec = SweepSpec(scheme=cfg.scheme, eta=cfg.eta, epsilon=epsilon,
+    spec = SweepSpec(scheme=cfg.scheme, eta=cfg.eta, epsilon=cfg.epsilon,
                      channel=_channel(cfg), n_max=cfg.n_max)
-    path, points = cfg.output or "sweep.csv", boundary_curve(spec)  # no file for a failed curve
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(BoundaryPoint._fields) + "\n")
-        for point in points:
-            fh.write(",".join(_fmt(v) for v in point) + "\n")
-    print(f"wrote {path}")
+    points = boundary_curve(spec)  # no file for a failed curve
+    _write_csv(cfg.output or "sweep.csv", BoundaryPoint._fields, points)
     return 0
 
 
 def _build_scheme_config(cfg: RunConfig) -> tuple[PlantModel, SchemeConfig]:
     _require(cfg, "rho1", "rho2")
-    plant_default, _, law_factory = example_system(cfg.rho1)
-    plant = PlantModel(step=plant_default.step, noise_std=cfg.noise_std,
-                       x0=plant_default.x0, lyapunov=plant_default.lyapunov)
-    kappa1 = law_factory(cfg.rho1)
-    kappa2 = law_factory(cfg.rho2)
-    return plant, SchemeConfig(
-        scheme=cfg.scheme, kappa1=kappa1, kappa2=kappa2, eta=cfg.eta,
+    plant, kappa1, law_factory = example_system(cfg.rho1)
+    return replace(plant, noise_std=cfg.noise_std), SchemeConfig(
+        scheme=cfg.scheme, kappa1=kappa1, kappa2=law_factory(cfg.rho2), eta=cfg.eta,
         buffer_size=cfg.lam, d=cfg.d, q=cfg.q, p=cfg.p,
     )
 
 
-def cmd_simulate(cfg: RunConfig, trajectory_csv: str | None = None) -> int:
+def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     plant, scheme_config = _build_scheme_config(cfg)
     result = monte_carlo(plant, scheme_config, cfg.horizon, cfg.runs, cfg.seed)
-    path = cfg.output or "simulate.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("k,mean_v,trigger_rate\n")
-        for k in range(cfg.horizon + 1):
-            fh.write(f"{k},{_fmt(result.mean_v[k])},{_fmt(result.trigger_rate[k])}\n")
-    print(f"wrote {path}")
+    _write_csv(cfg.output or "simulate.csv", ("k", "mean_v", "trigger_rate"),
+               zip(range(cfg.horizon + 1), result.mean_v, result.trigger_rate))
     if result.divergent_runs:
         print(f"note: {result.divergent_runs} of {cfg.runs} runs diverged "
               "(last finite value carried forward)")
-    if trajectory_csv is not None:
-        traj = simulate_trajectory(plant, scheme_config, cfg.horizon, cfg.seed)
-        with open(trajectory_csv, "w", newline="\n") as fh:
-            fh.write("k,x,u,gamma,N,F,C,v\n")
-            for k in range(traj.steps):
-                fh.write(
-                    f"{k},{_fmt(traj.x[k])},{_fmt(traj.u[k])},{traj.gamma[k]},"
-                    f"{traj.n[k]},{traj.fine[k]},{traj.coarse[k]},{_fmt(traj.v[k])}\n"
-                )
-        print(f"wrote {trajectory_csv}")
+    if args.trajectory_csv is not None:
+        t = simulate_trajectory(plant, scheme_config, cfg.horizon, cfg.seed)
+        _write_csv(args.trajectory_csv, ("k", "x", "u", "gamma", "N", "F", "C", "v"),
+                   zip(range(t.steps), t.x, t.u, t.gamma, t.n, t.fine, t.coarse, t.v))
     return 0
 
 
 def cmd_example1(out=None) -> int:
-    out = out if out is not None else sys.stdout
     records, _ = acceptance.run_example1()
     for scheme in ("A1", "A2"):
         buffers, inputs = records[scheme]
@@ -275,6 +264,16 @@ def cmd_selftest() -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+#: Subcommand name -> (help text, runner): ``runner(cfg, args)`` returns the exit code.
+COMMANDS = {
+    "certify": ("certify one configuration analytically", lambda cfg, args: cmd_certify(cfg)),
+    "sweep": ("write the stability-boundary CSV over rho1", lambda cfg, args: cmd_sweep(cfg)),
+    "simulate": ("Monte Carlo closed-loop simulation, mean-V CSV", cmd_simulate),
+    "example1": ("print and verify the scripted buffer traces", lambda cfg, args: cmd_example1()),
+    "selftest": ("run the acceptance suite", lambda cfg, args: cmd_selftest()),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="esac",
@@ -282,43 +281,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "event-triggered anytime control schemes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("certify", "certify one configuration analytically"),
-        ("sweep", "write the stability-boundary CSV over rho1"),
-        ("simulate", "Monte Carlo closed-loop simulation, mean-V CSV"),
-        ("example1", "print and verify the scripted buffer traces"),
-        ("selftest", "run the acceptance suite"),
-    ):
+    for name, (help_text, run) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="key=value configuration file")
         for key in _KEY_PARSERS:
             p.add_argument(f"--{key}", dest=f"key_{key}", metavar="V")
-        if name == "simulate":
+        if run is cmd_simulate:  # the one runner that reads a flag of its own
             p.add_argument("--trajectory-csv", metavar="PATH",
                            help="also dump the seed run's trajectory")
     return parser
-
-
-def dispatch(command: str, cfg: RunConfig, trajectory_csv: str | None = None) -> int:
-    """Run one subcommand against a resolved configuration."""
-    if command == "certify":
-        return cmd_certify(cfg)
-    if command == "sweep":
-        return cmd_sweep(cfg)
-    if command == "simulate":
-        return cmd_simulate(cfg, trajectory_csv=trajectory_csv)
-    if command == "example1":
-        return cmd_example1()
-    if command == "selftest":
-        return cmd_selftest()
-    raise ConfigError(f"unknown command {command!r}")
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text = ""
-        if getattr(args, "config", None):
+        if args.config:
             with open(args.config) as fh:
                 text = fh.read()
         overrides = [
@@ -327,7 +306,7 @@ def main(argv=None) -> int:
             if getattr(args, f"key_{key}", None) is not None
         ]
         cfg = parse_config(text, overrides)
-        return dispatch(args.command, cfg, getattr(args, "trajectory_csv", None))
+        return args.run(cfg, args)
     except (ConfigError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

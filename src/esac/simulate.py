@@ -102,7 +102,8 @@ class SchemeConfig:
     A step triggers when ``|x| > d``, so ``d`` must be nonnegative (an
     infinite ``d`` never triggers).  ``q`` and ``p`` must pass the one channel
     rule of :mod:`esac.channel` that the certificate checks: ``q`` in [0, 1]
-    and ``p`` a pmf, entries in [0, 1] summing to one, never renormalised.
+    and ``p`` a pmf of at least two entries in [0, 1] summing to one, never
+    renormalised.  ``eta >= 1``, and a two-law scheme needs ``eta <= n_max``.
     """
 
     scheme: str  # a key of esac.schemes.SCHEMES
@@ -115,15 +116,18 @@ class SchemeConfig:
     p: tuple
 
     def __post_init__(self):
-        if scheme_kind(self.scheme).two_law and self.kappa2 is None:
+        two_law = scheme_kind(self.scheme).two_law
+        if two_law and self.kappa2 is None:
             raise ValueError(f"scheme {self.scheme} requires a fine law")
         if self.eta < 1:
             raise ValueError(f"eta must be >= 1, got {self.eta}")
+        n_max = effective_availability(self.q, self.p).size - 1
+        if two_law and self.eta > n_max:  # the fine law would never run
+            raise ValueError(f"eta must satisfy 1 <= eta <= n_max={n_max}, got {self.eta}")
         if self.buffer_size < 1:
             raise ValueError(f"buffer_size must be >= 1, got {self.buffer_size}")
         if not self.d >= 0.0:
             raise ValueError(f"d must be >= 0, got {self.d}")
-        effective_availability(self.q, self.p)
 
     def stepper_args(self) -> tuple:
         """``(slots, coarse law, fine law, eta)`` that run this scheme.

@@ -1,6 +1,9 @@
-"""The public surface: the names ``esac`` exports and the module attributes
-that outside call-site tracing (``bench/tracing.py``) patches."""
+"""The public surface: the names ``esac`` exports, the module attributes
+that outside call-site tracing (``bench/tracing.py``) patches, and the
+names each module imports."""
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -85,3 +88,19 @@ def test_traced_attribute_is_called(module, name, call, monkeypatch):
     monkeypatch.setattr(module, name, counted)
     call()
     assert calls
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(Path(esac.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # imports only to re-export
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                unused += [f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                           for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in used]
+    assert unused == []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from esac.chain import transition_matrix
 from esac.channel import ChannelModel, effective_availability
 from esac.simulate import SchemeConfig, example_system, monte_carlo, simulate_trajectory
 from esac.stability import ContractionSpec, certify
@@ -82,7 +83,7 @@ def test_channel_model_copies_the_callers_array():
 @pytest.mark.parametrize("q, p, valid", [
     (0.5, (0, 0, 1), True),
     (1.0, (0, 1), True),
-    (0.0, (1.0,), True),
+    (0.0, (1.0,), False),  # n_max = 0: a processor that never computes
     (0.5, (0.2,) * 5, True),
     (0.5, (2,) * 5, False),  # unnormalised: refused, never renormalised
     (0.5, (0.5, 0.4), False),
@@ -104,6 +105,14 @@ def test_one_channel_rule_for_every_layer(q, p, valid):
     assert accepts(lambda: ChannelModel(q=q, p=p)) is valid
     assert accepts(lambda: SchemeConfig(scheme="A1", kappa1=kappa1, kappa2=None, eta=1,
                                         buffer_size=2, d=1.0, q=q, p=p)) is valid
+
+
+def test_one_entry_channel_is_refused_by_name():
+    # n_max = 0: a processor that never computes, in p or in l
+    with pytest.raises(ValueError, match=r"^p must be a 1-D vector of at least two entries"):
+        effective_availability(0.5, (1.0,))
+    with pytest.raises(ValueError, match=r"^l must be a 1-D vector of at least two entries"):
+        transition_matrix((1.0,), 1)
 
 
 def test_certify_and_monte_carlo_take_the_same_channel():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from esac.cli import ConfigError, RunConfig, cmd_certify, main, parse_config
+from esac.cli import COMMANDS, ConfigError, cmd_certify, main, parse_config
 
 
 class TestParseConfig:
@@ -298,6 +298,16 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith("error: p ")
         assert not out.exists()
 
+    def test_rejects_one_entry_p(self, tmp_path, capsys):
+        # n_max = 0 fails the channel rule, named as p, before any eta check
+        out = tmp_path / "mc.csv"
+        code = main(["simulate", "--scheme", "A1", "--p", "1", "--rho1", "0.9",
+                     "--runs", "4", "--horizon", "20", "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: p must be a 1-D vector of at least two entries")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("d", "nan"), ("d", "-1"), ("noise_std", "nan"), ("noise_std", "-1"),
     ])
@@ -345,6 +355,16 @@ def test_simulate_golden_bytes(name, tmp_path, capsys):
     assert code == 0
     assert out.read_bytes() == (DATA / f"simulate_{name}.csv").read_bytes()
     assert traj.read_bytes() == (DATA / f"trajectory_{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_every_command_has_help(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: esac {name} ")
+    assert ("--trajectory-csv" in out) == (name == "simulate")
 
 
 def test_example1_command(capsys):

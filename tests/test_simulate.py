@@ -89,8 +89,20 @@ class TestSchemeConfig:
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(config, **{field: value})
 
+    @pytest.mark.parametrize("scheme", ["A2", "B2"])
+    def test_two_law_eta_at_most_n_max(self, scheme):
+        _, config = bench_config(scheme=scheme)  # n_max = 4
+        assert dataclasses.replace(config, eta=4).eta == 4
+        with pytest.raises(ValueError, match=r"^eta must satisfy 1 <= eta <= n_max=4, got 5$"):
+            dataclasses.replace(config, eta=5)
+
+    @pytest.mark.parametrize("scheme", ["A1", "B1"])
+    def test_one_law_scheme_ignores_eta(self, scheme):
+        _, config = bench_config(scheme=scheme, eta=9)
+        assert config.stepper_args()[3] == 1
+
     def test_accepts_edge_values(self):
-        _, config = bench_config(q=1.0, p=(0.0, 1.0))
+        _, config = bench_config(eta=1, q=1.0, p=(0.0, 1.0))
         assert dataclasses.replace(config, q=0.0).q == 0.0
         assert dataclasses.replace(config, d=math.inf).d == math.inf
 
@@ -197,10 +209,10 @@ class TestSimulateTrajectory:
             x0=1.0,
             lyapunov=abs,
         )
-        _, config = bench_config(scheme="B1", q=0.0, p=(1.0,))
+        _, config = bench_config(scheme="B1", q=0.0, p=(1.0, 0.0))
         config = SchemeConfig(
             scheme="B1", kappa1=config.kappa1, kappa2=None, eta=1,
-            buffer_size=1, d=0.5, q=0.0, p=(1.0,),
+            buffer_size=1, d=0.5, q=0.0, p=(1.0, 0.0),
         )
         traj = simulate_trajectory(plant, config, horizon=100, seed=1)
         assert traj.divergent
@@ -261,7 +273,7 @@ class TestMonteCarlo:
         _, base = bench_config()
         config = SchemeConfig(
             scheme="B1", kappa1=base.kappa1, kappa2=None, eta=1,
-            buffer_size=1, d=0.5, q=0.0, p=(1.0,),
+            buffer_size=1, d=0.5, q=0.0, p=(1.0, 0.0),
         )
         result = monte_carlo(plant, config, horizon=50, runs=3, base_seed=1)
         assert result.divergent_runs == 3

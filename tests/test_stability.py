@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import warnings
 
 import numpy as np
@@ -14,7 +13,6 @@ from esac.stability import (
     NOT_CERTIFIED,
     ContractionSpec,
     block_schur_g1,
-    certification_matrix,
     certify,
     critical_alpha,
     gain_diagonal,
