@@ -14,7 +14,7 @@ import numpy as np
 
 from .chain import min_buffer_size, transition_matrix
 from .channel import ChannelModel, effective_availability
-from .schemes import Buffer, scheme_kind
+from .schemes import Buffer, resolve
 from .simulate import PlantModel, SchemeConfig, example_system, monte_carlo
 from .stability import ContractionSpec, block_schur_g1, certify, critical_alpha
 from .sweep import SweepSpec, boundary_curve
@@ -230,9 +230,10 @@ def run_example1():
     return records, {"A1": expected_a1, "A2": expected_a2}
 
 
-def criterion_example1() -> CriterionResult:
-    """Scripted-scenario traces equal their symbolic compositions exactly."""
-    records, expected = run_example1()
+def criterion_example1(replay=None) -> CriterionResult:
+    """Scripted-scenario traces (``replay``, by default a fresh
+    :func:`run_example1`) equal their symbolic compositions exactly."""
+    records, expected = replay or run_example1()
     ok = True
     for scheme in ("A1", "A2"):
         buffers, inputs = records[scheme]
@@ -247,7 +248,7 @@ def benchmark_scheme_config(tag: str) -> SchemeConfig:
     """Closed-loop configuration of one benchmark point (buffer size 4, d=1)."""
     scheme, eta, rho1, rho2 = _bench_config(tag)
     _, kappa1, kappa2_factory = example_system(rho1)
-    kappa2 = kappa2_factory(rho2) if scheme_kind(scheme).two_law else None
+    kappa2 = resolve(scheme, eta, 4, BENCH_N_MAX, None, kappa2_factory(rho2))[2]  # A1, B1: None
     return SchemeConfig(
         scheme=scheme, kappa1=kappa1, kappa2=kappa2, eta=eta,
         buffer_size=4, d=1.0, q=BENCH_Q, p=BENCH_P,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import _as_pmf
-from .schemes import scheme_kind
+from .schemes import resolve
 
 
 def jump_table(states: int, eta: int, slots: int) -> list[list[int]]:
@@ -61,9 +61,5 @@ def transition_matrix(l, eta: int) -> np.ndarray:
 
 def min_buffer_size(scheme: str, eta: int, n_max: int) -> int:
     """Smallest buffer size from which the chain, and so the boundary, stops
-    changing: the most entries, ``n // eta + n % eta``, that a grant of
-    ``n <= n_max`` units computes (``eta = 1`` for a one-law scheme), or the
-    one slot of an unbuffered scheme."""
-    kind = scheme_kind(scheme)
-    eta = eta if kind.two_law else 1
-    return kind.slots(max(sum(divmod(n, eta)) for n in range(n_max + 1)))
+    changing, as :func:`esac.schemes.resolve` derives it."""
+    return resolve(scheme, eta, None, n_max)[1]

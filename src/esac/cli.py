@@ -28,7 +28,7 @@ import numpy as np
 from . import acceptance
 from .chain import fold_grants, min_buffer_size
 from .channel import ChannelModel
-from .schemes import scheme_kind
+from .schemes import resolve, scheme_kind
 from .simulate import PlantModel, SchemeConfig, example_system, monte_carlo, simulate_trajectory
 from .stability import ContractionSpec, certify
 from .sweep import BoundaryPoint, SweepSpec, boundary_curve
@@ -136,32 +136,28 @@ def _parse_key(key: str, raw: str):
 
 def _validate(cfg: RunConfig, explicit: set) -> RunConfig:
     try:
-        kind = scheme_kind(cfg.scheme)
         n_max = ChannelModel(q=cfg.q, p=np.array(cfg.p)).n_max
-    except ValueError as exc:  # message already names the scheme, q or p
+        eta, lam, rho2 = resolve(cfg.scheme, cfg.eta, cfg.lam, n_max, cfg.rho1, cfg.rho2)
+    except ValueError as exc:  # message already names the scheme, q, p, eta or lambda
         raise ConfigError(str(exc)) from None
-    eta = cfg.eta if kind.two_law else 1
-    if not 1 <= eta <= n_max:
-        raise ConfigError(f"eta must satisfy 1 <= eta <= n_max={n_max}, got {eta}")
     if "rho2" in explicit and "epsilon" in explicit:
         raise ConfigError("give exactly one of rho2 and epsilon, not both")
-    rho2, epsilon = cfg.rho2, cfg.epsilon
-    if not kind.two_law:  # the coarse law runs in the fine law's place
+    epsilon = cfg.epsilon
+    if not scheme_kind(cfg.scheme).two_law:  # the coarse law runs in the fine law's place
         if epsilon not in (None, 1.0):
             raise ConfigError(f"scheme {cfg.scheme} runs the coarse law only: "
                               f"epsilon={epsilon} must be 1 or be left out")
-        if rho2 not in (None, cfg.rho1):
+        if cfg.rho2 not in (None, cfg.rho1):
             raise ConfigError(f"scheme {cfg.scheme} runs the coarse law only: "
-                              f"rho2={rho2} must equal rho1={cfg.rho1} or be left out")
-        rho2, epsilon = cfg.rho1, 1.0
+                              f"rho2={cfg.rho2} must equal rho1={cfg.rho1} or be left out")
+        epsilon = 1.0
     elif rho2 is None and epsilon is not None and cfg.rho1 is not None:
         # epsilon without rho1 is fine for sweep, which ranges over rho1
         rho2 = epsilon * cfg.rho1
     elif epsilon is None and rho2 is not None and cfg.rho1:
         epsilon = rho2 / cfg.rho1
-    lam = min_buffer_size(cfg.scheme, eta, n_max) if cfg.lam is None else kind.slots(cfg.lam)
-    if min(lam, cfg.horizon, cfg.runs) < 1:
-        raise ConfigError("lambda, horizon and runs must be >= 1")
+    if min(cfg.horizon, cfg.runs) < 1:
+        raise ConfigError("horizon and runs must be >= 1")
     if cfg.nu is not None and (len(cfg.nu) != n_max + 1 or any(v <= 0 for v in cfg.nu)):
         raise ConfigError(f"nu must be {n_max + 1} strictly positive entries")
     return replace(cfg, eta=eta, lam=lam, n_max=n_max, rho2=rho2, epsilon=epsilon)
@@ -196,7 +192,7 @@ def cmd_certify(cfg: RunConfig, out=None) -> int:
     spec = ContractionSpec(alpha=cfg.alpha, rho1=cfg.rho1, rho2=cfg.rho2, eta=cfg.eta,
                            d_bound=cfg.d)
     report = certify(spec, fold_grants(_channel(cfg).l, cfg.eta, cfg.lam), nu=cfg.nu)
-    index_name = "omega" if cfg.eta == 1 else "psi"
+    index_name = "psi" if scheme_kind(cfg.scheme).two_law else "omega"
     print(f"scheme            {cfg.scheme} (eta={cfg.eta}, n_max={cfg.n_max})", file=out)
     print(f"alpha/rho1/rho2   {_fmt(cfg.alpha)} / {_fmt(cfg.rho1)} / {_fmt(cfg.rho2)}", file=out)
     print(f"spectral radius   {_fmt(report.spectral_radius)}", file=out)
@@ -248,13 +244,13 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_example1(out=None) -> int:
-    records, _ = acceptance.run_example1()
+    replay = acceptance.run_example1()
     for scheme in ("A1", "A2"):
-        buffers, inputs = records[scheme]
+        buffers, inputs = replay[0][scheme]
         print(f"{scheme}:", file=out)
         for k, (buf, u) in enumerate(zip(buffers, inputs)):
             print(f"  k={k}  u={_fmt(u)}  buffer=({', '.join(_fmt(v) for v in buf)})", file=out)
-    ok = acceptance.criterion_example1().passed
+    ok = acceptance.criterion_example1(replay).passed
     print("verified against symbolic compositions: " + ("OK" if ok else "MISMATCH"), file=out)
     return 0 if ok else 1
 

@@ -1,4 +1,4 @@
-"""The E-SAC schemes: one table of what they are and one stepper that runs them.
+"""The E-SAC schemes: their table, the one rule of what they run with, their stepper.
 
 :data:`SCHEMES` maps each scheme to ``(buffered, two_law)``, and every other
 module reads names through :func:`scheme_kind`.
@@ -12,11 +12,11 @@ and the input fixed to zero.  The two-law schemes fill the buffer with the
 fine law first: ``N`` granted units split into ``N // eta`` fine entries
 followed by ``N % eta`` coarse entries.
 
-:meth:`Buffer.step` runs all four through ``(eta, buffer size)``: a one-law
-scheme runs the coarse law in the fine law's place with ``eta = 1``, and an
-unbuffered scheme has one slot (:meth:`SchemeKind.slots`).  It stores every
-entry of a grant and is the scripted and reference stepper: both engines of
-:mod:`esac.simulate` step the buffer's chain state (:mod:`esac.chain`) instead.
+All four are one buffer run with the ``(eta, slots, fine law)`` that only
+:func:`resolve` checks and derives, and :meth:`Buffer.step` takes them.  It
+stores every entry of a grant and is the scripted and reference stepper:
+both engines of :mod:`esac.simulate` step the buffer's chain state
+(:mod:`esac.chain`) instead.
 """
 from __future__ import annotations
 
@@ -27,10 +27,6 @@ from typing import Callable, NamedTuple
 class SchemeKind(NamedTuple):
     buffered: bool
     two_law: bool
-
-    def slots(self, buffer_size: int) -> int:
-        """Slots of the buffer that runs this scheme: an unbuffered one has one."""
-        return buffer_size if self.buffered else 1
 
 
 #: Whether each scheme keeps a buffer and whether it runs two laws.
@@ -49,6 +45,30 @@ def scheme_kind(scheme: str) -> SchemeKind:
     except KeyError:
         raise ValueError(f"unknown scheme {scheme!r}: expected one of "
                          f"{', '.join(SCHEMES)}") from None
+
+
+def resolve(scheme: str, eta: int, buffer_size: int | None, n_max: int,
+            coarse=None, fine=None) -> tuple:
+    """``(eta, slots, fine)`` that run ``scheme`` on grants of up to ``n_max`` units.
+
+    ``eta >= 1``, and a two-law scheme needs ``eta <= n_max`` (else its fine
+    law never runs); ``buffer_size >= 1``, or ``None`` for the smallest size
+    from which the chain stops changing.  A one-law scheme runs ``coarse`` (a
+    law or a contraction) in the fine law's place with ``eta = 1``, and an
+    unbuffered scheme has one slot.
+    """
+    kind = scheme_kind(scheme)
+    if not kind.two_law:
+        if eta < 1:
+            raise ValueError(f"eta must be >= 1, got {eta}")
+        eta, fine = 1, coarse
+    elif not 1 <= eta <= n_max:
+        raise ValueError(f"eta must satisfy 1 <= eta <= n_max={n_max}, got {eta}")
+    if buffer_size is None:  # the most entries, n // eta + n % eta, that a grant computes
+        buffer_size = max(sum(divmod(n, eta)) for n in range(n_max + 1))
+    elif buffer_size < 1:
+        raise ValueError(f"buffer_size (lambda) must be >= 1, got {buffer_size}")
+    return eta, buffer_size if kind.buffered else 1, fine
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Each step: check the trigger ``|x| > d``, sample the environment outcome
 ``(gamma, N)``, advance the scheme (buffer and input), then advance the
 plant with an additive normal disturbance.  Both engines below run every
-scheme through the parameters of :meth:`SchemeConfig.stepper_args`, read
-from the scheme table :data:`esac.schemes.SCHEMES`.
+scheme as one buffer, through the ``(slots, coarse law, fine law, eta)`` of
+:meth:`SchemeConfig.stepper_args`, which :func:`esac.schemes.resolve` derives.
 
 Randomness comes from one ``numpy.random.Generator`` (PCG64), and one
 function, :func:`_decode_streams`, lays it out for both engines.  Each run
@@ -50,7 +50,7 @@ import numpy as np
 
 from .chain import jump_table
 from .channel import effective_availability
-from .schemes import ControlLaw, scheme_kind
+from .schemes import ControlLaw, resolve, scheme_kind
 
 #: States beyond this magnitude mark a run as divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -103,7 +103,8 @@ class SchemeConfig:
     infinite ``d`` never triggers).  ``q`` and ``p`` must pass the one channel
     rule of :mod:`esac.channel` that the certificate checks: ``q`` in [0, 1]
     and ``p`` a pmf of at least two entries in [0, 1] summing to one, never
-    renormalised.  ``eta >= 1``, and a two-law scheme needs ``eta <= n_max``.
+    renormalised.  ``scheme``, ``eta`` and ``buffer_size`` must pass the one
+    scheme rule, :func:`esac.schemes.resolve`.
     """
 
     scheme: str  # a key of esac.schemes.SCHEMES
@@ -116,29 +117,19 @@ class SchemeConfig:
     p: tuple
 
     def __post_init__(self):
-        two_law = scheme_kind(self.scheme).two_law
-        if two_law and self.kappa2 is None:
+        effective_availability(self.q, self.p)  # the channel rule, before resolve reads p
+        if self.stepper_args()[2] is None:  # resolve checks scheme, eta and buffer_size
             raise ValueError(f"scheme {self.scheme} requires a fine law")
-        if self.eta < 1:
-            raise ValueError(f"eta must be >= 1, got {self.eta}")
-        n_max = effective_availability(self.q, self.p).size - 1
-        if two_law and self.eta > n_max:  # the fine law would never run
-            raise ValueError(f"eta must satisfy 1 <= eta <= n_max={n_max}, got {self.eta}")
-        if self.buffer_size < 1:
-            raise ValueError(f"buffer_size must be >= 1, got {self.buffer_size}")
         if not self.d >= 0.0:
             raise ValueError(f"d must be >= 0, got {self.d}")
 
     def stepper_args(self) -> tuple:
-        """``(slots, coarse law, fine law, eta)`` that run this scheme.
-
-        A one-law scheme runs the coarse law as the fine law with ``eta = 1``,
-        and an unbuffered scheme has one slot.  Both engines step the chain
-        state of these parameters; :meth:`esac.schemes.Buffer.step` takes them too.
-        """
-        kind = scheme_kind(self.scheme)
-        return (kind.slots(self.buffer_size), self.kappa1,
-                self.kappa2 if kind.two_law else self.kappa1, self.eta if kind.two_law else 1)
+        """``(slots, coarse law, fine law, eta)`` that run this scheme, from
+        :func:`esac.schemes.resolve` with ``n_max = len(p) - 1``; both engines
+        and :meth:`esac.schemes.Buffer.step` take them."""
+        eta, slots, fine = resolve(self.scheme, self.eta, self.buffer_size, len(self.p) - 1,
+                                   self.kappa1, self.kappa2)
+        return slots, self.kappa1, fine, eta
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,10 +276,8 @@ def simulate_trajectory(
             break
         xs[k + 1] = x
     end = k + 1 if not divergent else k
-    fines, coarses = np.divmod(states[: k + 1], eta)
-    if not scheme_kind(config.scheme).buffered:  # its one slot holds no prediction
-        fines.fill(0)
-        coarses.fill(0)
+    # An unbuffered scheme records (0, 0): its one slot holds no prediction.
+    fines, coarses = np.divmod(states[: k + 1] * scheme_kind(config.scheme).buffered, eta)
     return Trajectory(
         x=xs[: end + 1],
         u=us[: k + 1],

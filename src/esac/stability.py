@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import fold_grants, transition_matrix
-from .schemes import scheme_kind
+from .schemes import resolve
 
 #: Margin of Schur verdicts: a witness must prove spectral radius <= 1 - SCHUR_TOL.
 SCHUR_TOL = 1e-9
@@ -225,26 +225,24 @@ def critical_alpha(
 ) -> CriticalAlpha:
     """Open-loop bound at which the stability certificate crosses 1.
 
-    The buffer has ``n_max`` slots, which never truncate, or one for B1 and B2.
+    :func:`esac.schemes.resolve` gives ``(eta, slots, rho2)``: the smallest untruncated buffer.
     Only row 0 of ``T`` carries alpha, so ``T(alpha)`` is ``T(1)`` with that
     row scaled, and ``T(r / index(r))`` maps ``[1; z(r)]`` to ``r [1; z(r)]``
     (see ``_schur_index``).  ``closed`` is ``r = 1``.  ``upper`` is
     ``r = 1 + SCHUR_TOL``: ``w = [1; z(r)] >= 0`` with ``T w >= w`` proves the
     Perron root >= 1.  ``lower`` is ``r = 1 - SCHUR_TOL``: ``w = (I - T)^{-1} 1``
     with ``w > 0`` and ``T w < w`` proves it < 1 (Collatz-Wielandt bounds).
-    Raises ``ValueError`` when ``n_max != len(l) - 1`` or ``l[0] = 0``, and
-    ``ArithmeticError`` when a check fails.
+    Raises ``ValueError`` when ``n_max != len(l) - 1``, when ``resolve``
+    refuses, or when ``l[0] = 0``, and ``ArithmeticError`` when a check fails.
     """
     if n_max != len(l) - 1:
         raise ValueError(f"n_max={n_max} does not match the channel: l has {len(l)} entries")
-    kind = scheme_kind(scheme)
-    if not kind.two_law:  # the coarse law in the fine law's place
-        eta, rho2 = 1, rho1
+    eta, slots, rho2 = resolve(scheme, eta, None, n_max, rho1, rho2)
     if not (rho1 < 1.0 and rho2 < 1.0):
         raise ValueError("critical_alpha requires rho1 < 1 and rho2 < 1")
 
     spec = ContractionSpec(alpha=1.0, rho1=rho1, rho2=rho2, eta=eta)
-    pi = transition_matrix(fold_grants(l, eta, kind.slots(n_max)), eta)
+    pi = transition_matrix(fold_grants(l, eta, slots), eta)
     t_one = certification_matrix(gain_diagonal(spec, n_max), pi)
     index = _schur_index(t_one)[0]
     if not index > 0.0:  # 0 exactly when l[0] = 0: no state ever returns to the empty one

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelModel
-from .schemes import scheme_kind
+from .schemes import resolve
 from .stability import critical_alpha
 
 #: Default rho1 grid: 0.05, 0.10, ..., 0.95.
@@ -43,10 +43,10 @@ class SweepSpec:
     rho1_grid: tuple = DEFAULT_RHO1_GRID
 
     def __post_init__(self):
-        scheme_kind(self.scheme)
         if self.n_max != len(self.channel.l) - 1:
             raise ValueError(f"n_max={self.n_max} does not match the channel: "
                              f"l has {len(self.channel.l)} entries")
+        resolve(self.scheme, self.eta, None, self.n_max)
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         grid = tuple(float(r) for r in self.rho1_grid)

@@ -170,6 +170,16 @@ class TestCertifyCommand:
         assert "closed form omega 0.870503597122\n" in out
         assert "verdict           CertifiedStable\n" in out
 
+    @pytest.mark.parametrize("scheme, index", [
+        ("A1", "omega"), ("A2", "psi"), ("B1", "omega"), ("B2", "psi"),
+    ])
+    def test_index_label_follows_the_scheme(self, scheme, index, capsys):
+        # A two-law scheme at eta = 1 still runs two laws, so its index is psi.
+        rho2 = ["--rho2", "0.45"] if scheme in ("A2", "B2") else []
+        main(["certify", "--scheme", scheme, "--eta", "1", "--alpha", "1.1", "--rho1", "0.9",
+              *rho2])
+        assert f"\nclosed form {index:<6}" in capsys.readouterr().out
+
     @pytest.mark.parametrize("scheme", ["A1", "B1"])
     def test_one_law_scheme_rejects_rho2(self, scheme, capsys):
         code = main(["certify", "--scheme", scheme, "--alpha", "1.3",

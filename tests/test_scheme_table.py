@@ -1,7 +1,9 @@
 """Every module reads A1, A2, B1 and B2 from the one table in ``esac.schemes``:
 the same schemes are accepted everywhere, and every refusal of a name uses
-one message."""
+one message.  Every layer also checks ``eta`` and the buffer size by the one
+rule, ``esac.schemes.resolve``."""
 import dataclasses
+import re
 
 import pytest
 
@@ -178,3 +180,63 @@ def test_b1_simulate_ignores_eta(tmp_path, capsys):
     argv = ["simulate", "--scheme", "B1", "--rho1", "0.9", "--runs", "30", "--horizon", "40"]
     one = output_bytes(argv + ["--eta", "1"], tmp_path / "one.csv", capsys)
     assert output_bytes(argv + ["--eta", "9"], tmp_path / "nine.csv", capsys) == one
+
+
+#: ``(scheme, eta, lambda, refused)``: what every layer refuses, or None
+#: where every layer accepts.  The first five rows are ones the layers used
+#: to disagree on: the CLI ran A1 at eta = -3 and B1 at lambda = 0,
+#: critical_alpha answered A1 at eta = 0, min_buffer_size divided by zero
+#: on A2 at eta = 0, and SweepSpec took A2 at eta = 7 > n_max.
+RULE_ROWS = [
+    ("A1", -3, 4, "eta"),
+    ("B1", 1, 0, "lambda"),
+    ("A1", 0, 4, "eta"),
+    ("A2", 0, 4, "eta"),
+    ("A2", 7, 4, "eta"),
+    ("B2", 5, 1, "eta"),
+    ("A2", 2, -1, "lambda"),
+    ("A1", 9, 4, None),  # a one-law scheme ignores any eta >= 1 ...
+    ("B1", 9, 3, None),  # ... and an unbuffered one any lambda >= 1
+    ("A2", 4, 1, None),
+    ("B2", 1, 2, None),
+]
+
+
+@pytest.mark.parametrize("scheme, eta, lam, refused", RULE_ROWS)
+def test_one_scheme_rule_for_every_layer(scheme, eta, lam, refused, tmp_path, capsys):
+    _, kappa1, factory = example_system()
+
+    def scheme_config():
+        return SchemeConfig(scheme=scheme, kappa1=kappa1, kappa2=factory(0.45), eta=eta,
+                            buffer_size=lam, d=1.0, q=0.5, p=(0.2,) * 5)
+
+    # Every refusal starts with the name it refuses, in the library and the CLI.
+    name = {"eta": "eta", "lambda": "buffer_size (lambda)", None: None}[refused]
+    layers = [  # (call, whether it takes a buffer size)
+        (scheme_config, True),
+        (lambda: min_buffer_size(scheme, eta, 4), False),
+        (lambda: critical_alpha(scheme, eta, 0.9, 0.45, BENCH.l, 4), False),
+        (lambda: SweepSpec(scheme, eta, 0.5, BENCH, 4, rho1_grid=(0.9,)), False),
+    ]
+    for call, takes_lambda in layers:
+        if refused == "eta" or refused == "lambda" and takes_lambda:
+            with pytest.raises(ValueError, match=f"^{re.escape(name)} must"):
+                call()
+        else:
+            call()
+
+    rho2 = ["--rho2", "0.45"] if scheme in ("A2", "B2") else []
+    argv = ["--scheme", scheme, "--eta", str(eta), "--lambda", str(lam), "--alpha", "1.2",
+            "--rho1", "0.9", *rho2, "--runs", "4", "--horizon", "5",
+            "--output", str(tmp_path / "out.csv")]
+    for command in ("certify", "simulate"):
+        code = main([command, *argv])
+        err = capsys.readouterr().err
+        if refused is None:
+            assert code in ((0, 2) if command == "certify" else (0,)) and err == ""
+        else:
+            assert code == 1 and err.startswith(f"error: {name} must")
+    if refused is None:  # the CLI resolves the eta and buffer size that the simulator runs
+        slots, _, _, resolved_eta = scheme_config().stepper_args()
+        cfg = parse_config("", [("scheme", scheme), ("eta", str(eta)), ("lambda", str(lam))])
+        assert (cfg.eta, cfg.lam) == (resolved_eta, slots)
