@@ -51,13 +51,15 @@ def resolve(scheme: str, eta: int, buffer_size: int | None, n_max: int,
             coarse=None, fine=None) -> tuple:
     """``(eta, slots, fine)`` that run ``scheme`` on grants of up to ``n_max`` units.
 
-    ``eta >= 1``, and a two-law scheme needs ``eta <= n_max`` (else its fine
-    law never runs); ``buffer_size >= 1``, or ``None`` for the smallest size
-    from which the chain stops changing.  A one-law scheme runs ``coarse`` (a
-    law or a contraction) in the fine law's place with ``eta = 1``, and an
-    unbuffered scheme has one slot.
+    ``n_max >= 1``; ``eta >= 1``, and a two-law scheme needs ``eta <= n_max``
+    (else its fine law never runs); ``buffer_size >= 1``, or ``None`` for the
+    smallest size from which the chain stops changing.  A one-law scheme runs
+    ``coarse`` (a law or a contraction) in the fine law's place with
+    ``eta = 1``, and an unbuffered scheme has one slot.
     """
     kind = scheme_kind(scheme)
+    if n_max < 1:  # a processor that never computes: no buffer size or eta fits it
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not kind.two_law:
         if eta < 1:
             raise ValueError(f"eta must be >= 1, got {eta}")

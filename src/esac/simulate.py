@@ -18,9 +18,8 @@ it diverges.  A Monte Carlo call makes one ``default_rng(base_seed)`` and
 its runs draw from it one after another in run order, so run 0 is the
 trajectory of ``simulate_trajectory(..., seed=base_seed)``, and different
 base seeds give independent runs
-(https://numpy.org/doc/stable/reference/random/parallel.html).  The
-reduction accumulates in run order.  Identical configuration and seed give
-bit-identical trajectories.
+(https://numpy.org/doc/stable/reference/random/parallel.html).  Identical
+configuration and seed give bit-identical trajectories.
 
 :func:`monte_carlo` has two engines with bit-identical results, and both
 step a run's buffer as its chain state (as in :mod:`esac.chain`) with its
@@ -28,12 +27,13 @@ head entry: each triggered step moves the state by one lookup in
 :func:`~esac.chain.jump_table`, and an entry is computed only when it
 becomes the head.  A call of at least ``_BATCH_MIN_RUNS`` (24) runs
 advances its runs together on arrays with one entry per run (see
-:func:`_run_batch`); each step adds the runs' Lyapunov values and their
-squares one run at a time in run order, as the per-run loop does.
-Narrower calls run :func:`simulate_trajectory`, its scalar twin, once per
-run, which is faster there because numpy's cost per call outweighs a
-width of about two dozen runs.  :meth:`esac.schemes.Buffer.step`, which
-stores every entry of a grant, is the scripted and reference stepper.
+:func:`_run_batch`); each step keeps the runs' Lyapunov values, and after
+the last step one cumsum per block adds them and their squares one run at
+a time in run order, as the per-run loop does.  Narrower calls run
+:func:`simulate_trajectory`, its scalar twin, once per run without its
+per-step records, which is faster there because numpy's cost per call
+outweighs a width of about two dozen runs.  :meth:`esac.schemes.Buffer.step`,
+which stores every entry of a grant, is the scripted and reference stepper.
 
 Plant and law callables must therefore work elementwise on float arrays as
 well as on scalars (``np.sin``, not ``math.sin``), giving each element the
@@ -66,7 +66,9 @@ _BATCH_MIN_RUNS = 24
 #: holds at most 8 MiB up to a horizon of 29,127 steps and ``288 * horizon``
 #: bytes beyond, where the width floor takes over.  Decoding adds a float64
 #: slab of at most ``_DECODE_SLAB_DRAWS`` uniforms, or of one run's
-#: ``2 * horizon`` if that is more.
+#: ``2 * horizon`` if that is more.  Each step writes the runs' Lyapunov
+#: values over the disturbances it has used, and the run-order reduction adds
+#: a block of two slabs, or of ``2 * (width + 1)`` numbers if that is more.
 _BATCH_MAX_DRAWS = 1 << 21
 
 #: Uniforms that :func:`_decode_streams` holds as float64 before it decodes
@@ -138,21 +140,21 @@ class Trajectory:
 
     ``x`` and ``v`` have one more entry than the input arrays (they include
     the terminal state).  A divergent run is truncated at the last finite
-    state and flagged.
+    state and flagged.  Without records the input arrays are ``None``.
     """
 
     x: np.ndarray
-    u: np.ndarray
-    gamma: np.ndarray
-    n: np.ndarray
-    fine: np.ndarray
-    coarse: np.ndarray
+    u: np.ndarray | None
+    gamma: np.ndarray | None
+    n: np.ndarray | None
+    fine: np.ndarray | None
+    coarse: np.ndarray | None
     v: np.ndarray
     divergent: bool
 
     @property
     def steps(self) -> int:
-        return self.u.size
+        return self.x.size - 1 + self.divergent
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,6 +224,7 @@ def simulate_trajectory(
     config: SchemeConfig,
     horizon: int,
     seed: int | np.random.Generator,
+    *, records: bool = True,
 ) -> Trajectory:
     """Run one closed-loop realization for ``horizon`` steps from ``seed``.
 
@@ -230,7 +233,8 @@ def simulate_trajectory(
     docstring); :func:`monte_carlo` passes one ``Generator`` to its runs in
     turn.  It steps the chain state as :func:`_run_batch` does and records
     ``(fine, coarse) = divmod(state, eta)``, or ``(0, 0)`` for an unbuffered
-    scheme.  The Lyapunov values come from one call on the recorded states.
+    scheme; ``records=False`` (for :func:`monte_carlo`) stores only ``x``.
+    The Lyapunov values come from one call on the recorded states.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -243,8 +247,9 @@ def simulate_trajectory(
     noise, transmits, grants = (memoryview(a.ravel()) for a in streams)
 
     xs = np.empty(horizon + 1)
-    us = np.empty(horizon)
-    gammas, ns, states = np.empty((3, horizon), dtype=np.int64)
+    us = gammas = ns = fines = coarses = None
+    if records:
+        us, (gammas, ns, states) = np.empty(horizon), np.empty((3, horizon), dtype=np.int64)
 
     x = plant.x0
     state, u, chi = 0, 0.0, 0.0  # chain state, head input, state u was computed at
@@ -267,27 +272,22 @@ def simulate_trajectory(
                 chi = step(chi, u, 0.0)
         u = fine_law(chi) if state >= eta else coarse_law(chi) if state else 0.0
         x = step(x, u, noise[k])
-        gammas[k] = gamma
-        ns[k] = n
-        us[k] = u
-        states[k] = state
+        if records:
+            gammas[k] = gamma
+            ns[k] = n
+            us[k] = u
+            states[k] = state
         if not abs(x) <= DIVERGENCE_LIMIT:  # also catches inf and nan
             divergent = True
             break
         xs[k + 1] = x
     end = k + 1 if not divergent else k
-    # An unbuffered scheme records (0, 0): its one slot holds no prediction.
-    fines, coarses = np.divmod(states[: k + 1] * scheme_kind(config.scheme).buffered, eta)
-    return Trajectory(
-        x=xs[: end + 1],
-        u=us[: k + 1],
-        gamma=gammas[: k + 1],
-        n=ns[: k + 1],
-        fine=fines,
-        coarse=coarses,
-        v=plant.lyapunov(xs[: end + 1]),
-        divergent=divergent,
-    )
+    if records:
+        us, gammas, ns = us[: k + 1], gammas[: k + 1], ns[: k + 1]
+        # An unbuffered scheme records (0, 0): its one slot holds no prediction.
+        fines, coarses = np.divmod(states[: k + 1] * scheme_kind(config.scheme).buffered, eta)
+    return Trajectory(x=xs[: end + 1], u=us, gamma=gammas, n=ns, fine=fines, coarse=coarses,
+                      v=plant.lyapunov(xs[: end + 1]), divergent=divergent)
 
 
 def monte_carlo(
@@ -324,8 +324,8 @@ def monte_carlo(
                                          sum_v, sum_sq, sum_trigger)
     else:
         for _ in range(runs):
-            traj = simulate_trajectory(plant, config, horizon, rng)
-            v = traj.v
+            traj = simulate_trajectory(plant, config, horizon, rng, records=False)
+            v = np.asarray(traj.v, dtype=float)  # squared in float64, as in the batched engine
             trig = np.abs(traj.x) > config.d
             if v.size < horizon + 1:  # divergent: carry last finite value forward
                 v = np.concatenate([v, np.full(horizon + 1 - v.size, v[-1])])
@@ -375,23 +375,12 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
     state = np.zeros(width, dtype=np.intp)
     u = np.zeros(width)  # the head input
     chi = np.zeros(width)  # the predicted state that u was computed at
-    v = plant.lyapunov(x)
+    v = v0 = plant.lyapunov(x)
     dead = np.zeros(width, dtype=bool)
     ndead = 0
     trig = np.abs(x) > config.d
-    ordered = np.empty((2, width + 1))  # rows: the values and their squares
-
-    def add(k, triggered):
-        # Sequential sums in run order (cumsum, not a pairwise sum), continuing
-        # the running totals, as the per-run loop adds its runs.
-        ordered[:, 0] = sum_v[k], sum_sq[k]
-        ordered[0, 1:] = v
-        np.multiply(v, v, out=ordered[1, 1:])
-        np.cumsum(ordered, axis=1, out=ordered)
-        sum_v[k], sum_sq[k] = ordered[:, -1]
-        sum_trigger[k] += triggered
-
-    add(0, np.count_nonzero(trig))
+    triggered = np.empty(horizon + 1, dtype=np.int64)  # runs triggered (or dead) per step
+    triggered[0] = np.count_nonzero(trig)
     for k in range(horizon):
         sent = trig & transmits[cursor]
         cursor += trig
@@ -427,9 +416,28 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
             v[live] = plant.lyapunov(x[live])
         else:
             v = plant.lyapunov(x)
+        noise[:, k] = v  # the values of step k + 1, in the column this step has used
         trig = size > config.d
-        add(k + 1, np.count_nonzero(trig) + ndead)
+        triggered[k + 1] = np.count_nonzero(trig) + ndead
+    _add_in_run_order(v0[:, None], sum_v[:1], sum_sq[:1])
+    _add_in_run_order(noise, sum_v[1:], sum_sq[1:])
+    sum_trigger += triggered
     return int(ndead)
+
+
+def _add_in_run_order(values: np.ndarray, sums: np.ndarray, squares: np.ndarray):
+    """Add column ``k`` of ``values`` (one row per run) and its squares into
+    ``sums[k]`` and ``squares[k]`` in run order, as the per-run loop does."""
+    width, steps = values.shape
+    cols = max(1, _DECODE_SLAB_DRAWS // (width + 1))
+    for first in range(0, steps, cols):
+        cut = slice(first, first + cols)
+        part = np.empty((2, width + 1, len(sums[cut])))  # the values and their squares
+        part[:, 0] = sums[cut], squares[cut]  # the running totals lead
+        part[0, 1:] = values[:, cut]
+        np.multiply(part[0, 1:], part[0, 1:], out=part[1, 1:])
+        np.cumsum(part, axis=1, out=part)  # sequential, not a pairwise sum
+        sums[cut], squares[cut] = part[:, -1]
 
 
 def example_system(rho1: float = 0.9):

@@ -98,8 +98,8 @@ class CertificationReport:
 def gain_diagonal(spec: ContractionSpec, n_max: int) -> np.ndarray:
     """Diagonal of Phi: alpha for the empty buffer, rho1 for the coarse-only
     states 2..eta, rho2 for every state holding a fine entry."""
-    if spec.eta > n_max:
-        raise ValueError(f"eta={spec.eta} exceeds n_max={n_max}")
+    if spec.eta > n_max:  # ContractionSpec has checked eta >= 1
+        raise ValueError(f"eta must satisfy 1 <= eta <= n_max={n_max}, got {spec.eta}")
     phi = np.empty(n_max + 1)
     phi[0] = spec.alpha
     phi[1:spec.eta] = spec.rho1

@@ -10,7 +10,7 @@ import pytest
 from esac.chain import min_buffer_size
 from esac.channel import ChannelModel
 from esac.cli import main, parse_config
-from esac.schemes import SCHEMES
+from esac.schemes import SCHEMES, resolve
 from esac.simulate import SchemeConfig, example_system
 from esac.stability import critical_alpha
 from esac.sweep import SweepSpec
@@ -111,6 +111,17 @@ def test_library_accepts_buffered_schemes_only(target, scheme):
 def test_min_buffer_size_of_one_law_scheme_ignores_eta():
     for eta in (1, 2, 3):
         assert min_buffer_size("A1", eta, 4) == 4
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_resolve_refuses_n_max_below_one(scheme, n_max):
+    # A processor that never computes: no buffer size, default or given, and
+    # no eta fits it.
+    with pytest.raises(ValueError, match=f"^n_max must be >= 1, got {n_max}$"):
+        min_buffer_size(scheme, 1, n_max)
+    with pytest.raises(ValueError, match="^n_max"):
+        resolve(scheme, 1, 3, n_max)
 
 
 def run_command(command, scheme, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -378,6 +379,16 @@ class TestMonteCarloOracle:
         self.check(divergent_plant(), config, horizon=horizon, runs=45, base_seed=21)
 
 
+@pytest.mark.parametrize("runs", [5, 40])
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+def test_engines_agree_on_any_lyapunov_dtype(dtype, runs):
+    """Both engines hold the Lyapunov values as float64 and square them there,
+    whatever dtype the callable returns."""
+    base, config = bench_config()
+    plant = dataclasses.replace(base, lyapunov=lambda x: (np.abs(x) * 1e3).astype(dtype))
+    TestMonteCarloOracle().check(plant, config, horizon=60, runs=runs, base_seed=5)
+
+
 @pytest.mark.parametrize("runs", [esac.simulate._BATCH_MIN_RUNS - 1,
                                   esac.simulate._BATCH_MIN_RUNS + 8], ids=["narrow", "batched"])
 @pytest.mark.parametrize("scheme, eta", [("A1", 1), ("A2", 2)])
@@ -453,6 +464,39 @@ def test_trajectory_replays_through_buffer_step(plant_name, scheme, eta, buffer_
         counts[k] = buf.counts if scheme_kind(scheme).buffered else (0, 0)
     np.testing.assert_array_equal(traj.u.view(np.uint64), applied.view(np.uint64))
     np.testing.assert_array_equal(np.c_[traj.fine, traj.coarse], counts)
+
+
+@pytest.mark.parametrize("plant_name, scheme, eta, buffer_size, p, q", REPLAY_CASES, ids=[
+    f"{t}-{s}-{e}-{b}" + ("" if p is P5 else f"-p{len(p)}") for t, s, e, b, p, _ in REPLAY_CASES])
+def test_trajectory_without_records(plant_name, scheme, eta, buffer_size, p, q):
+    """``records=False`` runs the same loop and keeps only ``x``, ``v`` and
+    ``divergent``, bit for bit."""
+    base, config = bench_config(scheme=scheme, eta=eta, buffer_size=buffer_size, p=p, q=q)
+    plant = divergent_plant() if plant_name == "divergent" else base
+    full = simulate_trajectory(plant, config, 400, seed=17)
+    bare = simulate_trajectory(plant, config, 400, seed=17, records=False)
+    assert bare.divergent == full.divergent
+    assert full.divergent or plant_name == "bench"
+    assert bare.steps == full.steps == full.u.size
+    for name in ("x", "v"):
+        np.testing.assert_array_equal(getattr(bare, name).view(np.uint64),
+                                      getattr(full, name).view(np.uint64))
+    for name in ("u", "gamma", "n", "fine", "coarse"):
+        assert getattr(bare, name) is None
+
+
+def test_batched_call_memory_peak():
+    """A 10k-run call of criterion 5's shape stays near the batch budget:
+    the Lyapunov values reuse the disturbances' room, and the run-order
+    reduction adds a small block, not a value array per batch."""
+    plant, _, _ = example_system()
+    tracemalloc.start()
+    try:
+        monte_carlo(plant, benchmark_scheme_config("Q1"), horizon=200, runs=10_000, base_seed=2024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestExampleSystem:

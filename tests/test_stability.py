@@ -82,6 +82,12 @@ class TestGainDiagonal:
         with pytest.raises(ValueError):
             gain_diagonal(spec, 4)
 
+    def test_certify_words_eta_as_the_scheme_rule(self):
+        # The wording of esac.schemes.resolve, which certify (no scheme name) bypasses.
+        spec = ContractionSpec(alpha=1.1, rho1=0.9, rho2=0.45, eta=7)
+        with pytest.raises(ValueError, match=r"^eta must satisfy 1 <= eta <= n_max=4, got 7$"):
+            certify(spec, L_BENCH)
+
 
 class TestSpectralRadius:
     def test_simple_rank_one(self):
