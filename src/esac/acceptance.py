@@ -8,6 +8,7 @@ Expected boundary values were hand-derived independently of the library
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -209,9 +210,7 @@ def run_example1():
     schemes.
     """
     plant_noisy, kappa1, kappa2_factory = example_system()
-    plant = PlantModel(
-        step=plant_noisy.step, noise_std=0.0, x0=plant_noisy.x0, lyapunov=plant_noisy.lyapunov
-    )
+    plant = replace(plant_noisy, noise_std=0.0)
     kappa2 = kappa2_factory(0.45)
     forced = [(1, 3), (1, 0), (1, 2)]
     records = {}
@@ -289,9 +288,7 @@ def criterion_expectation_bound(runs: int = 1000, horizon: int = 200,
     report = certify(spec, _bench_channel().l)
     if not report.certified:
         return CriterionResult(6, "expectation bound", False, "benchmark config not certified")
-    plant_noisy, _, _ = example_system()
-    plant = PlantModel(step=plant_noisy.step, noise_std=0.0, x0=plant_noisy.x0,
-                       lyapunov=plant_noisy.lyapunov)
+    plant = replace(example_system()[0], noise_std=0.0)
     result = monte_carlo(plant, benchmark_scheme_config("Q1"), horizon, runs, base_seed)
     ks = np.arange(horizon + 1)
     bound = report.c1 * report.xi ** ks * plant.lyapunov(plant.x0) + report.c2

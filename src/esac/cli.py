@@ -158,8 +158,9 @@ def _validate(cfg: RunConfig, explicit: set) -> RunConfig:
         epsilon = rho2 / cfg.rho1
     if min(cfg.horizon, cfg.runs) < 1:
         raise ConfigError("horizon and runs must be >= 1")
-    if cfg.nu is not None and (len(cfg.nu) != n_max + 1 or any(v <= 0 for v in cfg.nu)):
-        raise ConfigError(f"nu must be {n_max + 1} strictly positive entries")
+    if cfg.nu is not None and (len(cfg.nu) != n_max + 1
+                               or not all(0.0 < v < np.inf for v in cfg.nu)):  # nan fails too
+        raise ConfigError(f"nu must be {n_max + 1} strictly positive finite entries")
     return replace(cfg, eta=eta, lam=lam, n_max=n_max, rho2=rho2, epsilon=epsilon)
 
 

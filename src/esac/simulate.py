@@ -398,9 +398,7 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
         fine = state >= eta
         for law, mask in ((kappa2, fine), (kappa1, stored ^ fine)):
             rows = np.flatnonzero(mask)
-            if rows.size == width:
-                u[:] = law(chi)
-            elif rows.size:
+            if rows.size:
                 u[rows] = law(chi[rows])
         if ndead:  # the plant steps the live runs only
             x[live] = plant.step(x[live], u[live], noise[live, k])

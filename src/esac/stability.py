@@ -17,6 +17,10 @@ one-law scheme A1.  Given contractions < 1 it is < 1 exactly when ``T``
 is Schur stable, and it is linear in the open-loop bound alpha, which
 yields the critical alpha in closed form; :func:`critical_alpha` brackets
 it by two witnesses.
+
+Malformed input raises ``ValueError``, a missing witness
+``numpy.linalg.LinAlgError`` (a ``ValueError`` subclass), and a bracket
+that fails its check ``ArithmeticError``.
 """
 from __future__ import annotations
 
@@ -133,19 +137,19 @@ def spectral_radius(m) -> float:
 def solve_certificate(t, nu) -> np.ndarray:
     """Solve ``(I - T) zeta = nu`` and check that ``zeta`` is a stability witness.
 
-    ``nu`` must be strictly positive.  The solution is accepted only when
-    ``zeta > 0`` and ``T zeta < (1 - SCHUR_TOL) zeta`` entry-wise; by the
-    Collatz-Wielandt bound that proves ``rho(T) <= 1 - SCHUR_TOL`` for the
-    nonnegative ``T``.  Otherwise raises ``ValueError`` (``LinAlgError``
-    when ``I - T`` is singular).
+    ``nu`` must be ``len(T)`` strictly positive finite entries (else
+    ``ValueError``).  The solution is accepted only when ``zeta > 0`` and
+    ``T zeta < (1 - SCHUR_TOL) zeta`` entry-wise; by the Collatz-Wielandt
+    bound that proves ``rho(T) <= 1 - SCHUR_TOL`` for the nonnegative ``T``.
+    Otherwise, a singular ``I - T`` included, raises ``LinAlgError``.
     """
     t = _nonnegative_square(t)
     nu = np.asarray(nu, dtype=float)
-    if np.any(nu <= 0.0):
-        raise ValueError("nu must be strictly positive")
-    zeta = np.linalg.solve(np.eye(t.shape[0]) - t, nu)
+    if nu.shape != (len(t),) or not np.all(np.isfinite(nu) & (nu > 0.0)):
+        raise ValueError(f"nu must be {len(t)} strictly positive finite entries")
+    zeta = np.linalg.solve(np.eye(len(t)) - t, nu)
     if not (np.all(zeta > 0.0) and np.all(t @ zeta < (1.0 - SCHUR_TOL) * zeta)):
-        raise ValueError("certification matrix is not Schur stable: no positive witness zeta")
+        raise np.linalg.LinAlgError("T is not Schur stable: no positive witness zeta")
     return zeta
 
 
@@ -266,8 +270,9 @@ def certify(spec: ContractionSpec, l, nu=None) -> CertificationReport:
 
     Builds the buffer chain from ``l`` and the gain diagonal from ``spec``,
     and solves for the witness ``zeta`` with ``nu`` (default all-ones): the
-    verdict is CertifiedStable exactly when :func:`solve_certificate`
-    accepts it.  The report also carries the Perron root of ``T``, the
+    verdict is NotCertified exactly when :func:`solve_certificate` raises
+    ``LinAlgError``, and its ``ValueError`` for a malformed ``nu`` passes
+    through.  The report also carries the Perron root of ``T``, the
     closed-form index where defined, and the geometric-bound constants.
     """
     pi = transition_matrix(l, spec.eta)
@@ -276,12 +281,10 @@ def certify(spec: ContractionSpec, l, nu=None) -> CertificationReport:
     t = certification_matrix(phi, pi)
     closed_form = _schur_index(t)[0] if spec.rho1 < 1.0 and spec.rho2 < 1.0 else None
 
-    nu = np.ones(n_max + 1) if nu is None else np.asarray(nu, dtype=float)
-    if nu.shape != (n_max + 1,) or np.any(nu <= 0.0):
-        raise ValueError(f"nu must be {n_max + 1} strictly positive entries")
+    nu = np.ones(n_max + 1) if nu is None else nu
     try:
         zeta = solve_certificate(t, nu)
-    except ValueError:  # no witness, including a singular I - T
+    except np.linalg.LinAlgError:  # no witness, including a singular I - T
         zeta = xi = c1 = c2 = None
     else:
         xi, c1, c2 = theorem1_bounds(zeta, nu, spec.alpha, spec.d_bound)

@@ -75,6 +75,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=fragment):
             parse_config(text)
 
+    @pytest.mark.parametrize("nu", ["nan 1 1 1 1", "inf 1 1 1 1", "1 1 -inf 1 1", "1 1 1 1 0",
+                                    "1 -1 1 1 1", "1 1 1 1", "1 1 1 1 1 1"])
+    def test_rejects_malformed_nu(self, nu):
+        with pytest.raises(ConfigError, match=r"^nu must be 5 strictly positive finite entries$"):
+            parse_config(f"nu = {nu}")
+
     def test_error_names_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("scheme = A2\nalpha = oops")
@@ -137,6 +143,14 @@ class TestCertifyCommand:
         assert code == 2
         assert "spectral radius   1.02\n" in out
         assert "verdict           NotCertified\n" in out
+
+    def test_nan_nu_is_refused_not_judged(self, capsys):
+        code = main(["certify", "--alpha", "1.2", "--rho1", "0.9", "--rho2", "0.45",
+                     "--nu", "nan 1 1 1 1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: nu must be 5 strictly positive finite entries")
+        assert "verdict" not in captured.out
 
     def test_missing_alpha_is_config_error(self, capsys):
         code = main(["certify", "--rho1", "0.9", "--rho2", "0.45"])

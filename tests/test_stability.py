@@ -13,6 +13,7 @@ from esac.stability import (
     NOT_CERTIFIED,
     ContractionSpec,
     block_schur_g1,
+    certification_matrix,
     certify,
     critical_alpha,
     gain_diagonal,
@@ -63,6 +64,10 @@ class TestContractionSpec:
         with pytest.raises(ValueError):
             ContractionSpec(alpha=-1.0, rho1=0.9, rho2=0.4, eta=2)
 
+    def test_rejects_eta_below_one(self):
+        with pytest.raises(ValueError, match="^eta must be >= 1, got 0$"):
+            ContractionSpec(alpha=1.1, rho1=0.9, rho2=0.4, eta=0)
+
 
 class TestGainDiagonal:
     def test_two_law_layout(self):
@@ -87,6 +92,13 @@ class TestGainDiagonal:
         spec = ContractionSpec(alpha=1.1, rho1=0.9, rho2=0.45, eta=7)
         with pytest.raises(ValueError, match=r"^eta must satisfy 1 <= eta <= n_max=4, got 7$"):
             certify(spec, L_BENCH)
+
+    @pytest.mark.parametrize("phi, pi", [
+        (np.ones(3), np.eye(2)), (np.ones((2, 2)), np.eye(2)), (np.ones(2), np.ones((2, 3))),
+    ])
+    def test_certification_matrix_rejects_dimension_mismatch(self, phi, pi):
+        with pytest.raises(ValueError, match="^dimension mismatch"):
+            certification_matrix(phi, pi)
 
 
 class TestSpectralRadius:
@@ -151,6 +163,27 @@ class TestCertificate:
         with pytest.raises(ValueError):
             solve_certificate([[0.5]], [0.0])
 
+    @pytest.mark.parametrize("t", [[[1.0]], [[1.0 - 1e-12]]])  # singular I - T, then no margin
+    def test_no_witness_is_a_linalg_error(self, t):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_certificate(t, [1.0])
+
+    @pytest.mark.parametrize("nu", [[np.nan], [np.inf], [-np.inf], [0.0], [-1.0], [1.0, 1.0]])
+    def test_malformed_nu_is_not_a_linalg_error(self, nu):
+        with pytest.raises(ValueError, match="^nu must be 1 strictly positive finite") as exc:
+            solve_certificate([[0.5]], nu)
+        assert not isinstance(exc.value, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("zeta, nu", [([0.0], [1.0]), ([2.0], [-1.0]), ([2.0, -1.0], [1.0])])
+    def test_theorem1_rejects_nonpositive_input(self, zeta, nu):
+        with pytest.raises(ValueError, match="^zeta and nu must be strictly positive$"):
+            theorem1_bounds(zeta, nu, sigma_open=1.0, d_bound=1.0)
+
+    def test_theorem1_rejects_inconsistent_certificate(self):
+        # zeta = 0.5 < nu = 1 is no solution of (I - T) zeta = nu for T >= 0: xi = -1.
+        with pytest.raises(ValueError, match="^inconsistent certificate: xi=-1.0 outside"):
+            theorem1_bounds([0.5], [1.0], sigma_open=1.0, d_bound=1.0)
+
     def test_theorem1_scalar_case(self):
         # zeta = 2, nu = 1: xi = 0.5, c1 = 1, dbar = max(2, |2*2 - 1|) = 3.
         xi, c1, c2 = theorem1_bounds([2.0], [1.0], sigma_open=2.0, d_bound=1.0)
@@ -198,6 +231,19 @@ class TestBlockSchur:
     def test_rejects_expansive_trailing_block(self):
         h = np.array([[0.1, 0.1], [0.1, 1.5]])
         with pytest.raises(ValueError):
+            block_schur_g1(h)
+
+    @pytest.mark.parametrize("h, message", [
+        ([[0.5]], "h must be square of size >= 2"),
+        (np.ones((2, 3)), "h must be square of size >= 2"),
+        (np.ones(4), "h must be square of size >= 2"),
+        ([[0.1, 0.1], [0.1, -0.2]], "trailing block must be nonnegative"),
+        # Rows of M sum to 0.9 < 1, but trace(M @ M) = 2 * 0.81.
+        ([[0.5, 0.1, 0.1], [0.1, 0.9, 0.0], [0.1, 0.0, 0.9]],
+         r"trailing block must satisfy trace\(M @ M\) < 1"),
+    ])
+    def test_refusals_name_the_condition(self, h, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
             block_schur_g1(h)
 
 
@@ -282,6 +328,11 @@ class TestCriticalAlpha:
         a2 = critical_alpha("A2", 1, 0.9, 0.45, L_BENCH, 4)
         a1 = critical_alpha("A1", 1, 0.45, 0.45, L_BENCH, 4)
         assert a2.closed == pytest.approx(a1.closed, rel=1e-12)
+
+    @pytest.mark.parametrize("rho1, rho2", [(1.0, 0.45), (1.2, 0.45), (1.0, 1.0)])
+    def test_rejects_contraction_not_below_one(self, rho1, rho2):
+        with pytest.raises(ValueError, match="^critical_alpha requires rho1 < 1 and rho2 < 1$"):
+            critical_alpha("A2", 2, rho1, rho2, L_BENCH, 4)
 
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme 'C1'"):
@@ -451,6 +502,15 @@ class TestCertify:
         assert report.verdict == NOT_CERTIFIED
         assert report.zeta is None and report.closed_form is None
         assert report.spectral_radius == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("nu", [[np.nan, 1, 1, 1, 1], [np.inf, 1, 1, 1, 1],
+                                    [1, 1, -np.inf, 1, 1], [1, 1, 1, 1, 0], [1, -1, 1, 1, 1],
+                                    [1, 1, 1, 1], [1] * 6])
+    def test_malformed_nu_raises(self, nu):
+        # NotCertified means no witness for this nu; a nu that is no weight vector raises.
+        spec = ContractionSpec(alpha=1.2, rho1=0.9, rho2=0.45, eta=2)
+        with pytest.raises(ValueError, match=r"^nu must be 5 strictly positive finite entries$"):
+            certify(spec, L_BENCH, nu=nu)
 
     def test_custom_nu(self):
         spec = ContractionSpec(alpha=1.2, rho1=0.9, rho2=0.45, eta=2)
