@@ -22,9 +22,9 @@ base seeds give independent runs
 configuration and seed give bit-identical trajectories.
 
 :func:`monte_carlo` has two engines with bit-identical results, and both
-step a run's buffer as its chain state (as in :mod:`esac.chain`) with its
-head entry: each triggered step moves the state by one lookup in
-:func:`~esac.chain.jump_table`, and an entry is computed only when it
+step a run's buffer as its chain state with its head entry: each triggered
+step moves the state by one lookup in :func:`~esac.chain.jump_table`, and
+an entry is computed by its state's :func:`~esac.chain.law_of` law only when it
 becomes the head.  A call of at least ``_BATCH_MIN_RUNS`` (24) runs
 advances its runs together on arrays with one entry per run (see
 :func:`_run_batch`); each step keeps the runs' Lyapunov values, and after
@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import jump_table
+from .chain import jump_table, law_of
 from .channel import effective_availability
 from .schemes import ControlLaw, resolve, scheme_kind
 
@@ -240,7 +240,7 @@ def simulate_trajectory(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     slots, kappa1, kappa2, eta = config.stepper_args()
     table = jump_table(len(config.p), eta, slots)
-    coarse_law, fine_law = kappa1.evaluate, kappa2.evaluate
+    law = [(None, kappa1.evaluate, kappa2.evaluate)[j] for j in law_of(len(config.p), eta)]
     # The memoryviews hand out Python floats, ints and bools, which are
     # cheaper than numpy scalars in the scalar step loop below.
     streams = _decode_streams(plant, config, horizon, np.random.default_rng(seed), 1)
@@ -270,7 +270,7 @@ def simulate_trajectory(
                 chi = x
             elif state:  # shifted onto a stored entry
                 chi = step(chi, u, 0.0)
-        u = fine_law(chi) if state >= eta else coarse_law(chi) if state else 0.0
+        u = law[state](chi) if state else 0.0
         x = step(x, u, noise[k])
         if records:
             gammas[k] = gamma
@@ -370,6 +370,7 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
 
     slots, kappa1, kappa2, eta = config.stepper_args()
     table = np.array(jump_table(len(config.p), eta, slots), dtype=np.intp)
+    law_at = np.array(law_of(len(config.p), eta), dtype=np.int8)
 
     x = np.full(width, plant.x0, dtype=float)
     state = np.zeros(width, dtype=np.intp)
@@ -395,11 +396,11 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
         if rows.size:
             chi[rows] = plant.step(chi[rows], u[rows], 0.0)
         u.fill(0.0)  # an empty buffer applies zero
-        fine = state >= eta
-        for law, mask in ((kappa2, fine), (kappa1, stored ^ fine)):
-            rows = np.flatnonzero(mask)
+        law = law_at[state]
+        for j, kappa in enumerate((kappa1, kappa2), 1):
+            rows = np.flatnonzero(law == j)
             if rows.size:
-                u[rows] = law(chi[rows])
+                u[rows] = kappa(chi[rows])
         if ndead:  # the plant steps the live runs only
             x[live] = plant.step(x[live], u[live], noise[live, k])
         else:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import fold_grants, transition_matrix
+from .chain import fold_grants, law_of, transition_matrix
 from .schemes import resolve
 
 #: Margin of Schur verdicts: a witness must prove spectral radius <= 1 - SCHUR_TOL.
@@ -100,15 +100,11 @@ class CertificationReport:
 
 
 def gain_diagonal(spec: ContractionSpec, n_max: int) -> np.ndarray:
-    """Diagonal of Phi: alpha for the empty buffer, rho1 for the coarse-only
-    states 2..eta, rho2 for every state holding a fine entry."""
+    """Diagonal of Phi: alpha for the empty state 0, rho1 for the coarse-only
+    states ``1 .. eta - 1`` and rho2 from ``eta`` on, by :func:`esac.chain.law_of`."""
     if spec.eta > n_max:  # ContractionSpec has checked eta >= 1
         raise ValueError(f"eta must satisfy 1 <= eta <= n_max={n_max}, got {spec.eta}")
-    phi = np.empty(n_max + 1)
-    phi[0] = spec.alpha
-    phi[1:spec.eta] = spec.rho1
-    phi[spec.eta:] = spec.rho2
-    return phi
+    return np.array([spec.alpha, spec.rho1, spec.rho2])[law_of(n_max + 1, spec.eta)]
 
 
 def certification_matrix(phi, pi) -> np.ndarray:
@@ -124,8 +120,8 @@ def _nonnegative_square(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if np.any(m < 0.0):
-        raise ValueError("matrix must be entry-wise nonnegative")
+    if not (np.isfinite(m) & (m >= 0.0)).all():
+        raise ValueError("matrix must be entry-wise finite and nonnegative")
     return m
 
 
@@ -137,10 +133,10 @@ def spectral_radius(m) -> float:
 def solve_certificate(t, nu) -> np.ndarray:
     """Solve ``(I - T) zeta = nu`` and check that ``zeta`` is a stability witness.
 
-    ``nu`` must be ``len(T)`` strictly positive finite entries (else
-    ``ValueError``).  The solution is accepted only when ``zeta > 0`` and
-    ``T zeta < (1 - SCHUR_TOL) zeta`` entry-wise; by the Collatz-Wielandt
-    bound that proves ``rho(T) <= 1 - SCHUR_TOL`` for the nonnegative ``T``.
+    ``T`` must be finite and nonnegative, ``nu`` ``len(T)`` strictly positive
+    finite entries (else ``ValueError``).  The solution is accepted only when
+    ``zeta > 0`` and ``T zeta < (1 - SCHUR_TOL) zeta`` entry-wise; by the
+    Collatz-Wielandt bound that proves ``rho(T) <= 1 - SCHUR_TOL``.
     Otherwise, a singular ``I - T`` included, raises ``LinAlgError``.
     """
     t = _nonnegative_square(t)
@@ -185,14 +181,16 @@ def block_schur_g1(h) -> tuple[float, bool]:
     """Schur test via the scalar Schur complement at the (1,1) entry.
 
     Splits ``h`` into a 1x1 top-left block ``X``, row ``Y``, column ``Z``
-    and trailing block ``M``; requires ``M`` nonnegative with inf-norm < 1
-    and ``trace(M @ M) < 1``.  Returns ``(g1, verdict)`` where
+    and trailing block ``M``; requires finite entries, ``M`` nonnegative
+    with inf-norm < 1 and ``trace(M @ M) < 1``.  Returns ``(g1, verdict)`` where
     ``g1 = (1 - X) - Y (I - M)^{-1} Z`` and the verdict ``g1 > SCHUR_TOL`` holds
     exactly when ``h`` is Schur stable.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 2:
         raise ValueError(f"h must be square of size >= 2, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("h must have finite entries")
     m = h[1:, 1:]
     if np.any(m < 0.0):
         raise ValueError("trailing block must be nonnegative")

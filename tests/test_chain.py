@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from esac.chain import fold_grants, jump_table, min_buffer_size, transition_matrix
+from esac.chain import fold_grants, jump_table, law_of, min_buffer_size, transition_matrix
 from esac.schemes import Buffer, ControlLaw
 
 L_BENCH = np.array([0.6, 0.1, 0.1, 0.1, 0.1])
@@ -156,22 +156,28 @@ def test_min_buffer_size_is_the_most_entries_a_grant_computes(n_max):
 @pytest.mark.parametrize("n_max", range(1, 9))
 def test_jump_table_matches_the_stepper(n_max):
     """From every state a grant reaches, each entry says where ``Buffer.step``
-    leaves the buffer after a shift (``n = 0``) or a grant, truncation included."""
+    leaves the buffer after a shift (``n = 0``) or a grant, truncation included,
+    and ``law_of`` gives each of these states the law of the stepper's head."""
     law = ControlLaw(lambda x: x)
 
     def stepped(slots, eta, grants):
         buf = Buffer(slots)
         for n in grants:
             buf.step(1.0, 1, n, law, law, eta, lambda x, u: x)
-        return buf.fine_count * eta + buf.coarse_count
+        head = 2 if buf.fine_count else 1 if buf.coarse_count else 0
+        return buf.fine_count * eta + buf.coarse_count, head
 
     for eta in range(1, n_max + 1):
         for slots in range(1, n_max + 2):
             table = jump_table(n_max + 1, eta, slots)
+            laws = law_of(n_max + 1, eta)
             reached = {stepped(slots, eta, [m]): m for m in range(n_max + 1)}
-            for i, m in reached.items():
+            for (i, head), m in reached.items():
                 landed = [stepped(slots, eta, [m, n]) for n in range(n_max + 1)]
-                assert table[i] == landed, f"eta={eta}, slots={slots}, state={i}"
+                where = f"eta={eta}, slots={slots}, state={i}"
+                assert table[i] == [j for j, _ in landed], where
+                assert laws[i] == head, where
+                assert [laws[j] for j, _ in landed] == [h for _, h in landed], where
 
 
 @given(

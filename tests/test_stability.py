@@ -168,6 +168,12 @@ class TestCertificate:
         with pytest.raises(np.linalg.LinAlgError):
             solve_certificate(t, [1.0])
 
+    @pytest.mark.parametrize("t", [[[np.nan]], [[np.inf]]])
+    def test_non_finite_t_is_not_a_linalg_error(self, t):
+        with pytest.raises(ValueError, match="^matrix must be entry-wise finite") as exc:
+            solve_certificate(t, [1.0])
+        assert not isinstance(exc.value, np.linalg.LinAlgError)
+
     @pytest.mark.parametrize("nu", [[np.nan], [np.inf], [-np.inf], [0.0], [-1.0], [1.0, 1.0]])
     def test_malformed_nu_is_not_a_linalg_error(self, nu):
         with pytest.raises(ValueError, match="^nu must be 1 strictly positive finite") as exc:
@@ -241,6 +247,7 @@ class TestBlockSchur:
         # Rows of M sum to 0.9 < 1, but trace(M @ M) = 2 * 0.81.
         ([[0.5, 0.1, 0.1], [0.1, 0.9, 0.0], [0.1, 0.0, 0.9]],
          r"trailing block must satisfy trace\(M @ M\) < 1"),
+        ([[0.1, 0.1], [np.nan, 0.1]], "h must have finite entries"),
     ])
     def test_refusals_name_the_condition(self, h, message):
         with pytest.raises(ValueError, match=f"^{message}"):
