@@ -30,6 +30,17 @@ def law_of(states: int, eta: int) -> list[int]:
     return [(i > 0) + (i >= eta) for i in range(states)]
 
 
+def _shift_column(states: int, eta: int) -> list[int]:
+    # Column 0 of jump_table: no computation consumes the head and its cost.
+    return [i - (0, 1, eta)[law] for i, law in enumerate(law_of(states, eta))]
+
+
+def _grant_row(states: int, eta: int, slots: int) -> list[int]:
+    # Row 0 of jump_table: where a grant of n = 0 .. states - 1 units leads.
+    fine = [min(n // eta, slots) for n in range(states)]
+    return [f * eta + min(n % eta, slots - f) for n, f in enumerate(fine)]
+
+
 def jump_table(states: int, eta: int, slots: int) -> list[list[int]]:
     """Where a triggered step leads from each state ``i = 0 .. states - 1``:
     ``table[i][0]`` with no computation, which consumes the head entry and
@@ -37,15 +48,14 @@ def jump_table(states: int, eta: int, slots: int) -> list[list[int]]:
     grant of ``n`` units to a ``slots``-slot buffer: ``min(n // eta, slots)``
     fine entries, then coarse ones up to the slot count, as
     :meth:`esac.schemes.Buffer.step` cuts it."""
-    fine = [min(n // eta, slots) for n in range(1, states)]
-    grants = [f * eta + min(n % eta, slots - f) for n, f in enumerate(fine, 1)]
-    return [[i - (0, 1, eta)[law], *grants] for i, law in enumerate(law_of(states, eta))]
+    grants = _grant_row(states, eta, slots)[1:]
+    return [[shift, *grants] for shift in _shift_column(states, eta)]
 
 
 def fold_grants(l, eta: int, slots: int) -> np.ndarray:
     """``l`` with each grant's mass moved to its state in a ``slots``-slot
     buffer: :func:`transition_matrix` of the result is that buffer's chain."""
-    return np.bincount(jump_table(len(l), eta, slots)[0], weights=l, minlength=len(l))
+    return np.bincount(_grant_row(len(l), eta, slots), weights=l, minlength=len(l))
 
 
 def transition_matrix(l, eta: int) -> np.ndarray:
@@ -60,8 +70,8 @@ def transition_matrix(l, eta: int) -> np.ndarray:
         raise ValueError(f"eta must be >= 1, got {eta}")
     pi = np.tile(l, (l.size, 1))
     pi[:, 0] = 0.0
-    for i, row in enumerate(jump_table(l.size, eta, l.size)):
-        pi[i, row[0]] += l[0]
+    for i, j in enumerate(_shift_column(l.size, eta)):
+        pi[i, j] += l[0]
     pi.flags.writeable = False
     return pi
 

@@ -99,12 +99,17 @@ class CertificationReport:
         return self.verdict == CERTIFIED
 
 
+def _gains(alpha, rho1, rho2, eta: int, n_max: int) -> np.ndarray:
+    # Phi's diagonal [alpha, rho1, rho2][law_of] on axis 0; the gains may be equal-shape arrays.
+    return np.array([alpha, rho1, rho2])[law_of(n_max + 1, eta)]
+
+
 def gain_diagonal(spec: ContractionSpec, n_max: int) -> np.ndarray:
     """Diagonal of Phi: alpha for the empty state 0, rho1 for the coarse-only
     states ``1 .. eta - 1`` and rho2 from ``eta`` on, by :func:`esac.chain.law_of`."""
     if spec.eta > n_max:  # ContractionSpec has checked eta >= 1
         raise ValueError(f"eta must satisfy 1 <= eta <= n_max={n_max}, got {spec.eta}")
-    return np.array([spec.alpha, spec.rho1, spec.rho2])[law_of(n_max + 1, spec.eta)]
+    return _gains(spec.alpha, spec.rho1, spec.rho2, spec.eta, n_max)
 
 
 def certification_matrix(phi, pi) -> np.ndarray:
@@ -169,12 +174,13 @@ def theorem1_bounds(zeta, nu, sigma_open: float, d_bound: float) -> tuple[float,
     return xi, c1, c2
 
 
-def _schur_index(t: np.ndarray, r: float = 1.0) -> tuple[float, np.ndarray]:
-    # Schur complement of T at its first row and column, at r: t00 + t01 z
-    # with z = (r I - t11)^{-1} t10; then T with row 0 scaled by r / index
-    # maps [1; z] to r [1; z].
-    z = np.linalg.solve(r * np.eye(t.shape[0] - 1) - t[1:, 1:], t[1:, 0])
-    return t[0, 0] + t[0, 1:] @ z, z
+def _schur_index(t: np.ndarray, r=1.0) -> tuple:
+    # Schur complement of T at its first row and column, at r: t00 + t01 z with
+    # z = (r I - t11)^{-1} t10; then T with row 0 scaled by r / index maps [1; z] to r [1; z].
+    # T may be a stack (..., n, n), r broadcasts on it; solve's b has a's rank, as numpy 1.x needs.
+    a = np.asarray(r)[..., None, None] * np.eye(t.shape[-1] - 1) - t[..., 1:, 1:]
+    z = np.linalg.solve(a, t[..., 1:, :1][(None,) * (a.ndim - t.ndim)])
+    return t[..., 0, 0] + (t[..., :1, 1:] @ z)[..., 0, 0], z[..., 0]
 
 
 def block_schur_g1(h) -> tuple[float, bool]:
@@ -217,16 +223,11 @@ class CriticalAlpha(NamedTuple):
         return max(self.closed - self.lower, self.upper - self.closed)
 
 
-def critical_alpha(
-    scheme: str,
-    eta: int,
-    rho1: float,
-    rho2: float,
-    l,
-    n_max: int,
-) -> CriticalAlpha:
+def critical_alpha(scheme: str, eta: int, rho1, rho2, l, n_max: int) -> CriticalAlpha:
     """Open-loop bound at which the stability certificate crosses 1.
 
+    ``rho1``, ``rho2`` broadcast as in a numpy ufunc, through one chain and one stack of solves:
+    scalars give floats, ``G``-point grids ``(G,)`` bounds and ``(G, n_max + 1)`` witnesses.
     :func:`esac.schemes.resolve` gives ``(eta, slots, rho2)``: the smallest untruncated buffer.
     Only row 0 of ``T`` carries alpha, so ``T(alpha)`` is ``T(1)`` with that
     row scaled, and ``T(r / index(r))`` maps ``[1; z(r)]`` to ``r [1; z(r)]``
@@ -234,33 +235,38 @@ def critical_alpha(
     ``r = 1 + SCHUR_TOL``: ``w = [1; z(r)] >= 0`` with ``T w >= w`` proves the
     Perron root >= 1.  ``lower`` is ``r = 1 - SCHUR_TOL``: ``w = (I - T)^{-1} 1``
     with ``w > 0`` and ``T w < w`` proves it < 1 (Collatz-Wielandt bounds).
-    Raises ``ValueError`` when ``n_max != len(l) - 1``, when ``resolve``
-    refuses, or when ``l[0] = 0``, and ``ArithmeticError`` when a check fails.
+    Raises ``ValueError`` when ``n_max != len(l) - 1``, ``resolve`` refuses, ``rho1`` and
+    ``rho2`` do not broadcast, a point is no valid ``ContractionSpec`` or ``l[0] = 0``, and
+    ``ArithmeticError`` when a check fails; the first failing point in grid order names it.
     """
     if n_max != len(l) - 1:
         raise ValueError(f"n_max={n_max} does not match the channel: l has {len(l)} entries")
     eta, slots, rho2 = resolve(scheme, eta, None, n_max, rho1, rho2)
-    if not (rho1 < 1.0 and rho2 < 1.0):
-        raise ValueError("critical_alpha requires rho1 < 1 and rho2 < 1")
-
-    spec = ContractionSpec(alpha=1.0, rho1=rho1, rho2=rho2, eta=eta)
+    rho1, rho2 = np.broadcast_arrays(np.asarray(rho1, dtype=float), np.asarray(rho2, dtype=float))
+    shape, rho1, rho2 = rho1.shape, rho1.ravel(), rho2.ravel()
+    for r1, r2 in zip(rho1.tolist(), rho2.tolist()):  # each point's scalar checks, in order
+        if not (r1 < 1.0 and r2 < 1.0):
+            raise ValueError("critical_alpha requires rho1 < 1 and rho2 < 1")
+        ContractionSpec(alpha=1.0, rho1=r1, rho2=r2, eta=eta)
     pi = transition_matrix(fold_grants(l, eta, slots), eta)
-    t_one = certification_matrix(gain_diagonal(spec, n_max), pi)
-    index = _schur_index(t_one)[0]
-    if not index > 0.0:  # 0 exactly when l[0] = 0: no state ever returns to the empty one
+    t_one = _gains(np.ones(rho1.size), rho1, rho2, eta, n_max).T[..., None] * pi
+    r = np.array([1.0, 1.0 + SCHUR_TOL, 1.0 - SCHUR_TOL])[:, None]
+    index, z = _schur_index(t_one, r)
+    if not np.all(index[0] > 0.0):  # 0 exactly when l[0] = 0: no state returns to state 0
         raise ValueError("l[0] = 0: the Perron root of T does not depend on alpha, "
                          "so there is no stability boundary")
-    closed = 1.0 / index
-
-    index, z = _schur_index(t_one, 1.0 + SCHUR_TOL)
-    upper, up = (1.0 + SCHUR_TOL) / index, np.r_[1.0, z]
-    lower = (1.0 - SCHUR_TOL) / _schur_index(t_one, 1.0 - SCHUR_TOL)[0]
-    t_low, t_up = (np.r_[a, np.ones(n_max)][:, None] * t_one for a in (lower, upper))
-    low = np.linalg.solve(np.eye(n_max + 1) - t_low, np.ones(n_max + 1))
-    if not (lower < closed < upper and np.all(low > 0.0) and np.all(t_low @ low < low)
-            and np.all(up >= 0.0) and np.all(t_up @ up >= up)):
-        raise ArithmeticError(f"no witnessed bracket around the closed-form alpha*={closed}")
-    return CriticalAlpha(closed, lower, upper, low, up)
+    closed, upper, lower = r / index
+    up = np.concatenate([np.ones((rho1.size, 1)), z[1]], axis=1)[..., None]
+    t_low, t_up = t_bounds = np.array([t_one, t_one])  # T(lower), T(upper): row 0 scaled
+    t_bounds[:, :, 0] *= np.array([lower, upper])[..., None]
+    low = np.linalg.solve(np.eye(n_max + 1) - t_low, np.ones((rho1.size, n_max + 1, 1)))
+    ok = (lower < closed) & (closed < upper) & np.all(
+        (low > 0.0) & (t_low @ low < low) & (up >= 0.0) & (t_up @ up >= up), axis=(1, 2))
+    if not ok.all():
+        first = closed[np.argmin(ok)]
+        raise ArithmeticError(f"no witnessed bracket around the closed-form alpha*={first}")
+    low, up = (w.reshape(shape + (n_max + 1,)) for w in (low, up))
+    return CriticalAlpha(*(a.reshape(shape)[()] for a in (closed, lower, upper)), low, up)
 
 
 def certify(spec: ContractionSpec, l, nu=None) -> CertificationReport:

@@ -1,8 +1,8 @@
 """Stability-guarantee boundary curves over the coarse-law contraction.
 
-For each grid value of ``rho1`` the fine-law contraction is
-``rho2 = epsilon * rho1`` and :func:`esac.stability.critical_alpha` gives
-the closed-form boundary open-loop bound inside its witnessed bracket.
+For each grid value of ``rho1`` the fine-law contraction is ``rho2 = epsilon * rho1``.
+One :func:`esac.stability.critical_alpha` call per curve gives the closed-form boundary
+open-loop bound of every grid point inside its witnessed bracket.
 """
 from __future__ import annotations
 
@@ -58,12 +58,8 @@ class SweepSpec:
 
 
 def boundary_curve(spec: SweepSpec) -> list[BoundaryPoint]:
-    """Evaluate the boundary open-loop bound at every grid point."""
-    points = []
-    for rho1 in spec.rho1_grid:
-        rho2 = spec.epsilon * rho1
-        result = critical_alpha(
-            spec.scheme, spec.eta, rho1, rho2, spec.channel.l, spec.n_max
-        )
-        points.append(BoundaryPoint(rho1, result.closed, result.lower, result.upper))
-    return points
+    """Every grid point's boundary bound, from one :func:`~esac.stability.critical_alpha` call."""
+    rho1 = np.array(spec.rho1_grid)
+    alpha = critical_alpha(spec.scheme, spec.eta, rho1, spec.epsilon * rho1, spec.channel.l,
+                           spec.n_max)
+    return [BoundaryPoint(*pt) for pt in zip(spec.rho1_grid, *(a.tolist() for a in alpha[:3]))]

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from esac.chain import fold_grants, jump_table, law_of, min_buffer_size, transition_matrix
+from esac.chain import (
+    _grant_row,
+    _shift_column,
+    fold_grants,
+    jump_table,
+    law_of,
+    min_buffer_size,
+    transition_matrix,
+)
 from esac.schemes import Buffer, ControlLaw
 
 L_BENCH = np.array([0.6, 0.1, 0.1, 0.1, 0.1])
@@ -178,6 +186,45 @@ def test_jump_table_matches_the_stepper(n_max):
                 assert table[i] == [j for j, _ in landed], where
                 assert laws[i] == head, where
                 assert [laws[j] for j, _ in landed] == [h for _, h in landed], where
+
+
+def full_table(states, eta, slots):
+    """The jump table entry by entry from the state ``i = (F, C) = divmod(i, eta)``:
+    no computation consumes a fine head if ``F > 0``, else a coarse one if ``C > 0``;
+    a grant of ``n`` units stores ``min(n // eta, slots)`` fine entries, then
+    coarse ones up to the slot count."""
+    def shifted(i):
+        fine, coarse = divmod(i, eta)
+        return (fine - 1) * eta + coarse if fine else max(coarse - 1, 0)
+
+    def granted(n):
+        fine = min(n // eta, slots)
+        return fine * eta + min(n % eta, slots - fine)
+
+    return [[shifted(i), *(granted(n) for n in range(1, states))] for i in range(states)]
+
+
+@pytest.mark.parametrize("n_max", range(1, 13))
+def test_chain_builders_read_one_column_or_row_of_the_full_table(n_max):
+    """``transition_matrix`` builds only the shift column and ``fold_grants``
+    only the grant row: both equal column 0 and row 0 of the full table, and
+    the arrays equal those built from the full table, bit for bit."""
+    states = n_max + 1
+    l = np.random.default_rng(n_max).dirichlet(np.ones(states))
+    for eta in range(1, states):
+        for slots in range(1, states + 1):
+            table = full_table(states, eta, slots)
+            where = f"eta={eta}, slots={slots}"
+            assert jump_table(states, eta, slots) == table, where
+            assert _grant_row(states, eta, slots) == table[0], where
+            assert _shift_column(states, eta) == [row[0] for row in table], where
+            np.testing.assert_array_equal(
+                fold_grants(l, eta, slots), np.bincount(table[0], weights=l, minlength=states))
+        pi = np.tile(l, (states, 1))
+        pi[:, 0] = 0.0
+        for i, row in enumerate(full_table(states, eta, states)):
+            pi[i, row[0]] += l[0]
+        np.testing.assert_array_equal(transition_matrix(l, eta), pi)
 
 
 @given(

@@ -381,6 +381,24 @@ def test_simulate_golden_bytes(name, tmp_path, capsys):
     assert traj.read_bytes() == (DATA / f"trajectory_{name}.csv").read_bytes()
 
 
+#: ``esac sweep`` curves captured from the per-point code, one ``critical_alpha``
+#: call per grid point: the two sweeps of the CI acceptance step, and the
+#: two-law schemes at an epsilon strictly between 0 and 1.
+SWEEP_GOLDEN = {
+    "b1": ["--scheme", "B1", "--epsilon", "1"],
+    "a2_eps0": ["--scheme", "A2", "--eta", "2", "--epsilon", "0"],
+    "a2_eps05": ["--scheme", "A2", "--eta", "2", "--epsilon", "0.5"],
+    "b2_eps05": ["--scheme", "B2", "--eta", "2", "--epsilon", "0.5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_GOLDEN))
+def test_sweep_golden_bytes(name, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *SWEEP_GOLDEN[name], "--output", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"sweep_{name}.csv").read_bytes()
+
+
 @pytest.mark.parametrize("name", COMMANDS)
 def test_every_command_has_help(name, capsys):
     with pytest.raises(SystemExit) as exc:
