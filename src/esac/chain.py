@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import _as_pmf
-from .schemes import resolve
+from .schemes import _as_count, resolve
 
 
 def law_of(states: int, eta: int) -> list[int]:
@@ -66,11 +66,9 @@ def transition_matrix(l, eta: int) -> np.ndarray:
     that no computation leads to from ``i`` (column 0 of :func:`jump_table`).
     """
     l = _as_pmf(l, "l")
-    if eta < 1:
-        raise ValueError(f"eta must be >= 1, got {eta}")
     pi = np.tile(l, (l.size, 1))
     pi[:, 0] = 0.0
-    for i, j in enumerate(_shift_column(l.size, eta)):
+    for i, j in enumerate(_shift_column(l.size, _as_count(eta, "eta"))):
         pi[i, j] += l[0]
     pi.flags.writeable = False
     return pi

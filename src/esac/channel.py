@@ -37,7 +37,7 @@ def _as_pmf(v, name: str) -> np.ndarray:
                          f"(n_max >= 1), got shape {v.shape}")
     if not (v.min() >= 0.0 and v.max() <= 1.0):
         raise ValueError(f"{name} entries must lie in [0, 1], got {v}")
-    total = v.sum()
+    total = float(v.sum())  # a Python float, so that its repr is a plain number
     if abs(total - 1.0) > PMF_SUM_TOL:
         raise ValueError(f"{name} must sum to 1 within {PMF_SUM_TOL}, got sum {total!r}")
     return v

@@ -28,9 +28,9 @@ import numpy as np
 from . import acceptance
 from .chain import fold_grants, min_buffer_size
 from .channel import ChannelModel
-from .schemes import resolve, scheme_kind
+from .schemes import _as_count, resolve, scheme_kind
 from .simulate import PlantModel, SchemeConfig, example_system, monte_carlo, simulate_trajectory
-from .stability import ContractionSpec, certify
+from .stability import ContractionSpec, _as_weights, certify
 from .sweep import BoundaryPoint, SweepSpec, boundary_curve
 
 
@@ -138,7 +138,10 @@ def _validate(cfg: RunConfig, explicit: set) -> RunConfig:
     try:
         n_max = ChannelModel(q=cfg.q, p=np.array(cfg.p)).n_max
         eta, lam, rho2 = resolve(cfg.scheme, cfg.eta, cfg.lam, n_max, cfg.rho1, cfg.rho2)
-    except ValueError as exc:  # message already names the scheme, q, p, eta or lambda
+        horizon, runs = _as_count(cfg.horizon, "horizon"), _as_count(cfg.runs, "runs")
+        if cfg.nu is not None:
+            _as_weights(cfg.nu, n_max + 1)
+    except ValueError as exc:  # each message names what it refuses
         raise ConfigError(str(exc)) from None
     if "rho2" in explicit and "epsilon" in explicit:
         raise ConfigError("give exactly one of rho2 and epsilon, not both")
@@ -156,12 +159,8 @@ def _validate(cfg: RunConfig, explicit: set) -> RunConfig:
         rho2 = epsilon * cfg.rho1
     elif epsilon is None and rho2 is not None and cfg.rho1:
         epsilon = rho2 / cfg.rho1
-    if min(cfg.horizon, cfg.runs) < 1:
-        raise ConfigError("horizon and runs must be >= 1")
-    if cfg.nu is not None and (len(cfg.nu) != n_max + 1
-                               or not all(0.0 < v < np.inf for v in cfg.nu)):  # nan fails too
-        raise ConfigError(f"nu must be {n_max + 1} strictly positive finite entries")
-    return replace(cfg, eta=eta, lam=lam, n_max=n_max, rho2=rho2, epsilon=epsilon)
+    return replace(cfg, eta=eta, lam=lam, n_max=n_max, rho2=rho2, epsilon=epsilon,
+                   horizon=horizon, runs=runs)
 
 
 def _channel(cfg: RunConfig) -> ChannelModel:

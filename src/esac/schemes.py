@@ -12,14 +12,16 @@ and the input fixed to zero.  The two-law schemes fill the buffer with the
 fine law first: ``N`` granted units split into ``N // eta`` fine entries
 followed by ``N % eta`` coarse entries.
 
-All four are one buffer run with the ``(eta, slots, fine law)`` that only
-:func:`resolve` checks and derives, and :meth:`Buffer.step` takes them.  It
-stores every entry of a grant and is the scripted and reference stepper:
-both engines of :mod:`esac.simulate` step the buffer's chain state
-(:mod:`esac.chain`) instead.
+All four are one buffer run with the ``(eta, slots, fine law)`` that only :func:`resolve`
+checks and derives, and :meth:`Buffer.step` takes them.  It stores every entry of a grant
+and is the scripted and reference stepper: both engines of :mod:`esac.simulate` step the
+buffer's chain state (:mod:`esac.chain`) instead.  A count (``eta``, a buffer size,
+``n_max``, a horizon, runs) is an integer >= 1 by :func:`_as_count`, its one check: a numpy
+integer counts as the equal ``int``, and ``2.0`` is refused by a ``ValueError`` naming it.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -47,29 +49,36 @@ def scheme_kind(scheme: str) -> SchemeKind:
                          f"{', '.join(SCHEMES)}") from None
 
 
+def _as_count(value, name: str, most: int | None = None) -> int:
+    """``value`` as an ``int`` from 1 to ``most`` (``n_max``, or ``None``), else ValueError."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1 or most is not None and count > most:
+        rule = "be >= 1" if most is None else f"satisfy 1 <= {name} <= n_max={most}"
+        raise ValueError(f"{name} must {rule}, got {count}")
+    return count
+
+
 def resolve(scheme: str, eta: int, buffer_size: int | None, n_max: int,
             coarse=None, fine=None) -> tuple:
     """``(eta, slots, fine)`` that run ``scheme`` on grants of up to ``n_max`` units.
 
-    ``n_max >= 1``; ``eta >= 1``, and a two-law scheme needs ``eta <= n_max``
-    (else its fine law never runs); ``buffer_size >= 1``, or ``None`` for the
-    smallest size from which the chain stops changing.  A one-law scheme runs
-    ``coarse`` (a law or a contraction) in the fine law's place with
-    ``eta = 1``, and an unbuffered scheme has one slot.
+    ``n_max``, ``eta`` and ``buffer_size`` are counts (:func:`_as_count`), ``eta <= n_max``
+    for a two-law scheme (else its fine law never runs), and ``buffer_size=None`` is the
+    smallest size from which the chain stops changing.  A one-law scheme runs ``coarse`` (a
+    law or a contraction) as its fine law with ``eta = 1``; an unbuffered scheme has one slot.
     """
     kind = scheme_kind(scheme)
-    if n_max < 1:  # a processor that never computes: no buffer size or eta fits it
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = _as_count(n_max, "n_max")  # a processor that never computes fits no eta or size
+    eta = _as_count(eta, "eta", n_max if kind.two_law else None)
     if not kind.two_law:
-        if eta < 1:
-            raise ValueError(f"eta must be >= 1, got {eta}")
         eta, fine = 1, coarse
-    elif not 1 <= eta <= n_max:
-        raise ValueError(f"eta must satisfy 1 <= eta <= n_max={n_max}, got {eta}")
     if buffer_size is None:  # the most entries, n // eta + n % eta, that a grant computes
         buffer_size = max(sum(divmod(n, eta)) for n in range(n_max + 1))
-    elif buffer_size < 1:
-        raise ValueError(f"buffer_size (lambda) must be >= 1, got {buffer_size}")
+    else:
+        buffer_size = _as_count(buffer_size, "buffer_size (lambda)")
     return eta, buffer_size if kind.buffered else 1, fine
 
 
@@ -101,9 +110,7 @@ class Buffer:
     __slots__ = ("values", "fine_count", "coarse_count")
 
     def __init__(self, size: int):
-        if size < 1:
-            raise ValueError(f"buffer size must be >= 1, got {size}")
-        self.values = [0.0] * size
+        self.values = [0.0] * _as_count(size, "buffer size")
         self.fine_count = 0
         self.coarse_count = 0
 

@@ -50,7 +50,7 @@ import numpy as np
 
 from .chain import jump_table, law_of
 from .channel import effective_availability
-from .schemes import ControlLaw, resolve, scheme_kind
+from .schemes import ControlLaw, _as_count, resolve, scheme_kind
 
 #: States beyond this magnitude mark a run as divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -228,16 +228,15 @@ def simulate_trajectory(
 ) -> Trajectory:
     """Run one closed-loop realization for ``horizon`` steps from ``seed``.
 
-    ``seed`` is an int, which seeds a new ``default_rng``, or a
-    ``Generator``, which this run advances by its draws (see the module
-    docstring); :func:`monte_carlo` passes one ``Generator`` to its runs in
-    turn.  It steps the chain state as :func:`_run_batch` does and records
-    ``(fine, coarse) = divmod(state, eta)``, or ``(0, 0)`` for an unbuffered
-    scheme; ``records=False`` (for :func:`monte_carlo`) stores only ``x``.
-    The Lyapunov values come from one call on the recorded states.
+    ``horizon`` is a count (:func:`esac.schemes._as_count`).  ``seed`` is an int, which
+    seeds a new ``default_rng``, or a ``Generator``, which this run advances by its draws
+    (see the module docstring); :func:`monte_carlo` passes one ``Generator`` to its runs
+    in turn.  It steps the chain state as :func:`_run_batch` does and records
+    ``(fine, coarse) = divmod(state, eta)``, or ``(0, 0)`` for an unbuffered scheme;
+    ``records=False`` (for :func:`monte_carlo`) stores only ``x``.  The Lyapunov values
+    come from one call on the recorded states.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    horizon = _as_count(horizon, "horizon")
     slots, kappa1, kappa2, eta = config.stepper_args()
     table = jump_table(len(config.p), eta, slots)
     law = [(None, kappa1.evaluate, kappa2.evaluate)[j] for j in law_of(len(config.p), eta)]
@@ -299,18 +298,14 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Average the Lyapunov path over ``runs`` independent realizations.
 
-    The result also carries the per-step standard error ``se_v`` (see
-    :class:`MonteCarloResult`).  The runs draw from one
-    ``default_rng(base_seed)`` in run order, so run 0 is
-    ``simulate_trajectory(plant, config, horizon, base_seed)``; the
-    reductions happen in run order.  Wide calls take the batched engine,
-    narrow ones the per-run loop (see the module docstring); both give the
-    same bits.
+    ``runs`` and ``horizon`` are counts (:func:`esac.schemes._as_count`).  The result
+    also carries the per-step standard error ``se_v`` (see :class:`MonteCarloResult`).
+    The runs draw from one ``default_rng(base_seed)`` in run order, so run 0 is
+    ``simulate_trajectory(plant, config, horizon, base_seed)``; the reductions happen
+    in run order.  Wide calls take the batched engine, narrow ones the per-run loop
+    (see the module docstring); both give the same bits.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    runs, horizon = _as_count(runs, "runs"), _as_count(horizon, "horizon")
 
     rng = np.random.default_rng(base_seed)
     sum_v = np.zeros(horizon + 1)

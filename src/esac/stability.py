@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import fold_grants, law_of, transition_matrix
-from .schemes import resolve
+from .schemes import _as_count, resolve
 
 #: Margin of Schur verdicts: a witness must prove spectral radius <= 1 - SCHUR_TOL.
 SCHUR_TOL = 1e-9
@@ -45,12 +45,11 @@ NOT_CERTIFIED = "NotCertified"
 class ContractionSpec:
     """Per-mode Lyapunov growth/contraction bounds of a scheme.
 
-    ``alpha`` bounds open-loop growth (empty buffer), ``rho1`` the coarse
-    law, ``rho2`` the fine law.  ``alpha`` also bounds growth in the
-    deterministic (untriggered) mode, which applies zero input, so it is
-    the ``sigma_open`` of :func:`theorem1_bounds`.  ``d_bound`` is the
-    Lyapunov ceiling inside the trigger region.  The lower Lyapunov envelope
-    plays no computational role and is not carried here.
+    ``alpha`` bounds open-loop growth (empty buffer), ``rho1`` the coarse law and ``rho2``
+    the fine law, whose cost ``eta`` is a count (:func:`esac.schemes._as_count`) kept as an
+    ``int``.  ``alpha`` also bounds the deterministic (untriggered) mode, which applies zero
+    input: it is the ``sigma_open`` of :func:`theorem1_bounds`.  ``d_bound`` is the Lyapunov
+    ceiling inside the trigger region; the lower Lyapunov envelope is not carried here.
     """
 
     alpha: float
@@ -64,8 +63,7 @@ class ContractionSpec:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if self.eta < 1:
-            raise ValueError(f"eta must be >= 1, got {self.eta}")
+        object.__setattr__(self, "eta", _as_count(self.eta, "eta"))
         if self.rho2 > self.rho1:
             raise ValueError(
                 f"fine law must contract at least as fast as coarse: "
@@ -107,9 +105,7 @@ def _gains(alpha, rho1, rho2, eta: int, n_max: int) -> np.ndarray:
 def gain_diagonal(spec: ContractionSpec, n_max: int) -> np.ndarray:
     """Diagonal of Phi: alpha for the empty state 0, rho1 for the coarse-only
     states ``1 .. eta - 1`` and rho2 from ``eta`` on, by :func:`esac.chain.law_of`."""
-    if spec.eta > n_max:  # ContractionSpec has checked eta >= 1
-        raise ValueError(f"eta must satisfy 1 <= eta <= n_max={n_max}, got {spec.eta}")
-    return _gains(spec.alpha, spec.rho1, spec.rho2, spec.eta, n_max)
+    return _gains(spec.alpha, spec.rho1, spec.rho2, _as_count(spec.eta, "eta", n_max), n_max)
 
 
 def certification_matrix(phi, pi) -> np.ndarray:
@@ -135,6 +131,13 @@ def spectral_radius(m) -> float:
     return float(np.abs(np.linalg.eigvals(_nonnegative_square(m))).max())
 
 
+def _as_weights(nu, size: int) -> np.ndarray:
+    nu = np.asarray(nu, dtype=float)
+    if nu.shape != (size,) or not np.all(np.isfinite(nu) & (nu > 0.0)):
+        raise ValueError(f"nu must be {size} strictly positive finite entries")
+    return nu
+
+
 def solve_certificate(t, nu) -> np.ndarray:
     """Solve ``(I - T) zeta = nu`` and check that ``zeta`` is a stability witness.
 
@@ -145,9 +148,7 @@ def solve_certificate(t, nu) -> np.ndarray:
     Otherwise, a singular ``I - T`` included, raises ``LinAlgError``.
     """
     t = _nonnegative_square(t)
-    nu = np.asarray(nu, dtype=float)
-    if nu.shape != (len(t),) or not np.all(np.isfinite(nu) & (nu > 0.0)):
-        raise ValueError(f"nu must be {len(t)} strictly positive finite entries")
+    nu = _as_weights(nu, len(t))
     zeta = np.linalg.solve(np.eye(len(t)) - t, nu)
     if not (np.all(zeta > 0.0) and np.all(t @ zeta < (1.0 - SCHUR_TOL) * zeta)):
         raise np.linalg.LinAlgError("T is not Schur stable: no positive witness zeta")

@@ -81,6 +81,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"^nu must be 5 strictly positive finite entries$"):
             parse_config(f"nu = {nu}")
 
+    @pytest.mark.parametrize("key", ["horizon", "runs"])
+    def test_horizon_and_runs_are_counts(self, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 1, got 0$"):
+            parse_config(f"{key} = 0")
+        assert getattr(parse_config(f"{key} = 3"), key) == 3
+
     def test_error_names_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("scheme = A2\nalpha = oops")
@@ -151,6 +157,14 @@ class TestCertifyCommand:
         assert code == 1
         assert captured.err.startswith("error: nu must be 5 strictly positive finite entries")
         assert "verdict" not in captured.out
+
+    def test_unnormalised_p_names_its_sum_as_a_plain_number(self, capsys):
+        code = main(["certify", "--alpha", "1.2", "--rho1", "0.9", "--rho2", "0.45",
+                     "--p", "0.5 0.5 0.5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: p must sum to 1 within 1e-09, got sum 1.5\n"
+        assert captured.out == ""
 
     def test_missing_alpha_is_config_error(self, capsys):
         code = main(["certify", "--rho1", "0.9", "--rho2", "0.45"])
