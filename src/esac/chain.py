@@ -47,15 +47,20 @@ def jump_table(states: int, eta: int, slots: int) -> list[list[int]]:
     its cost (0, 1 or ``eta`` by :func:`law_of`), and ``table[i][n]`` after a
     grant of ``n`` units to a ``slots``-slot buffer: ``min(n // eta, slots)``
     fine entries, then coarse ones up to the slot count, as
-    :meth:`esac.schemes.Buffer.step` cuts it."""
+    :meth:`esac.schemes.Buffer.step` cuts it.  All three arguments are counts
+    (:func:`esac.schemes._as_count`)."""
+    states, eta = _as_count(states, "states"), _as_count(eta, "eta")
+    slots = _as_count(slots, "slots")
     grants = _grant_row(states, eta, slots)[1:]
     return [[shift, *grants] for shift in _shift_column(states, eta)]
 
 
 def fold_grants(l, eta: int, slots: int) -> np.ndarray:
     """``l`` with each grant's mass moved to its state in a ``slots``-slot
-    buffer: :func:`transition_matrix` of the result is that buffer's chain."""
-    return np.bincount(_grant_row(len(l), eta, slots), weights=l, minlength=len(l))
+    buffer: :func:`transition_matrix` of the result is that buffer's chain.
+    ``eta`` and ``slots`` are counts (:func:`esac.schemes._as_count`)."""
+    row = _grant_row(len(l), _as_count(eta, "eta"), _as_count(slots, "slots"))
+    return np.bincount(row, weights=l, minlength=len(l))
 
 
 def transition_matrix(l, eta: int) -> np.ndarray:

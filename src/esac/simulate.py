@@ -37,7 +37,12 @@ which stores every entry of a grant, is the scripted and reference stepper.
 
 Plant and law callables must therefore work elementwise on float arrays as
 well as on scalars (``np.sin``, not ``math.sin``), giving each element the
-value the scalar call gives.
+value the scalar call gives.  Both engines hold the state, the prediction
+and the input as float64, whatever dtype a callable returns: the per-run
+loop applies ``float`` to ``x0`` and to every plant-step and law result, so
+it computes in Python floats rather than numpy scalars, and the batched
+engine casts each plant step to a float64 array and stores each law's values
+and each prediction into float64 arrays.
 """
 from __future__ import annotations
 
@@ -55,8 +60,15 @@ from .schemes import ControlLaw, _as_count, resolve, scheme_kind
 #: States beyond this magnitude mark a run as divergent.
 DIVERGENCE_LIMIT = 1e12
 
-#: Narrowest ``monte_carlo`` call that takes the batched engine: the measured
-#: crossover, where both engines run the benchmark loops equally fast.
+#: Narrowest ``monte_carlo`` call that takes the batched engine.  It lies below
+#: the measured crossover: at 24 runs the per-run loop takes 0.59-0.80 of the
+#: batched time on Q1 and Q2 at horizon 200 (0.98-1.00 on Q3) and 0.55-0.77 at
+#: horizon 2,000.  On Q1 and Q2 the engines run equally fast at about 32 runs
+#: for horizon 200 (0.90-1.04) and 40 for horizon 2,000 (1.00-1.69; 0.72-0.92
+#: at 32).  Every Q3 run diverges within 2,000 steps, where the per-run loop
+#: stops and the batched engine steps on, so the loop stays faster there from
+#: 32 to 48 runs (0.58-0.80).  Best of 3-7 calls per engine and width, two
+#: passes, 2 vCPUs.  No benchmark workload runs at these widths.
 _BATCH_MIN_RUNS = 24
 
 #: Pre-drawn numbers (one disturbance and two uniforms per run and step)
@@ -234,23 +246,25 @@ def simulate_trajectory(
     in turn.  It steps the chain state as :func:`_run_batch` does and records
     ``(fine, coarse) = divmod(state, eta)``, or ``(0, 0)`` for an unbuffered scheme;
     ``records=False`` (for :func:`monte_carlo`) stores only ``x``.  The Lyapunov values
-    come from one call on the recorded states.
+    come from one call on the recorded states.  The state, the prediction and the input
+    are Python floats (float64), whatever dtype ``plant.step`` or a law returns, as in
+    :func:`_run_batch`.  The decoded streams are read, and the states stored, through
+    memoryviews, which hand out and take Python floats, ints and bools.
     """
     horizon = _as_count(horizon, "horizon")
     slots, kappa1, kappa2, eta = config.stepper_args()
     table = jump_table(len(config.p), eta, slots)
     law = [(None, kappa1.evaluate, kappa2.evaluate)[j] for j in law_of(len(config.p), eta)]
-    # The memoryviews hand out Python floats, ints and bools, which are
-    # cheaper than numpy scalars in the scalar step loop below.
     streams = _decode_streams(plant, config, horizon, np.random.default_rng(seed), 1)
     noise, transmits, grants = (memoryview(a.ravel()) for a in streams)
 
     xs = np.empty(horizon + 1)
+    store_x = memoryview(xs)  # takes a Python float without numpy's scalar dispatch
     us = gammas = ns = fines = coarses = None
     if records:
         us, (gammas, ns, states) = np.empty(horizon), np.empty((3, horizon), dtype=np.int64)
 
-    x = plant.x0
+    x = float(plant.x0)
     state, u, chi = 0, 0.0, 0.0  # chain state, head input, state u was computed at
     step, d = plant.step, config.d
     xs[0] = x
@@ -259,18 +273,21 @@ def simulate_trajectory(
     k = 0
     for k in range(horizon):
         if not abs(x) > d:  # a silent step clears
-            gamma, n, state = 2, 0, 0
+            gamma, n, state, u = 2, 0, 0, 0.0
         else:
             gamma = 1 if transmits[cursor] else 0
             n = grants[cursor + 1] if gamma else 0
             cursor += 1 + gamma
             state = table[state][n]
-            if n:
+            if n:  # a grant computes its head at the current state
                 chi = x
+                u = float(law[state](chi))
             elif state:  # shifted onto a stored entry
-                chi = step(chi, u, 0.0)
-        u = law[state](chi) if state else 0.0
-        x = step(x, u, noise[k])
+                chi = float(step(chi, u, 0.0))
+                u = float(law[state](chi))
+            else:  # an empty buffer applies zero
+                u = 0.0
+        x = float(step(x, u, noise[k]))
         if records:
             gammas[k] = gamma
             ns[k] = n
@@ -279,7 +296,7 @@ def simulate_trajectory(
         if not abs(x) <= DIVERGENCE_LIMIT:  # also catches inf and nan
             divergent = True
             break
-        xs[k + 1] = x
+        store_x[k + 1] = x
     end = k + 1 if not divergent else k
     if records:
         us, gammas, ns = us[: k + 1], gammas[: k + 1], ns[: k + 1]
@@ -399,7 +416,7 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
         if ndead:  # the plant steps the live runs only
             x[live] = plant.step(x[live], u[live], noise[live, k])
         else:
-            x = plant.step(x, u, noise[:, k])
+            x = np.asarray(plant.step(x, u, noise[:, k]), dtype=float)
         size = np.abs(x)
         if ndead or not size.max() <= DIVERGENCE_LIMIT:  # max is nan if any is
             dead |= ~(size <= DIVERGENCE_LIMIT)  # also catches inf and nan

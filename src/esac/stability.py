@@ -104,7 +104,9 @@ def _gains(alpha, rho1, rho2, eta: int, n_max: int) -> np.ndarray:
 
 def gain_diagonal(spec: ContractionSpec, n_max: int) -> np.ndarray:
     """Diagonal of Phi: alpha for the empty state 0, rho1 for the coarse-only
-    states ``1 .. eta - 1`` and rho2 from ``eta`` on, by :func:`esac.chain.law_of`."""
+    states ``1 .. eta - 1`` and rho2 from ``eta`` on, by :func:`esac.chain.law_of`.
+    ``n_max`` is a count (:func:`esac.schemes._as_count`) and bounds ``eta``."""
+    n_max = _as_count(n_max, "n_max")
     return _gains(spec.alpha, spec.rho1, spec.rho2, _as_count(spec.eta, "eta", n_max), n_max)
 
 

@@ -389,6 +389,27 @@ def test_engines_agree_on_any_lyapunov_dtype(dtype, runs):
     TestMonteCarloOracle().check(plant, config, horizon=60, runs=runs, base_seed=5)
 
 
+def returns_float32(f):
+    return lambda *args: np.float32(f(*args))
+
+
+@pytest.mark.parametrize("runs", [esac.simulate._BATCH_MIN_RUNS - 1,
+                                  esac.simulate._BATCH_MIN_RUNS + 6], ids=["narrow", "batched"])
+@pytest.mark.parametrize("callable_", ["step", "law"])
+def test_engines_agree_on_any_step_dtype(callable_, runs):
+    """Both engines hold the state, the prediction and the input as float64,
+    whatever dtype the plant step or a law returns."""
+    plant, _, _ = example_system()
+    config = benchmark_scheme_config("Q1")
+    if callable_ == "step":
+        plant = dataclasses.replace(plant, step=returns_float32(plant.step))
+    else:
+        config = dataclasses.replace(config, **{
+            name: dataclasses.replace(law, evaluate=returns_float32(law.evaluate))
+            for name, law in [("kappa1", config.kappa1), ("kappa2", config.kappa2)]})
+    TestMonteCarloOracle().check(plant, config, horizon=60, runs=runs, base_seed=5)
+
+
 @pytest.mark.parametrize("runs", [esac.simulate._BATCH_MIN_RUNS - 1,
                                   esac.simulate._BATCH_MIN_RUNS + 8], ids=["narrow", "batched"])
 @pytest.mark.parametrize("scheme, eta", [("A1", 1), ("A2", 2)])
