@@ -11,7 +11,7 @@ selftest   run the acceptance suite, one pass/fail line per criterion
 
 Configuration comes from an optional ``key=value`` file (``#`` comments)
 overridden by command-line flags of the same names.  Exit codes: 0 success
-(certified), 2 not certified, 1 configuration or numerical error.
+(certified), 2 not certified, 1 configuration or numerical error, or a closed stdout pipe.
 
 Every CSV file is written by :func:`_write_csv`: numbers with 12 significant
 digits and ``.`` decimal separator, ``\\n`` line endings, so identical
@@ -20,6 +20,7 @@ configuration and seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -302,7 +303,12 @@ def main(argv=None) -> int:
             if getattr(args, f"key_{key}", None) is not None
         ]
         cfg = parse_config(text, overrides)
-        return args.run(cfg, args)
+        code = args.run(cfg, args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout: stop quietly, as on SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
+        return 1
     except (ConfigError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

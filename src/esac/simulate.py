@@ -27,9 +27,9 @@ step moves the state by one lookup in :func:`~esac.chain.jump_table`, and
 an entry is computed by its state's :func:`~esac.chain.law_of` law only when it
 becomes the head.  A call of at least ``_BATCH_MIN_RUNS`` (24) runs
 advances its runs together on arrays with one entry per run (see
-:func:`_run_batch`); each step keeps the runs' Lyapunov values, and after
-the last step one cumsum per block adds them and their squares one run at
-a time in run order, as the per-run loop does.  Narrower calls run
+:func:`_run_batch`), each step doing its lookups at one flat index per run;
+it keeps the runs' Lyapunov values, and after the last step one cumsum per
+block adds them and their squares in run order, as the per-run loop does.  Narrower calls run
 :func:`simulate_trajectory`, its scalar twin, once per run without its
 per-step records, which is faster there because numpy's cost per call
 outweighs a width of about two dozen runs.  :meth:`esac.schemes.Buffer.step`,
@@ -60,15 +60,13 @@ from .schemes import ControlLaw, _as_count, resolve, scheme_kind
 #: States beyond this magnitude mark a run as divergent.
 DIVERGENCE_LIMIT = 1e12
 
-#: Narrowest ``monte_carlo`` call that takes the batched engine.  It lies below
-#: the measured crossover: at 24 runs the per-run loop takes 0.59-0.80 of the
-#: batched time on Q1 and Q2 at horizon 200 (0.98-1.00 on Q3) and 0.55-0.77 at
-#: horizon 2,000.  On Q1 and Q2 the engines run equally fast at about 32 runs
-#: for horizon 200 (0.90-1.04) and 40 for horizon 2,000 (1.00-1.69; 0.72-0.92
-#: at 32).  Every Q3 run diverges within 2,000 steps, where the per-run loop
-#: stops and the batched engine steps on, so the loop stays faster there from
-#: 32 to 48 runs (0.58-0.80).  Best of 3-7 calls per engine and width, two
-#: passes, 2 vCPUs.  No benchmark workload runs at these widths.
+#: Narrowest ``monte_carlo`` call that takes the batched engine.  At 24 runs the per-run
+#: loop takes 0.86-1.05 of the batched time on Q1 and Q2 at horizon 200 (1.10-1.22 on Q3;
+#: 1.04-1.18 at 32 runs) and 0.70-0.82 at horizon 2,000, where the engines run equally fast
+#: at about 32 runs (0.96-1.10).  Every Q3 run diverges within 2,000 steps, where the per-run
+#: loop stops and the batched engine steps on, so the loop stays faster there up to 48 runs
+#: (0.50-0.64 at 24, 0.99-1.01 at 48).  Best of 5 calls per engine and width, two passes,
+#: 2 vCPUs.  No benchmark workload runs at these widths.
 _BATCH_MIN_RUNS = 24
 
 #: Pre-drawn numbers (one disturbance and two uniforms per run and step)
@@ -371,8 +369,10 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
     Reads each run's decoded stream as :func:`simulate_trajectory` does and
     returns the number of runs that diverged.  A run's buffer is its chain
     state (0 is empty) with the head input ``u`` and the predicted state
-    ``chi`` that ``u`` was computed at.  An entry is computed only when it
-    becomes the head, as :func:`simulate_trajectory` computes it.
+    ``chi`` that ``u`` was computed at.  Each step reads, at one index per run
+    ``(state * cols + n) * trig`` (``cols = len(p)``; 0 on a silent step), flat tables
+    built once per call: the next state, whether the run shifts onto a stored entry and
+    which law computes its new head (an entry is computed only when it becomes the head).
     A diverged run keeps its last finite Lyapunov value and counts as
     triggered; it is parked at zero, takes silent steps and runs no plant code.
     """
@@ -381,8 +381,11 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
     cursor = np.arange(width) * (2 * horizon)  # flat index of each run's next draw
 
     slots, kappa1, kappa2, eta = config.stepper_args()
-    table = np.array(jump_table(len(config.p), eta, slots), dtype=np.intp)
-    law_at = np.array(law_of(len(config.p), eta), dtype=np.int8)
+    cols = len(config.p)
+    table = np.array(jump_table(cols, eta, slots), dtype=np.intp)
+    law = np.array(law_of(cols, eta), dtype=np.int8)[table].ravel()  # each index's next law
+    laws = [(kappa, law == j) for j, kappa in enumerate((kappa1, kappa2), 1) if j in law]
+    table, shifts = table.ravel(), ((table > 0) & (np.arange(cols) == 0)).ravel()
 
     x = np.full(width, plant.x0, dtype=float)
     state = np.zeros(width, dtype=np.intp)
@@ -395,22 +398,23 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
     triggered = np.empty(horizon + 1, dtype=np.int64)  # runs triggered (or dead) per step
     triggered[0] = np.count_nonzero(trig)
     for k in range(horizon):
-        sent = trig & transmits[cursor]
+        sent = transmits.take(cursor) & trig
         cursor += trig
-        n = grants[cursor]
+        n = grants.take(cursor)
         cursor += sent
         n *= sent  # units granted
-        state = table[state, n]
-        state *= trig  # a silent step clears
-        granted, stored = n > 0, state > 0
-        np.copyto(chi, x, where=granted)
-        rows = np.flatnonzero(stored & ~granted)  # shifted onto a stored entry
+        idx = state  # (state * cols + n) * trig, in place: index 0 for a silent step
+        idx *= cols
+        idx += n
+        idx *= trig
+        state = table.take(idx)
+        np.copyto(chi, x, where=n > 0)  # a grant computes its head at the current state
+        rows = shifts.take(idx).nonzero()[0]
         if rows.size:
             chi[rows] = plant.step(chi[rows], u[rows], 0.0)
         u.fill(0.0)  # an empty buffer applies zero
-        law = law_at[state]
-        for j, kappa in enumerate((kappa1, kappa2), 1):
-            rows = np.flatnonzero(law == j)
+        for kappa, heads in laws:
+            rows = heads.take(idx).nonzero()[0]
             if rows.size:
                 u[rows] = kappa(chi[rows])
         if ndead:  # the plant steps the live runs only

@@ -1,5 +1,7 @@
 import io
+import os
 import runpy
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -438,6 +440,22 @@ def test_python_m_esac(monkeypatch, capsys):
         runpy.run_module("esac", run_name="__main__")
     assert exc.value.code == 0
     assert "CertifiedStable" in capsys.readouterr().out
+
+
+def test_closed_stdout_pipe_is_a_quiet_end():
+    # The reader closes the pipe before the command writes: exit 1, as on
+    # SIGPIPE, with nothing on stderr.
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "esac", "certify", "--scheme", "B2", "--eta", "2", "--alpha", "1.2",
+         "--rho1", "0.9", "--rho2", "0.45"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_config_file_flag(tmp_path, capsys):

@@ -305,6 +305,13 @@ P6 = (0.1, 0.1, 0.2, 0.2, 0.2, 0.2)
 SCHEME_CASES = [("A1", 1, 3, P5), ("A2", 2, 3, P5), ("A2", 3, 2, P5), ("A2", 2, 1, P5),
                 ("A2", 3, 2, P6), ("B1", 1, 1, P5), ("B2", 2, 1, P5)]
 
+#: Channel and trigger extremes, as ``bench_config`` keywords and a horizon:
+#: no transmission succeeds, every one does, every grant is two units, every
+#: nonzero state triggers, no step triggers (every run's chain index stays 0)
+#: and a single step.
+EXTREMES = {"q0": ({"q": 0.0}, 60), "q1": ({"q": 1.0}, 60), "p001": ({"p": (0.0, 0.0, 1.0)}, 60),
+            "d0": ({"d": 0.0}, 60), "dinf": ({"d": math.inf}, 60), "horizon1": ({}, 1)}
+
 
 class TestMonteCarloOracle:
     """Both engines equal the run-order mean of ``simulate_trajectory`` bit for
@@ -367,6 +374,15 @@ class TestMonteCarloOracle:
     def test_noise_free_plant(self, runs):
         _, config = bench_config()
         self.check(noise_free_plant(), config, horizon=60, runs=runs, base_seed=8)
+
+    @pytest.mark.parametrize("case", EXTREMES)
+    @pytest.mark.parametrize("scheme, eta, buffer_size", [("A2", 2, 3), ("B1", 1, 1)])
+    def test_channel_extremes_batched(self, scheme, eta, buffer_size, case):
+        keywords, horizon = EXTREMES[case]
+        plant, config = bench_config(scheme=scheme, eta=eta, buffer_size=buffer_size, **keywords)
+        result = self.check(plant, config, horizon=horizon,
+                            runs=esac.simulate._BATCH_MIN_RUNS + 2, base_seed=13)
+        assert case != "dinf" or result.overall_trigger_rate == 0.0
 
     def test_runs_split_into_batches(self, monkeypatch):
         # 45 runs in batches of 24 and 21 (the width floor _BATCH_MIN_RUNS
