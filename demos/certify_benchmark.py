@@ -5,14 +5,13 @@ availability pmf, assemble the buffer chain and certification matrix,
 check the Perron root, and (when certified) print the geometric bound
 constants.  The boundary alpha* is printed with its bracket, whose ends
 carry Collatz-Wielandt witnesses.  The unbuffered schemes B1 and B2 run
-the same chain with one slot: ``fold_grants`` moves each grant's mass to
-the state that the one slot leaves.  The last block pushes alpha past the
-boundary to show a refusal.
+the same chain with one slot: ``certify``'s ``buffer_size`` moves each
+grant's mass to the state that the one slot leaves.  The last block pushes
+alpha past the boundary to show a refusal.
 """
 import numpy as np
 
 from esac import ChannelModel, ContractionSpec, certify, critical_alpha, min_buffer_size
-from esac.chain import fold_grants
 
 channel = ChannelModel(q=0.5, p=np.full(5, 0.2))
 
@@ -29,7 +28,7 @@ for scheme, name, eta, rho1, rho2 in CONFIGS:
     alpha = 1.35 if boundary.closed > 1.35 else round(boundary.closed - 0.01, 2)
     spec = ContractionSpec(alpha=alpha, rho1=rho1, rho2=rho2, eta=eta)
     slots = min_buffer_size(scheme, eta, channel.n_max)  # 1 for B1 and B2
-    report = certify(spec, fold_grants(channel.l, eta, slots))
+    report = certify(spec, channel.l, buffer_size=slots)
     print(f"{scheme} {name}  (rho1={rho1}, rho2={rho2}, lambda={slots})")
     print(f"  boundary alpha*     {boundary.closed:.6f}  "
           f"(witnessed in ({boundary.lower:.10f}, {boundary.upper:.10f}])")

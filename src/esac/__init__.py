@@ -24,10 +24,8 @@ from .stability import (
     ContractionSpec,
     CriticalAlpha,
     block_schur_g1,
-    certification_matrix,
     certify,
     critical_alpha,
-    gain_diagonal,
     solve_certificate,
     spectral_radius,
     theorem1_bounds,
@@ -49,12 +47,10 @@ __all__ = [
     "Trajectory",
     "block_schur_g1",
     "boundary_curve",
-    "certification_matrix",
     "certify",
     "critical_alpha",
     "effective_availability",
     "example_system",
-    "gain_diagonal",
     "min_buffer_size",
     "monte_carlo",
     "simulate_trajectory",

@@ -10,9 +10,9 @@ state by the cost of the law that :func:`law_of` gives its head; a fresh
 computation of ``N = n`` units (probability ``l[n]``) overwrites the buffer.
 
 A grant of ``n`` units lands in state ``n`` unless the buffer truncates it:
-:func:`transition_matrix` is the chain of a buffer that never does, and of
-any buffer, such as the one slot of ``B1`` and ``B2``, given
-:func:`fold_grants` of ``l``.  Both Monte Carlo engines in
+:func:`transition_matrix` is the chain of a buffer that never does, and
+:func:`esac.stability.certify` takes a ``buffer_size``, such as the one slot
+of ``B1`` and ``B2``, for a buffer that does.  Both Monte Carlo engines in
 :mod:`esac.simulate` move each run's state ``i`` by the same table and
 apply the law :func:`law_of` gives it, whose gain the certificate's Phi holds.
 """
@@ -64,7 +64,8 @@ def fold_grants(l, eta: int, slots: int) -> np.ndarray:
 
 
 def transition_matrix(l, eta: int) -> np.ndarray:
-    """Read-only ``(n_max + 1) x (n_max + 1)`` triggered-period transition matrix.
+    """Read-only ``(n_max + 1) x (n_max + 1)`` triggered-period transition matrix
+    of a buffer that never truncates a grant (``certify``'s ``buffer_size`` folds ``l``).
 
     Row ``i``: entry ``l[j]`` in column ``j`` for every ``j >= 1`` (a fresh
     computation overwrites the buffer), plus ``l[0]`` mass on the state

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import acceptance
-from .chain import fold_grants, min_buffer_size
+from .chain import min_buffer_size
 from .channel import ChannelModel
 from .schemes import _as_count, resolve, scheme_kind
 from .simulate import PlantModel, SchemeConfig, example_system, monte_carlo, simulate_trajectory
@@ -192,7 +192,7 @@ def cmd_certify(cfg: RunConfig, out=None) -> int:
     _require(cfg, "alpha", "rho1", "rho2")
     spec = ContractionSpec(alpha=cfg.alpha, rho1=cfg.rho1, rho2=cfg.rho2, eta=cfg.eta,
                            d_bound=cfg.d)
-    report = certify(spec, fold_grants(_channel(cfg).l, cfg.eta, cfg.lam), nu=cfg.nu)
+    report = certify(spec, _channel(cfg).l, nu=cfg.nu, buffer_size=cfg.lam)
     index_name = "psi" if scheme_kind(cfg.scheme).two_law else "omega"
     print(f"scheme            {cfg.scheme} (eta={cfg.eta}, n_max={cfg.n_max})", file=out)
     print(f"alpha/rho1/rho2   {_fmt(cfg.alpha)} / {_fmt(cfg.rho1)} / {_fmt(cfg.rho2)}", file=out)

@@ -1,12 +1,13 @@
 """Stochastic stability certification for the anytime schemes.
 
-The certification matrix is ``T = Phi @ Pi`` where ``Phi`` is the diagonal
-of per-state Lyapunov gain bounds and ``Pi`` the buffer-chain transition
-matrix.  The verdict rests on a witness anyone can check: the solution
-``zeta`` of ``(I - T) zeta = nu`` with ``zeta > 0`` and
-``T zeta < (1 - SCHUR_TOL) zeta`` entry-wise, which by the Collatz-Wielandt
-bound proves the Perron root of ``T`` below 1.  It certifies a geometric
-bound ``E{V(x_k)} <= C1 * xi**k * E{V(x_0)} + C2`` on the expected
+The certification matrix is ``T = Phi @ Pi`` where ``Phi`` is the diagonal of
+per-state Lyapunov gain bounds and ``Pi`` the transition matrix of the chain of
+a buffer with :func:`certify`'s ``buffer_size`` slots, both built in one place
+for :func:`certify` and :func:`critical_alpha`.  The verdict rests on a witness
+anyone can check: the solution ``zeta`` of ``(I - T) zeta = nu`` with
+``zeta > 0`` and ``T zeta < (1 - SCHUR_TOL) zeta`` entry-wise, which by the
+Collatz-Wielandt bound proves the Perron root of ``T`` below 1.  It certifies a
+geometric bound ``E{V(x_k)} <= C1 * xi**k * E{V(x_0)} + C2`` on the expected
 Lyapunov value.  The Perron root itself is reported from
 ``numpy.linalg.eigvals``.
 
@@ -97,26 +98,12 @@ class CertificationReport:
         return self.verdict == CERTIFIED
 
 
-def _gains(alpha, rho1, rho2, eta: int, n_max: int) -> np.ndarray:
-    # Phi's diagonal [alpha, rho1, rho2][law_of] on axis 0; the gains may be equal-shape arrays.
-    return np.array([alpha, rho1, rho2])[law_of(n_max + 1, eta)]
-
-
-def gain_diagonal(spec: ContractionSpec, n_max: int) -> np.ndarray:
-    """Diagonal of Phi: alpha for the empty state 0, rho1 for the coarse-only
-    states ``1 .. eta - 1`` and rho2 from ``eta`` on, by :func:`esac.chain.law_of`.
-    ``n_max`` is a count (:func:`esac.schemes._as_count`) and bounds ``eta``."""
-    n_max = _as_count(n_max, "n_max")
-    return _gains(spec.alpha, spec.rho1, spec.rho2, _as_count(spec.eta, "eta", n_max), n_max)
-
-
-def certification_matrix(phi, pi) -> np.ndarray:
-    """Row-scale the transition matrix by the gain diagonal: T = diag(phi) Pi."""
-    phi = np.asarray(phi, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    if phi.ndim != 1 or pi.shape != (phi.size, phi.size):
-        raise ValueError(f"dimension mismatch: phi {phi.shape}, pi {pi.shape}")
-    return phi[:, None] * pi
+def _certification(l, eta, slots, alpha, rho1, rho2) -> tuple[np.ndarray, np.ndarray]:
+    # Phi's diagonal [alpha, rho1, rho2][law_of] and T = Phi Pi of the slots-slot buffer's chain
+    # (None: a buffer that never truncates).  (G,) gains give (G, n) phi and a (G, n, n) stack.
+    pi = transition_matrix(l if slots is None else fold_grants(l, eta, slots), eta)
+    phi = np.array([alpha, rho1, rho2])[law_of(len(pi), _as_count(eta, "eta", len(pi) - 1))]
+    return phi, phi.T[..., None] * pi
 
 
 def _nonnegative_square(m) -> np.ndarray:
@@ -251,8 +238,7 @@ def critical_alpha(scheme: str, eta: int, rho1, rho2, l, n_max: int) -> Critical
         if not (r1 < 1.0 and r2 < 1.0):
             raise ValueError("critical_alpha requires rho1 < 1 and rho2 < 1")
         ContractionSpec(alpha=1.0, rho1=r1, rho2=r2, eta=eta)
-    pi = transition_matrix(fold_grants(l, eta, slots), eta)
-    t_one = _gains(np.ones(rho1.size), rho1, rho2, eta, n_max).T[..., None] * pi
+    t_one = _certification(l, eta, slots, np.ones(rho1.size), rho1, rho2)[1]
     r = np.array([1.0, 1.0 + SCHUR_TOL, 1.0 - SCHUR_TOL])[:, None]
     index, z = _schur_index(t_one, r)
     if not np.all(index[0] > 0.0):  # 0 exactly when l[0] = 0: no state returns to state 0
@@ -272,23 +258,21 @@ def critical_alpha(scheme: str, eta: int, rho1, rho2, l, n_max: int) -> Critical
     return CriticalAlpha(*(a.reshape(shape)[()] for a in (closed, lower, upper)), low, up)
 
 
-def certify(spec: ContractionSpec, l, nu=None) -> CertificationReport:
+def certify(spec: ContractionSpec, l, nu=None, buffer_size=None) -> CertificationReport:
     """Run the full certification pipeline for one configuration.
 
-    Builds the buffer chain from ``l`` and the gain diagonal from ``spec``,
-    and solves for the witness ``zeta`` with ``nu`` (default all-ones): the
-    verdict is NotCertified exactly when :func:`solve_certificate` raises
-    ``LinAlgError``, and its ``ValueError`` for a malformed ``nu`` passes
-    through.  The report also carries the Perron root of ``T``, the
+    Builds the chain of a ``buffer_size``-slot buffer (a count; ``None`` for one that never
+    truncates a grant) from ``l`` and the gain diagonal from ``spec``, and solves for the
+    witness ``zeta`` with ``nu`` (default all-ones): the verdict is NotCertified exactly when
+    :func:`solve_certificate` raises ``LinAlgError``, and its ``ValueError`` for a malformed
+    ``nu`` passes through.  The report also carries the Perron root of ``T``, the
     closed-form index where defined, and the geometric-bound constants.
     """
-    pi = transition_matrix(l, spec.eta)
-    n_max = pi.shape[0] - 1
-    phi = gain_diagonal(spec, n_max)
-    t = certification_matrix(phi, pi)
+    slots = None if buffer_size is None else _as_count(buffer_size, "buffer_size")
+    phi, t = _certification(l, spec.eta, slots, spec.alpha, spec.rho1, spec.rho2)
     closed_form = _schur_index(t)[0] if spec.rho1 < 1.0 and spec.rho2 < 1.0 else None
 
-    nu = np.ones(n_max + 1) if nu is None else nu
+    nu = np.ones(len(t)) if nu is None else nu
     try:
         zeta = solve_certificate(t, nu)
     except np.linalg.LinAlgError:  # no witness, including a singular I - T

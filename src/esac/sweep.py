@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelModel
-from .schemes import resolve
+from .schemes import resolve, scheme_kind
 from .stability import critical_alpha
 
 #: Default rho1 grid: 0.05, 0.10, ..., 0.95.
@@ -49,6 +49,9 @@ class SweepSpec:
         resolve(self.scheme, self.eta, None, self.n_max)
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
+        if self.epsilon != 1.0 and not scheme_kind(self.scheme).two_law:
+            raise ValueError(f"scheme {self.scheme} runs the coarse law only: "
+                             f"epsilon={self.epsilon} must be 1")
         grid = tuple(float(r) for r in self.rho1_grid)
         if not grid or any(not (0.0 < r < 1.0) for r in grid):
             raise ValueError("rho1 grid must lie strictly inside (0, 1)")

@@ -26,12 +26,10 @@ def test_exported_names():
         "Trajectory",
         "block_schur_g1",
         "boundary_curve",
-        "certification_matrix",
         "certify",
         "critical_alpha",
         "effective_availability",
         "example_system",
-        "gain_diagonal",
         "min_buffer_size",
         "monte_carlo",
         "simulate_trajectory",
@@ -40,7 +38,7 @@ def test_exported_names():
         "theorem1_bounds",
         "transition_matrix",
     ]
-    assert len(esac.__all__) == 27
+    assert len(esac.__all__) == 25
     for name in esac.__all__:
         assert hasattr(esac, name), name
 

@@ -415,6 +415,30 @@ def test_sweep_golden_bytes(name, tmp_path, capsys):
     assert out.read_bytes() == (DATA / f"sweep_{name}.csv").read_bytes()
 
 
+#: ``esac certify`` reports captured from the code that folded the channel by hand
+#: (``fold_grants`` in ``cmd_certify``), with their exit codes: truncated and
+#: untruncated buffers, both unbuffered schemes, a NotCertified run and a custom ``nu``.
+CERTIFY_GOLDEN = {
+    "a2_eta2": (["--scheme", "A2", "--eta", "2", "--alpha", "1.35", "--rho1", "0.9",
+                 "--rho2", "0.45"], 0),
+    "a2_eta3_lam2": (["--scheme", "A2", "--eta", "3", "--lambda", "2", "--alpha", "1.2",
+                      "--rho1", "0.9", "--rho2", "0.45"], 0),
+    "b2": (["--scheme", "B2", "--eta", "2", "--alpha", "1.2", "--rho1", "0.9",
+            "--rho2", "0.45"], 0),
+    "b1": (["--scheme", "B1", "--alpha", "1.05", "--rho1", "0.9"], 0),
+    "a1_lam1": (["--scheme", "A1", "--lambda", "1", "--alpha", "1.1", "--rho1", "0.9"], 2),
+    "a1_lam2_nu": (["--scheme", "A1", "--lambda", "2", "--alpha", "1.1", "--rho1", "0.9",
+                    "--nu", "1 2 3 4 5"], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_GOLDEN))
+def test_certify_golden_bytes(name, capsysbinary):
+    args, code = CERTIFY_GOLDEN[name]
+    assert main(["certify", *args]) == code
+    assert capsysbinary.readouterr().out == (DATA / f"certify_{name}.txt").read_bytes()
+
+
 @pytest.mark.parametrize("name", COMMANDS)
 def test_every_command_has_help(name, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,7 @@ from esac.chain import fold_grants, jump_table, min_buffer_size, transition_matr
 from esac.channel import ChannelModel, effective_availability
 from esac.schemes import Buffer, resolve
 from esac.simulate import SchemeConfig, example_system, monte_carlo, simulate_trajectory
-from esac.stability import ContractionSpec, certify, critical_alpha, gain_diagonal
+from esac.stability import ContractionSpec, certify, critical_alpha
 from esac.sweep import SweepSpec, boundary_curve
 
 P = (0.2,) * 5
@@ -45,14 +45,14 @@ CALLS = {
     ("ContractionSpec", "eta"): lambda v: ContractionSpec(alpha=1.2, rho1=0.9, rho2=0.45, eta=v),
     ("certify", "eta"): lambda v: certify(
         ContractionSpec(alpha=1.2, rho1=0.9, rho2=0.45, eta=v), L),
+    ("certify", "buffer_size"): lambda v: certify(
+        ContractionSpec(alpha=1.2, rho1=0.9, rho2=0.45, eta=2), L, buffer_size=v),
     ("transition_matrix", "eta"): lambda v: transition_matrix(L, v),
     ("fold_grants", "eta"): lambda v: fold_grants(L, v, 3),
     ("fold_grants", "slots"): lambda v: fold_grants(L, 2, v),
     ("jump_table", "states"): lambda v: jump_table(v, 2, 3),
     ("jump_table", "eta"): lambda v: jump_table(5, v, 3),
     ("jump_table", "slots"): lambda v: jump_table(5, 2, v),
-    ("gain_diagonal", "n_max"): lambda v: gain_diagonal(
-        ContractionSpec(alpha=1.2, rho1=0.9, rho2=0.45, eta=2), v),
     ("critical_alpha", "eta"): lambda v: critical_alpha("A2", v, 0.9, 0.45, L, 4),
     # the channel has int(v) + 1 entries, so only the count rule can refuse 4.0 and 2.0
     ("critical_alpha", "n_max"): lambda v: critical_alpha("A2", 2, 0.9, 0.45, channel(int(v)), v),
@@ -96,13 +96,13 @@ def test_non_integer_message(name, call, value, message):
     (lambda: fold_grants(L, 0, 3), "eta must be >= 1, got 0"),
     (lambda: jump_table(5, 2.5, 3), "eta must be an integer, got 2.5"),
     (lambda: jump_table(0, 2, 3), "states must be >= 1, got 0"),
-    (lambda: gain_diagonal(ContractionSpec(alpha=1.2, rho1=0.9, rho2=0.45, eta=2), 2.5),
-     "n_max must be an integer, got 2.5"),
+    (lambda: certify(ContractionSpec(alpha=1.2, rho1=0.9, rho2=0.45, eta=2), L, buffer_size=0),
+     "buffer_size must be >= 1, got 0"),
 ], ids=["fold_grants no slot", "fold_grants eta 0", "jump_table fractional eta",
-        "jump_table no state", "gain_diagonal fractional n_max"])
+        "jump_table no state", "certify no slot"])
 def test_chain_counts_are_refused_by_name(call, message):
-    # Before the count rule these gave [1, 0, 0, 0, 0], a ZeroDivisionError,
-    # float states, [] and a TypeError from range.
+    # Before the count rule the first four gave [1, 0, 0, 0, 0], a ZeroDivisionError,
+    # float states and []; certify names its own parameter, not fold_grants' slots.
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message

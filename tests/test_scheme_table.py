@@ -34,6 +34,11 @@ ACCEPTED = {
 }
 
 
+def epsilon(scheme):
+    """The one epsilon that a one-law scheme's curve takes is 1; a two-law one takes 0.5."""
+    return 1.0 if scheme in ("A1", "B1") else 0.5
+
+
 def refusal(scheme):
     """The message that refuses ``scheme``: only an unknown name is refused."""
     return None if scheme in ACCEPTED else UNKNOWN
@@ -85,7 +90,7 @@ def call_library(target, scheme):
     if target == "critical_alpha":
         return critical_alpha(scheme, 2, 0.9, 0.45, BENCH.l, 4)
     if target == "SweepSpec":
-        return SweepSpec(scheme, 2, 0.5, BENCH, 4, rho1_grid=(0.9,))
+        return SweepSpec(scheme, 2, epsilon(scheme), BENCH, 4, rho1_grid=(0.9,))
     return min_buffer_size(scheme, 2, 4)
 
 
@@ -227,7 +232,7 @@ def test_one_scheme_rule_for_every_layer(scheme, eta, lam, refused, tmp_path, ca
         (scheme_config, True),
         (lambda: min_buffer_size(scheme, eta, 4), False),
         (lambda: critical_alpha(scheme, eta, 0.9, 0.45, BENCH.l, 4), False),
-        (lambda: SweepSpec(scheme, eta, 0.5, BENCH, 4, rho1_grid=(0.9,)), False),
+        (lambda: SweepSpec(scheme, eta, epsilon(scheme), BENCH, 4, rho1_grid=(0.9,)), False),
     ]
     for call, takes_lambda in layers:
         if refused == "eta" or refused == "lambda" and takes_lambda:

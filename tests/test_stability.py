@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from esac.acceptance import random_config
-from esac.chain import fold_grants, min_buffer_size
+from esac.chain import fold_grants, law_of, min_buffer_size, transition_matrix
 from esac.channel import effective_availability
 from esac.stability import (
     CERTIFIED,
     NOT_CERTIFIED,
     ContractionSpec,
     block_schur_g1,
-    certification_matrix,
     certify,
     critical_alpha,
-    gain_diagonal,
     solve_certificate,
     spectral_radius,
     theorem1_bounds,
@@ -38,10 +36,10 @@ def assert_witnessed_bracket(result, scheme, eta, rho1, rho2, l):
     ``certify`` builds it, and the bracket against ``numpy.linalg.eigvals``."""
     if scheme in ("A1", "B1"):
         eta, rho2 = 1, rho1
-    folded = fold_grants(l, eta, min_buffer_size(scheme, eta, l.size - 1))
+    slots = min_buffer_size(scheme, eta, l.size - 1)
     t_lower, t_upper = (
-        certify(ContractionSpec(alpha=a, rho1=rho1, rho2=rho2, eta=eta), folded).t_matrix
-        for a in (result.lower, result.upper))
+        certify(ContractionSpec(alpha=a, rho1=rho1, rho2=rho2, eta=eta), l, buffer_size=slots)
+        .t_matrix for a in (result.lower, result.upper))
     assert result.lower < result.closed < result.upper
     low, up = result.lower_witness, result.upper_witness
     assert np.all(low > 0.0) and np.all(t_lower @ low < low)
@@ -70,35 +68,31 @@ class TestContractionSpec:
 
 
 class TestGainDiagonal:
+    """``certify``'s Phi: alpha, rho1 and rho2 by :func:`esac.chain.law_of`."""
+
     def test_two_law_layout(self):
         spec = ContractionSpec(alpha=1.35, rho1=0.9, rho2=0.45, eta=2)
         np.testing.assert_array_equal(
-            gain_diagonal(spec, 4), [1.35, 0.9, 0.45, 0.45, 0.45]
+            certify(spec, L_BENCH).phi, [1.35, 0.9, 0.45, 0.45, 0.45]
         )
 
     def test_eta_three_layout(self):
         spec = ContractionSpec(alpha=1.35, rho1=0.9, rho2=0.45, eta=3)
         np.testing.assert_array_equal(
-            gain_diagonal(spec, 4), [1.35, 0.9, 0.9, 0.45, 0.45]
+            certify(spec, L_BENCH).phi, [1.35, 0.9, 0.9, 0.45, 0.45]
         )
 
     def test_rejects_eta_above_n_max(self):
         spec = ContractionSpec(alpha=1.0, rho1=0.9, rho2=0.4, eta=5)
-        with pytest.raises(ValueError):
-            gain_diagonal(spec, 4)
+        for buffer_size in (None, 1):  # refused on the truncated chain too
+            with pytest.raises(ValueError, match=r"^eta must satisfy 1 <= eta <= n_max=4, got 5$"):
+                certify(spec, L_BENCH, buffer_size=buffer_size)
 
     def test_certify_words_eta_as_the_scheme_rule(self):
         # The wording of esac.schemes.resolve, which certify (no scheme name) bypasses.
         spec = ContractionSpec(alpha=1.1, rho1=0.9, rho2=0.45, eta=7)
         with pytest.raises(ValueError, match=r"^eta must satisfy 1 <= eta <= n_max=4, got 7$"):
             certify(spec, L_BENCH)
-
-    @pytest.mark.parametrize("phi, pi", [
-        (np.ones(3), np.eye(2)), (np.ones((2, 2)), np.eye(2)), (np.ones(2), np.ones((2, 3))),
-    ])
-    def test_certification_matrix_rejects_dimension_mismatch(self, phi, pi):
-        with pytest.raises(ValueError, match="^dimension mismatch"):
-            certification_matrix(phi, pi)
 
 
 class TestSpectralRadius:
@@ -423,8 +417,33 @@ class TestCriticalAlpha:
         # Exact rationals from Gaussian elimination in fractions on the chain
         # of the states 0..slots that a grant, cut to `slots` entries, reaches.
         spec = ContractionSpec(alpha=1.0, rho1=0.9, rho2=0.9, eta=1)
-        index = certify(spec, fold_grants(L_BENCH, 1, slots)).closed_form
+        index = certify(spec, L_BENCH, buffer_size=slots).closed_form
         assert 1.0 / index == pytest.approx(expected, rel=1e-12)
+
+    def test_buffer_size_builds_the_folded_chain(self):
+        """``certify``'s ``buffer_size`` is the hand fold of ``l``, bit for bit, and at the
+        resolved buffer it puts ``critical_alpha``'s closed form on the boundary."""
+        rng = np.random.default_rng(27)
+        for _ in range(12):
+            n_max = int(rng.integers(1, 9))
+            l = effective_availability(rng.uniform(0.05, 0.95), rng.dirichlet(np.ones(n_max + 1)))
+            rho1 = rng.uniform(0.05, 0.95)
+            schemes = [("A1", 1), ("B1", 1)]
+            schemes += [(s, eta) for s in ("A2", "B2") for eta in range(1, n_max + 1)]
+            for scheme, eta in schemes:
+                rho2 = rho1 * (1.0 if eta == 1 else rng.uniform(0.0, 0.99))
+                closed = critical_alpha(scheme, eta, rho1, rho2, l, n_max).closed
+                spec = ContractionSpec(alpha=closed, rho1=rho1, rho2=rho2, eta=eta)
+                phi = np.array([closed, rho1, rho2])[law_of(n_max + 1, eta)]
+                resolved = min_buffer_size(scheme, eta, n_max)
+                for slots in range(1, resolved + 2):
+                    report = certify(spec, l, buffer_size=slots)
+                    folded = transition_matrix(fold_grants(l, eta, slots), eta)
+                    assert report.phi.tobytes() == phi.tobytes(), (scheme, eta, slots)
+                    t = phi[:, None] * folded
+                    assert report.t_matrix.tobytes() == t.tobytes(), (scheme, eta, slots)
+                    if slots == resolved:
+                        assert report.closed_form == pytest.approx(1.0, abs=1e-12)
 
     def test_boundary_grows_with_the_buffer(self):
         """alpha* is nondecreasing in the buffer size, so an unbuffered scheme
@@ -436,9 +455,8 @@ class TestCriticalAlpha:
             at_one = dataclasses.replace(spec, alpha=1.0)
             boundaries = []
             for slots in range(1, min_buffer_size("A2", spec.eta, n_max) + 2):
-                folded = fold_grants(l, spec.eta, slots)
-                alpha_star = 1.0 / certify(at_one, folded).closed_form
-                report = certify(dataclasses.replace(spec, alpha=alpha_star), folded)
+                alpha_star = 1.0 / certify(at_one, l, buffer_size=slots).closed_form
+                report = certify(dataclasses.replace(spec, alpha=alpha_star), l, buffer_size=slots)
                 assert report.spectral_radius == pytest.approx(1.0, abs=1e-9), (spec, l, slots)
                 boundaries.append(alpha_star)
             assert all(a <= b * (1 + 1e-12) for a, b in zip(boundaries, boundaries[1:])), \

@@ -31,6 +31,14 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="unknown scheme 'C1'"):
             SweepSpec("C1", 1, 0.5, BENCH, 4)
 
+    @pytest.mark.parametrize("scheme", ["A1", "B1"])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5])
+    def test_one_law_scheme_refuses_epsilon_below_one(self, scheme, epsilon):
+        # It used to run the coarse law in the fine law's place and return the epsilon = 1 curve.
+        with pytest.raises(ValueError, match=rf"^scheme {scheme} runs the coarse law only: "
+                                             rf"epsilon={epsilon} must be 1$"):
+            SweepSpec(scheme, 1, epsilon, BENCH, 4)
+
     @pytest.mark.parametrize("n_max", [3, 5])
     def test_rejects_n_max_off_the_channel(self, n_max):
         with pytest.raises(ValueError, match=rf"n_max={n_max} .* l has 5 entries"):
@@ -99,8 +107,9 @@ def curve_cases():
     cases = [(BENCH, DEFAULT_RHO1_GRID, 0.37)] + list(random_channels())
     for channel, grid, epsilon in cases:
         n_max = channel.n_max
-        schemes = [("A1", 1), ("B1", 1)]
-        schemes += [(s, eta) for s in ("A2", "B2") for eta in range(1, n_max + 1)]
+        for scheme in ("A1", "B1"):  # a one-law curve takes epsilon = 1 only
+            yield SweepSpec(scheme, 1, 1.0, channel, n_max, rho1_grid=grid)
+        schemes = [(s, eta) for s in ("A2", "B2") for eta in range(1, n_max + 1)]
         for (scheme, eta), eps in ((c, e) for c in schemes for e in (0.0, 1.0, epsilon)):
             yield SweepSpec(scheme, eta, eps, channel, n_max, rho1_grid=grid)
 
