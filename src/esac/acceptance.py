@@ -15,7 +15,7 @@ import numpy as np
 
 from .chain import min_buffer_size, transition_matrix
 from .channel import ChannelModel, effective_availability
-from .schemes import Buffer, resolve
+from .schemes import Buffer
 from .simulate import PlantModel, SchemeConfig, example_system, monte_carlo
 from .stability import ContractionSpec, block_schur_g1, certify, critical_alpha
 from .sweep import SweepSpec, boundary_curve
@@ -247,9 +247,8 @@ def benchmark_scheme_config(tag: str) -> SchemeConfig:
     """Closed-loop configuration of one benchmark point (buffer size 4, d=1)."""
     scheme, eta, rho1, rho2 = _bench_config(tag)
     _, kappa1, kappa2_factory = example_system(rho1)
-    kappa2 = resolve(scheme, eta, 4, BENCH_N_MAX, None, kappa2_factory(rho2))[2]  # A1, B1: None
     return SchemeConfig(
-        scheme=scheme, kappa1=kappa1, kappa2=kappa2, eta=eta,
+        scheme=scheme, kappa1=kappa1, kappa2=kappa2_factory(rho2), eta=eta,
         buffer_size=4, d=1.0, q=BENCH_Q, p=BENCH_P,
     )
 

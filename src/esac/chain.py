@@ -10,11 +10,11 @@ state by the cost of the law that :func:`law_of` gives its head; a fresh
 computation of ``N = n`` units (probability ``l[n]``) overwrites the buffer.
 
 A grant of ``n`` units lands in state ``n`` unless the buffer truncates it:
-:func:`transition_matrix` is the chain of a buffer that never does, and
-:func:`esac.stability.certify` takes a ``buffer_size``, such as the one slot
-of ``B1`` and ``B2``, for a buffer that does.  Both Monte Carlo engines in
-:mod:`esac.simulate` move each run's state ``i`` by the same table and
-apply the law :func:`law_of` gives it, whose gain the certificate's Phi holds.
+:func:`transition_matrix` takes the slot count of a buffer that does, such as
+the one slot of ``B1`` and ``B2``, and none for one that never does.  Both
+Monte Carlo engines in :mod:`esac.simulate` move each run's state ``i`` by the
+table that :class:`esac.simulate.SchemeConfig` builds once and apply the law
+:func:`law_of` gives it, whose gain the certificate's Phi holds.
 """
 from __future__ import annotations
 
@@ -55,26 +55,20 @@ def jump_table(states: int, eta: int, slots: int) -> list[list[int]]:
     return [[shift, *grants] for shift in _shift_column(states, eta)]
 
 
-def fold_grants(l, eta: int, slots: int) -> np.ndarray:
-    """``l`` with each grant's mass moved to its state in a ``slots``-slot
-    buffer: :func:`transition_matrix` of the result is that buffer's chain.
-    ``eta`` and ``slots`` are counts (:func:`esac.schemes._as_count`)."""
-    row = _grant_row(len(l), _as_count(eta, "eta"), _as_count(slots, "slots"))
-    return np.bincount(row, weights=l, minlength=len(l))
-
-
-def transition_matrix(l, eta: int) -> np.ndarray:
+def transition_matrix(l, eta: int, slots: int | None = None) -> np.ndarray:
     """Read-only ``(n_max + 1) x (n_max + 1)`` triggered-period transition matrix
-    of a buffer that never truncates a grant (``certify``'s ``buffer_size`` folds ``l``).
+    of a ``slots``-slot buffer (a count; ``None`` for one that never truncates a grant).
 
-    Row ``i``: entry ``l[j]`` in column ``j`` for every ``j >= 1`` (a fresh
-    computation overwrites the buffer), plus ``l[0]`` mass on the state
-    that no computation leads to from ``i`` (column 0 of :func:`jump_table`).
+    Row ``i``: the mass ``l[n]`` of each grant ``n >= 1`` on its state (row 0 of
+    :func:`jump_table`), plus ``l[0]`` mass on the state that no computation
+    leads to from ``i`` (column 0 of :func:`jump_table`).
     """
-    l = _as_pmf(l, "l")
+    l, eta = _as_pmf(l, "l"), _as_count(eta, "eta")
+    if slots is not None:  # each grant's mass moves to its state in the buffer
+        l = np.bincount(_grant_row(l.size, eta, _as_count(slots, "slots")), l, l.size)
     pi = np.tile(l, (l.size, 1))
     pi[:, 0] = 0.0
-    for i, j in enumerate(_shift_column(l.size, _as_count(eta, "eta"))):
+    for i, j in enumerate(_shift_column(l.size, eta)):
         pi[i, j] += l[0]
     pi.flags.writeable = False
     return pi

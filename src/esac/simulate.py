@@ -3,8 +3,8 @@
 Each step: check the trigger ``|x| > d``, sample the environment outcome
 ``(gamma, N)``, advance the scheme (buffer and input), then advance the
 plant with an additive normal disturbance.  Both engines below run every
-scheme as one buffer, through the ``(slots, coarse law, fine law, eta)`` of
-:meth:`SchemeConfig.stepper_args`, which :func:`esac.schemes.resolve` derives.
+scheme as one buffer, through the chain that :class:`SchemeConfig` builds once
+from what :func:`esac.schemes.resolve` derives.
 
 Randomness comes from one ``numpy.random.Generator`` (PCG64), and one
 function, :func:`_decode_streams`, lays it out for both engines.  Each run
@@ -23,7 +23,7 @@ configuration and seed give bit-identical trajectories.
 
 :func:`monte_carlo` has two engines with bit-identical results, and both
 step a run's buffer as its chain state with its head entry: each triggered
-step moves the state by one lookup in :func:`~esac.chain.jump_table`, and
+step moves the state by one lookup in the config's :func:`~esac.chain.jump_table`, and
 an entry is computed by its state's :func:`~esac.chain.law_of` law only when it
 becomes the head.  A call of at least ``_BATCH_MIN_RUNS`` (24) runs
 advances its runs together on arrays with one entry per run (see
@@ -94,7 +94,7 @@ class PlantModel:
 
     ``lyapunov`` maps a state to its nonnegative Lyapunov value.  Both
     callables must also work elementwise on float arrays (see the module
-    docstring).  ``noise_std`` must be finite and nonnegative.
+    docstring).  ``noise_std`` must be finite and nonnegative, ``x0`` finite.
     """
 
     step: Callable
@@ -105,6 +105,8 @@ class PlantModel:
     def __post_init__(self):
         if not 0.0 <= self.noise_std < math.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,9 @@ class SchemeConfig:
     rule of :mod:`esac.channel` that the certificate checks: ``q`` in [0, 1]
     and ``p`` a pmf of at least two entries in [0, 1] summing to one, never
     renormalised.  ``scheme``, ``eta`` and ``buffer_size`` must pass the one
-    scheme rule, :func:`esac.schemes.resolve`.
+    scheme rule, :func:`esac.schemes.resolve`, whose result (``n_max = len(p) - 1``) builds
+    the chain both engines step: ``_chain = (jump table, each state's law index, (None,
+    coarse law, fine law), eta, buffered)``.
     """
 
     scheme: str  # a key of esac.schemes.SCHEMES
@@ -130,18 +134,15 @@ class SchemeConfig:
 
     def __post_init__(self):
         effective_availability(self.q, self.p)  # the channel rule, before resolve reads p
-        if self.stepper_args()[2] is None:  # resolve checks scheme, eta and buffer_size
+        states = len(self.p)  # resolve checks scheme, eta and buffer_size
+        eta, slots, fine = resolve(self.scheme, self.eta, self.buffer_size, states - 1,
+                                   self.kappa1, self.kappa2)
+        if fine is None:
             raise ValueError(f"scheme {self.scheme} requires a fine law")
         if not self.d >= 0.0:
             raise ValueError(f"d must be >= 0, got {self.d}")
-
-    def stepper_args(self) -> tuple:
-        """``(slots, coarse law, fine law, eta)`` that run this scheme, from
-        :func:`esac.schemes.resolve` with ``n_max = len(p) - 1``; both engines
-        and :meth:`esac.schemes.Buffer.step` take them."""
-        eta, slots, fine = resolve(self.scheme, self.eta, self.buffer_size, len(self.p) - 1,
-                                   self.kappa1, self.kappa2)
-        return slots, self.kappa1, fine, eta
+        object.__setattr__(self, "_chain", (jump_table(states, eta, slots), law_of(states, eta),
+                           (None, self.kappa1, fine), eta, scheme_kind(self.scheme).buffered))
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,9 +251,8 @@ def simulate_trajectory(
     memoryviews, which hand out and take Python floats, ints and bools.
     """
     horizon = _as_count(horizon, "horizon")
-    slots, kappa1, kappa2, eta = config.stepper_args()
-    table = jump_table(len(config.p), eta, slots)
-    law = [(None, kappa1.evaluate, kappa2.evaluate)[j] for j in law_of(len(config.p), eta)]
+    table, heads, laws, eta, buffered = config._chain
+    law = [laws[j] and laws[j].evaluate for j in heads]
     streams = _decode_streams(plant, config, horizon, np.random.default_rng(seed), 1)
     noise, transmits, grants = (memoryview(a.ravel()) for a in streams)
 
@@ -299,7 +299,7 @@ def simulate_trajectory(
     if records:
         us, gammas, ns = us[: k + 1], gammas[: k + 1], ns[: k + 1]
         # An unbuffered scheme records (0, 0): its one slot holds no prediction.
-        fines, coarses = np.divmod(states[: k + 1] * scheme_kind(config.scheme).buffered, eta)
+        fines, coarses = np.divmod(states[: k + 1] * buffered, eta)
     return Trajectory(x=xs[: end + 1], u=us, gamma=gammas, n=ns, fine=fines, coarse=coarses,
                       v=plant.lyapunov(xs[: end + 1]), divergent=divergent)
 
@@ -371,20 +371,20 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
     state (0 is empty) with the head input ``u`` and the predicted state
     ``chi`` that ``u`` was computed at.  Each step reads, at one index per run
     ``(state * cols + n) * trig`` (``cols = len(p)``; 0 on a silent step), flat tables
-    built once per call: the next state, whether the run shifts onto a stored entry and
-    which law computes its new head (an entry is computed only when it becomes the head).
-    A diverged run keeps its last finite Lyapunov value and counts as
-    triggered; it is parked at zero, takes silent steps and runs no plant code.
+    built once per call from the config's chain: the next state, whether the run shifts
+    onto a stored entry and which law computes its new head (an entry is computed only
+    when it becomes the head).  A diverged run keeps its last finite Lyapunov value and
+    counts as triggered; it is parked at zero, takes silent steps and runs no plant code.
     """
     noise, transmits, grants = _decode_streams(plant, config, horizon, rng, width)
     transmits, grants = transmits.ravel(), grants.ravel()
     cursor = np.arange(width) * (2 * horizon)  # flat index of each run's next draw
 
-    slots, kappa1, kappa2, eta = config.stepper_args()
+    table, heads, laws, _, _ = config._chain
     cols = len(config.p)
-    table = np.array(jump_table(cols, eta, slots), dtype=np.intp)
-    law = np.array(law_of(cols, eta), dtype=np.int8)[table].ravel()  # each index's next law
-    laws = [(kappa, law == j) for j, kappa in enumerate((kappa1, kappa2), 1) if j in law]
+    table = np.array(table, dtype=np.intp)
+    law = np.array(heads, dtype=np.int8)[table].ravel()  # each index's next law
+    laws = [(kappa, law == j) for j, kappa in enumerate(laws) if j and j in law]
     table, shifts = table.ravel(), ((table > 0) & (np.arange(cols) == 0)).ravel()
 
     x = np.full(width, plant.x0, dtype=float)

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import fold_grants, law_of, transition_matrix
+from .chain import law_of, transition_matrix
 from .schemes import _as_count, resolve
 
 #: Margin of Schur verdicts: a witness must prove spectral radius <= 1 - SCHUR_TOL.
@@ -101,7 +101,7 @@ class CertificationReport:
 def _certification(l, eta, slots, alpha, rho1, rho2) -> tuple[np.ndarray, np.ndarray]:
     # Phi's diagonal [alpha, rho1, rho2][law_of] and T = Phi Pi of the slots-slot buffer's chain
     # (None: a buffer that never truncates).  (G,) gains give (G, n) phi and a (G, n, n) stack.
-    pi = transition_matrix(l if slots is None else fold_grants(l, eta, slots), eta)
+    pi = transition_matrix(l, eta, slots)
     phi = np.array([alpha, rho1, rho2])[law_of(len(pi), _as_count(eta, "eta", len(pi) - 1))]
     return phi, phi.T[..., None] * pi
 

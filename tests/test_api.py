@@ -48,6 +48,11 @@ def certify_q1():
                  esac.effective_availability(0.5, [0.2] * 5))
 
 
+def certify_b1():
+    esac.certify(esac.ContractionSpec(alpha=1.05, rho1=0.9, rho2=0.9, eta=1),
+                 esac.effective_availability(0.5, [0.2] * 5), buffer_size=1)
+
+
 def sweep_a1():
     channel = esac.ChannelModel(q=0.5, p=[0.2] * 5)
     esac.boundary_curve(esac.SweepSpec("A1", 1, 1.0, channel, 4, rho1_grid=(0.9,)))
@@ -65,6 +70,7 @@ def simulate_narrow():
 #: globals, so a rename or a bypass silently zeroes a traced metric.
 TRACED = [
     ("esac.stability", "transition_matrix", certify_q1),
+    ("esac.stability", "transition_matrix", certify_b1),  # the truncated chain
     ("esac.stability", "spectral_radius", certify_q1),
     ("esac.stability", "solve_certificate", certify_q1),
     ("esac.sweep", "critical_alpha", sweep_a1),
@@ -73,7 +79,8 @@ TRACED = [
 ]
 
 
-@pytest.mark.parametrize("module, name, call", TRACED, ids=[f"{m}.{n}" for m, n, _ in TRACED])
+@pytest.mark.parametrize("module, name, call", TRACED, ids=[
+    f"{m}.{n}" + (" truncated" if c is certify_b1 else "") for m, n, c in TRACED])
 def test_traced_attribute_is_called(module, name, call, monkeypatch):
     module = importlib.import_module(module)
     inner = getattr(module, name)
@@ -102,3 +109,16 @@ def test_no_unused_imports():
                            for alias in node.names
                            if (alias.asname or alias.name).split(".")[0] not in used]
     assert unused == []
+
+
+def test_engines_read_the_chain_of_the_config():
+    """Both Monte Carlo engines step the chain that ``SchemeConfig`` resolves
+    once: neither resolves the scheme or builds a chain itself."""
+    tree = ast.parse(Path(esac.simulate.__file__).read_text())
+    engines = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name in ("simulate_trajectory", "_run_batch")}
+    assert len(engines) == 2
+    for name, node in engines.items():
+        called = {call.func.id for call in ast.walk(node)
+                  if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+        assert not called & {"resolve", "jump_table", "law_of", "scheme_kind"}, name

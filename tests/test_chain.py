@@ -5,13 +5,15 @@ from hypothesis import given, strategies as st
 from esac.chain import (
     _grant_row,
     _shift_column,
-    fold_grants,
     jump_table,
     law_of,
     min_buffer_size,
     transition_matrix,
 )
-from esac.schemes import Buffer, ControlLaw
+from esac.channel import effective_availability
+from esac.schemes import Buffer, ControlLaw, resolve
+from esac.simulate import SchemeConfig, example_system
+from esac.stability import ContractionSpec, certify
 
 L_BENCH = np.array([0.6, 0.1, 0.1, 0.1, 0.1])
 
@@ -206,9 +208,10 @@ def full_table(states, eta, slots):
 
 @pytest.mark.parametrize("n_max", range(1, 13))
 def test_chain_builders_read_one_column_or_row_of_the_full_table(n_max):
-    """``transition_matrix`` builds only the shift column and ``fold_grants``
-    only the grant row: both equal column 0 and row 0 of the full table, and
-    the arrays equal those built from the full table, bit for bit."""
+    """The chain builders read only the shift column and the grant row: both
+    equal column 0 and row 0 of the full table, and ``transition_matrix``
+    equals the matrix built from the full table, bit for bit (the truncated
+    matrix is checked against the engines' table below)."""
     states = n_max + 1
     l = np.random.default_rng(n_max).dirichlet(np.ones(states))
     for eta in range(1, states):
@@ -218,13 +221,43 @@ def test_chain_builders_read_one_column_or_row_of_the_full_table(n_max):
             assert jump_table(states, eta, slots) == table, where
             assert _grant_row(states, eta, slots) == table[0], where
             assert _shift_column(states, eta) == [row[0] for row in table], where
-            np.testing.assert_array_equal(
-                fold_grants(l, eta, slots), np.bincount(table[0], weights=l, minlength=states))
         pi = np.tile(l, (states, 1))
         pi[:, 0] = 0.0
         for i, row in enumerate(full_table(states, eta, states)):
             pi[i, row[0]] += l[0]
         np.testing.assert_array_equal(transition_matrix(l, eta), pi)
+
+
+@pytest.mark.parametrize("scheme", ["A1", "A2", "B1", "B2"])
+def test_engines_and_certificate_step_one_chain(scheme):
+    """The chain that a ``SchemeConfig`` builds once for both Monte Carlo engines is
+    the certificate's: Pi read off its jump table is ``transition_matrix`` of the
+    resolved buffer, bit for bit, and ``certify``'s Phi is the gain of the law that
+    the chain applies in each state, at every ``eta <= n_max`` and every buffer size
+    up to one past the minimum, on random channels."""
+    rng = np.random.default_rng(29)
+    for _ in range(6):
+        n_max = int(rng.integers(1, 9))
+        q, p = rng.uniform(0.05, 0.95), tuple(rng.dirichlet(np.ones(n_max + 1)).tolist())
+        l = effective_availability(q, p)
+        rho1 = rng.uniform(0.05, 0.95)
+        _, kappa1, factory = example_system(rho1)
+        kappa2 = factory(rho1 * rng.uniform(0.0, 0.99))
+        for eta in range(1, n_max + 1):
+            for size in range(1, min_buffer_size(scheme, eta, n_max) + 2):
+                config = SchemeConfig(scheme, kappa1, kappa2, eta, size, 1.0, q, p)
+                table, heads, laws, chain_eta, _ = config._chain
+                _, slots, _ = resolve(scheme, eta, size, n_max)
+                where = f"n_max={n_max}, eta={eta}, size={size}"
+                pi = np.zeros((n_max + 1, n_max + 1))
+                for i, row in enumerate(table):
+                    for n in [*range(1, n_max + 1), 0]:
+                        pi[i, row[n]] += l[n]
+                assert pi.tobytes() == transition_matrix(l, chain_eta, slots).tobytes(), where
+                gains = [1.2, laws[1].contraction, laws[2].contraction]
+                spec = ContractionSpec(*gains, eta=chain_eta)
+                phi = certify(spec, l, buffer_size=slots).phi
+                assert phi.tobytes() == np.array(gains)[heads].tobytes(), where
 
 
 @given(
@@ -236,7 +269,7 @@ def test_fold_is_the_identity_from_the_minimum_buffer(eta, weights, extra):
     l = np.array(weights, dtype=float) / sum(weights)
     eta = min(eta, l.size - 1)
     slots = min_buffer_size("A2", eta, l.size - 1) + extra
-    np.testing.assert_array_equal(fold_grants(l, eta, slots), l)
+    np.testing.assert_array_equal(transition_matrix(l, eta, slots=slots), transition_matrix(l, eta))
 
 
 def test_one_law_chain_of_two_slots():
@@ -249,5 +282,5 @@ def test_one_law_chain_of_two_slots():
         [0.0, 0.1, 0.9, 0.0, 0.0],
         [0.0, 0.1, 0.3, 0.6, 0.0],
     ])
-    pi = transition_matrix(fold_grants(L_BENCH, 1, 2), 1)
+    pi = transition_matrix(L_BENCH, 1, slots=2)
     np.testing.assert_allclose(pi, expected, rtol=0, atol=1e-15)

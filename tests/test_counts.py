@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from esac.chain import fold_grants, jump_table, min_buffer_size, transition_matrix
+from esac.chain import jump_table, min_buffer_size, transition_matrix
 from esac.channel import ChannelModel, effective_availability
 from esac.schemes import Buffer, resolve
 from esac.simulate import SchemeConfig, example_system, monte_carlo, simulate_trajectory
@@ -48,8 +48,8 @@ CALLS = {
     ("certify", "buffer_size"): lambda v: certify(
         ContractionSpec(alpha=1.2, rho1=0.9, rho2=0.45, eta=2), L, buffer_size=v),
     ("transition_matrix", "eta"): lambda v: transition_matrix(L, v),
-    ("fold_grants", "eta"): lambda v: fold_grants(L, v, 3),
-    ("fold_grants", "slots"): lambda v: fold_grants(L, 2, v),
+    ("transition_matrix folded", "eta"): lambda v: transition_matrix(L, v, slots=3),
+    ("transition_matrix", "slots"): lambda v: transition_matrix(L, 2, slots=v),
     ("jump_table", "states"): lambda v: jump_table(v, 2, 3),
     ("jump_table", "eta"): lambda v: jump_table(5, v, 3),
     ("jump_table", "slots"): lambda v: jump_table(5, 2, v),
@@ -92,17 +92,17 @@ def test_non_integer_message(name, call, value, message):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: fold_grants(L, 2, 0), "slots must be >= 1, got 0"),
-    (lambda: fold_grants(L, 0, 3), "eta must be >= 1, got 0"),
+    (lambda: transition_matrix(L, 2, slots=0), "slots must be >= 1, got 0"),
+    (lambda: transition_matrix(L, 0, slots=3), "eta must be >= 1, got 0"),
     (lambda: jump_table(5, 2.5, 3), "eta must be an integer, got 2.5"),
     (lambda: jump_table(0, 2, 3), "states must be >= 1, got 0"),
     (lambda: certify(ContractionSpec(alpha=1.2, rho1=0.9, rho2=0.45, eta=2), L, buffer_size=0),
      "buffer_size must be >= 1, got 0"),
-], ids=["fold_grants no slot", "fold_grants eta 0", "jump_table fractional eta",
+], ids=["transition_matrix no slot", "transition_matrix folded eta 0", "jump_table fractional eta",
         "jump_table no state", "certify no slot"])
 def test_chain_counts_are_refused_by_name(call, message):
     # Before the count rule the first four gave [1, 0, 0, 0, 0], a ZeroDivisionError,
-    # float states and []; certify names its own parameter, not fold_grants' slots.
+    # float states and []; certify names its own parameter, not transition_matrix's slots.
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from esac.chain import min_buffer_size
+from esac.chain import jump_table, law_of, min_buffer_size
 from esac.channel import ChannelModel
 from esac.cli import main, parse_config
 from esac.schemes import SCHEMES, resolve
@@ -76,14 +76,18 @@ def test_scheme_config_requires_fine_law_for_two_law_schemes(scheme):
     ("B1", 1, False, 1),
     ("B2", 1, True, 2),
 ])
-def test_stepper_args(scheme, size, two_law, eta):
+def test_config_chain(scheme, size, two_law, eta):
+    """A config resolves its scheme once, into the chain of a ``size``-slot buffer
+    at the resolved ``eta`` that runs the coarse law in a one-law scheme's fine slot."""
     cfg = config(scheme)
     fine = cfg.kappa2 if two_law else cfg.kappa1
-    assert cfg.stepper_args() == (size, cfg.kappa1, fine, eta)
+    assert cfg._chain == (jump_table(5, eta, size), law_of(5, eta), (None, cfg.kappa1, fine),
+                          eta, scheme[0] == "A")
     # A scheme ignores the eta or buffer size it does not use.
     wider = dataclasses.replace(cfg, eta=4, buffer_size=5)
-    assert wider.stepper_args()[0] == (5 if scheme[0] == "A" else 1)
-    assert wider.stepper_args()[3] == (4 if two_law else 1)
+    wider_eta = 4 if two_law else 1
+    assert wider._chain[0] == jump_table(5, wider_eta, 5 if scheme[0] == "A" else 1)
+    assert wider._chain[3] == wider_eta
 
 
 def call_library(target, scheme):
@@ -253,6 +257,7 @@ def test_one_scheme_rule_for_every_layer(scheme, eta, lam, refused, tmp_path, ca
         else:
             assert code == 1 and err.startswith(f"error: {name} must")
     if refused is None:  # the CLI resolves the eta and buffer size that the simulator runs
-        slots, _, _, resolved_eta = scheme_config().stepper_args()
+        resolved_eta, slots, _ = resolve(scheme, eta, lam, 4)
+        assert scheme_config()._chain[3] == resolved_eta
         cfg = parse_config("", [("scheme", scheme), ("eta", str(eta)), ("lambda", str(lam))])
         assert (cfg.eta, cfg.lam) == (resolved_eta, slots)

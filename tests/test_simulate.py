@@ -10,7 +10,7 @@ import pytest
 
 import esac.simulate
 from esac.acceptance import benchmark_scheme_config
-from esac.schemes import Buffer, ControlLaw, scheme_kind
+from esac.schemes import Buffer, ControlLaw, resolve, scheme_kind
 from esac.simulate import (
     PlantModel,
     SchemeConfig,
@@ -100,7 +100,7 @@ class TestSchemeConfig:
     @pytest.mark.parametrize("scheme", ["A1", "B1"])
     def test_one_law_scheme_ignores_eta(self, scheme):
         _, config = bench_config(scheme=scheme, eta=9)
-        assert config.stepper_args()[3] == 1
+        assert config._chain[3] == 1
 
     def test_accepts_edge_values(self):
         _, config = bench_config(eta=1, q=1.0, p=(0.0, 1.0))
@@ -113,6 +113,12 @@ class TestPlantModel:
     def test_rejects_bad_noise_std(self, noise_std):
         with pytest.raises(ValueError, match="noise_std"):
             dataclasses.replace(noise_free_plant(), noise_std=noise_std)
+
+    @pytest.mark.parametrize("x0", [float("nan"), math.inf, -math.inf])
+    def test_rejects_non_finite_x0(self, x0):
+        # A NaN start ran as a divergent run that never triggered; inf warned in np.sin.
+        with pytest.raises(ValueError, match=f"^x0 must be finite, got {x0}$"):
+            dataclasses.replace(noise_free_plant(), x0=x0)
 
 
 class TestSampleEnv:
@@ -491,7 +497,8 @@ def test_trajectory_replays_through_buffer_step(plant_name, scheme, eta, buffer_
     assert traj.divergent or plant_name == "bench"
     assert np.any((traj.gamma == 1) & (traj.n > 0)) and np.any(traj.gamma == 0)
 
-    size, kappa1, kappa2, eta = config.stepper_args()
+    kappa1 = config.kappa1
+    eta, size, kappa2 = resolve(scheme, eta, buffer_size, len(p) - 1, kappa1, config.kappa2)
     buf = Buffer(size)
     f = lambda x, u: plant.step(x, u, 0.0)  # noqa: E731  (prediction model)
     applied = np.empty(traj.steps)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from esac.acceptance import random_config
-from esac.chain import fold_grants, law_of, min_buffer_size, transition_matrix
+from esac.chain import law_of, min_buffer_size, transition_matrix
 from esac.channel import effective_availability
 from esac.stability import (
     CERTIFIED,
@@ -421,8 +421,8 @@ class TestCriticalAlpha:
         assert 1.0 / index == pytest.approx(expected, rel=1e-12)
 
     def test_buffer_size_builds_the_folded_chain(self):
-        """``certify``'s ``buffer_size`` is the hand fold of ``l``, bit for bit, and at the
-        resolved buffer it puts ``critical_alpha``'s closed form on the boundary."""
+        """``certify``'s ``buffer_size`` is ``transition_matrix``'s slot count, bit for bit,
+        and at the resolved buffer it puts ``critical_alpha``'s closed form on the boundary."""
         rng = np.random.default_rng(27)
         for _ in range(12):
             n_max = int(rng.integers(1, 9))
@@ -438,7 +438,7 @@ class TestCriticalAlpha:
                 resolved = min_buffer_size(scheme, eta, n_max)
                 for slots in range(1, resolved + 2):
                     report = certify(spec, l, buffer_size=slots)
-                    folded = transition_matrix(fold_grants(l, eta, slots), eta)
+                    folded = transition_matrix(l, eta, slots=slots)
                     assert report.phi.tobytes() == phi.tobytes(), (scheme, eta, slots)
                     t = phi[:, None] * folded
                     assert report.t_matrix.tobytes() == t.tobytes(), (scheme, eta, slots)
@@ -543,6 +543,32 @@ class TestCertify:
         report = certify(spec, L_BENCH, nu=nu)
         residual = (np.eye(5) - report.t_matrix) @ report.zeta - nu
         np.testing.assert_allclose(residual, 0.0, atol=1e-12)
+
+
+#: Calls that build a truncated chain, at a channel of ``len(l)`` entries.
+TRUNCATED_CALLS = {
+    "certify 1 slot": lambda l: certify(ContractionSpec(1.1, 0.9, 0.9, 1), l, buffer_size=1),
+    "certify 2 slots": lambda l: certify(ContractionSpec(1.1, 0.9, 0.9, 1), l, buffer_size=2),
+    "critical_alpha B1": lambda l: critical_alpha("B1", 1, 0.9, 0.45, l, len(l) - 1),
+    "critical_alpha B2": lambda l: critical_alpha("B2", 1, 0.9, 0.45, l, len(l) - 1),
+}
+
+
+@pytest.mark.parametrize("call", list(TRUNCATED_CALLS))
+@pytest.mark.parametrize("l", [[0.5, -0.5, 1.0], [0.5, 1.5, -1.0], [0.5, np.inf, -np.inf]],
+                         ids=["negative", "above one", "infinite"])
+def test_truncated_chain_checks_l_before_it_folds(call, l):
+    """The channel rule refuses ``l`` as the caller gave it.  Folding the grants
+    first summed ``-0.5`` and ``1.0`` of the one-slot chain into a valid pmf, and
+    named ``[0.5, inf, -inf]`` as ``[0.5 nan 0.]``."""
+    with pytest.raises(ValueError, match=r"^l entries must lie in \[0, 1\]") as info:
+        TRUNCATED_CALLS[call](l)
+    assert str(info.value).endswith(f"got {np.array(l)}")
+
+
+def test_truncated_chain_refuses_a_2d_l_by_name():
+    with pytest.raises(ValueError, match="^l must be a 1-D vector"):
+        certify(ContractionSpec(1.1, 0.9, 0.9, 1), [[0.5, 0.5], [0.5, 0.5]], buffer_size=1)
 
 
 def test_certificate_margin():
