@@ -66,10 +66,10 @@ def transition_matrix(l, eta: int, slots: int | None = None) -> np.ndarray:
     l, eta = _as_pmf(l, "l"), _as_count(eta, "eta")
     if slots is not None:  # each grant's mass moves to its state in the buffer
         l = np.bincount(_grant_row(l.size, eta, _as_count(slots, "slots")), l, l.size)
-    pi = np.tile(l, (l.size, 1))
-    pi[:, 0] = 0.0
-    for i, j in enumerate(_shift_column(l.size, eta)):
-        pi[i, j] += l[0]
+    n = l.size
+    pi = np.zeros((n, n))
+    pi[:, 1:] = l[1:]
+    pi.ravel()[np.arange(0, n * n, n) + _shift_column(n, eta)] += l[0]  # row i's shift entry
     pi.flags.writeable = False
     return pi
 

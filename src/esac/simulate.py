@@ -137,8 +137,9 @@ class SchemeConfig:
         states = len(self.p)  # resolve checks scheme, eta and buffer_size
         eta, slots, fine = resolve(self.scheme, self.eta, self.buffer_size, states - 1,
                                    self.kappa1, self.kappa2)
-        if fine is None:
-            raise ValueError(f"scheme {self.scheme} requires a fine law")
+        for law, name in ((fine, "fine"), (self.kappa1, "coarse")):  # A2 and B2 run both
+            if law is None:
+                raise ValueError(f"scheme {self.scheme} requires a {name} law")
         if not self.d >= 0.0:
             raise ValueError(f"d must be >= 0, got {self.d}")
         object.__setattr__(self, "_chain", (jump_table(states, eta, slots), law_of(states, eta),

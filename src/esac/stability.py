@@ -110,7 +110,9 @@ def _nonnegative_square(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if not (np.isfinite(m) & (m >= 0.0)).all():
+    if not m.size:
+        raise ValueError("matrix must have at least one entry, got shape (0, 0)")
+    if not (m.min() >= 0.0 and m.max() < math.inf):  # one min and one max; NaN fails both
         raise ValueError("matrix must be entry-wise finite and nonnegative")
     return m
 
@@ -122,7 +124,7 @@ def spectral_radius(m) -> float:
 
 def _as_weights(nu, size: int) -> np.ndarray:
     nu = np.asarray(nu, dtype=float)
-    if nu.shape != (size,) or not np.all(np.isfinite(nu) & (nu > 0.0)):
+    if nu.shape != (size,) or not (nu.min() > 0.0 and nu.max() < math.inf):
         raise ValueError(f"nu must be {size} strictly positive finite entries")
     return nu
 
@@ -139,7 +141,7 @@ def solve_certificate(t, nu) -> np.ndarray:
     t = _nonnegative_square(t)
     nu = _as_weights(nu, len(t))
     zeta = np.linalg.solve(np.eye(len(t)) - t, nu)
-    if not (np.all(zeta > 0.0) and np.all(t @ zeta < (1.0 - SCHUR_TOL) * zeta)):
+    if not ((zeta > 0.0).all() and (t @ zeta < (1.0 - SCHUR_TOL) * zeta).all()):
         raise np.linalg.LinAlgError("T is not Schur stable: no positive witness zeta")
     return zeta
 
@@ -148,14 +150,14 @@ def theorem1_bounds(zeta, nu, sigma_open: float, d_bound: float) -> tuple[float,
     """Geometric decay rate and offsets of the expected-Lyapunov bound.
 
     Returns ``(xi, c1, c2)`` with ``xi = 1 - min(nu)/max(zeta)``,
-    ``c1 = max(zeta)/min(zeta)`` and the matching additive offset ``c2``.
+    ``c1 = max(zeta)/min(zeta)`` and the matching additive offset ``c2``, as Python floats.
+    A ``zeta`` or ``nu`` with an entry not > 0, NaN included, raises ``ValueError``.
     """
-    zeta = np.asarray(zeta, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if np.any(zeta <= 0.0) or np.any(nu <= 0.0):
+    zeta, nu = np.asarray(zeta, dtype=float), np.asarray(nu, dtype=float)
+    z_min, z_max = float(zeta.min()), float(zeta.max())
+    if not (z_min > 0.0 and (nu_min := float(nu.min())) > 0.0):  # NaN fails it too
         raise ValueError("zeta and nu must be strictly positive")
-    z_min, z_max = zeta.min(), zeta.max()
-    xi = 1.0 - nu.min() / z_max
+    xi = 1.0 - nu_min / z_max
     if not (0.0 <= xi < 1.0):
         raise ValueError(f"inconsistent certificate: xi={xi} outside [0, 1)")
     c1 = z_max / z_min
@@ -245,9 +247,11 @@ def critical_alpha(scheme: str, eta: int, rho1, rho2, l, n_max: int) -> Critical
         raise ValueError("l[0] = 0: the Perron root of T does not depend on alpha, "
                          "so there is no stability boundary")
     closed, upper, lower = r / index
-    up = np.concatenate([np.ones((rho1.size, 1)), z[1]], axis=1)[..., None]
-    t_low, t_up = t_bounds = np.array([t_one, t_one])  # T(lower), T(upper): row 0 scaled
-    t_bounds[:, :, 0] *= np.array([lower, upper])[..., None]
+    up = np.ones((rho1.size, n_max + 1, 1))
+    up[:, 1:, 0] = z[1]
+    t_low, t_up = t_one.copy(), t_one  # T(lower), T(upper): row 0 scaled
+    t_low[:, 0] *= lower[:, None]
+    t_up[:, 0] *= upper[:, None]
     low = np.linalg.solve(np.eye(n_max + 1) - t_low, np.ones((rho1.size, n_max + 1, 1)))
     ok = (lower < closed) & (closed < upper) & np.all(
         (low > 0.0) & (t_low @ low < low) & (up >= 0.0) & (t_up @ up >= up), axis=(1, 2))

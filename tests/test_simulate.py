@@ -102,6 +102,17 @@ class TestSchemeConfig:
         _, config = bench_config(scheme=scheme, eta=9)
         assert config._chain[3] == 1
 
+    @pytest.mark.parametrize("runs", [4, 30])  # the per-run loop, then the batched engine
+    @pytest.mark.parametrize("scheme", ["A2", "B2"])
+    def test_two_law_scheme_requires_a_coarse_law(self, scheme, runs):
+        """A missing coarse law is refused when the config is built; before, both
+        engines failed at the first coarse-headed step with a ``TypeError``."""
+        plant, config = bench_config(scheme=scheme)
+        assert monte_carlo(plant, config, horizon=20, runs=runs, base_seed=0).runs == runs
+        with pytest.raises(ValueError, match=f"^scheme {scheme} requires a coarse law$"):
+            monte_carlo(plant, dataclasses.replace(config, kappa1=None), horizon=20, runs=runs,
+                        base_seed=0)
+
     def test_accepts_edge_values(self):
         _, config = bench_config(eta=1, q=1.0, p=(0.0, 1.0))
         assert dataclasses.replace(config, q=0.0).q == 0.0

@@ -174,8 +174,11 @@ class TestCertificate:
             solve_certificate([[0.5]], nu)
         assert not isinstance(exc.value, np.linalg.LinAlgError)
 
-    @pytest.mark.parametrize("zeta, nu", [([0.0], [1.0]), ([2.0], [-1.0]), ([2.0, -1.0], [1.0])])
+    @pytest.mark.parametrize("zeta, nu", [([0.0], [1.0]), ([2.0], [-1.0]), ([2.0, -1.0], [1.0]),
+                                          ([2.0, np.nan], [1.0]), ([2.0], [np.nan, 1.0]),
+                                          ([np.nan], [np.nan])])
     def test_theorem1_rejects_nonpositive_input(self, zeta, nu):
+        # A NaN fails the positivity check too; before, it reached "inconsistent certificate: xi=nan".
         with pytest.raises(ValueError, match="^zeta and nu must be strictly positive$"):
             theorem1_bounds(zeta, nu, sigma_open=1.0, d_bound=1.0)
 
@@ -576,3 +579,90 @@ def test_certificate_margin():
     np.testing.assert_allclose(solve_certificate([[0.5]], [1.0]), [2.0])
     with pytest.raises(ValueError, match="not Schur stable"):
         solve_certificate([[1.0 - 1e-12]], [1.0])
+
+
+M2 = [[0.5, 0.25], [0.125, 0.5]]
+Q1_SPEC = ContractionSpec(alpha=1.2, rho1=0.9, rho2=0.45, eta=2)
+
+
+def _with(base, index, value):
+    a = np.array(base, dtype=float)
+    a[index] = value
+    return a
+
+
+#: Each check's input with one entry replaced: the matrix of ``spectral_radius`` and
+#: ``solve_certificate``, the weights of ``solve_certificate`` and ``certify``, and both
+#: vectors of ``theorem1_bounds``.
+ENTRY_CALLS = {
+    "spectral_radius": lambda v: spectral_radius(_with(M2, (0, 1), v)),
+    "solve_certificate t": lambda v: solve_certificate(_with(M2, (0, 1), v), np.ones(2)),
+    "solve_certificate nu": lambda v: solve_certificate(M2, _with([1.0, 1.0], 1, v)),
+    "certify nu": lambda v: certify(Q1_SPEC, L_BENCH, nu=_with(np.ones(5), 2, v)),
+    "theorem1_bounds zeta": lambda v: theorem1_bounds(_with([2.0, 3.0], 1, v), [1.0, 1.0], 1.2, 1.0),
+    "theorem1_bounds nu": lambda v: theorem1_bounds([2.0, 3.0], _with([1.0, 1.0], 1, v), 1.2, 1.0),
+}
+ENTRIES = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf, "tiny negative": -5e-324, "-0.0": -0.0}
+MATRIX = "matrix must be entry-wise finite and nonnegative"
+POSITIVE = "zeta and nu must be strictly positive"
+#: What the elementwise checks (``isfinite & >= 0``) did with each entry, None for an accepted
+#: one.  A NaN given to ``theorem1_bounds`` is the one change: its positivity check refuses it,
+#: where the elementwise ``zeta <= 0`` let it through to "inconsistent certificate: xi=nan".
+ENTRY_REFUSALS = {
+    "spectral_radius": dict.fromkeys(ENTRIES, MATRIX) | {"-0.0": None},
+    "solve_certificate t": dict.fromkeys(ENTRIES, MATRIX) | {"-0.0": None},
+    "solve_certificate nu": dict.fromkeys(ENTRIES, "nu must be 2 strictly positive finite entries"),
+    "certify nu": dict.fromkeys(ENTRIES, "nu must be 5 strictly positive finite entries"),
+    "theorem1_bounds zeta": dict.fromkeys(ENTRIES, POSITIVE)
+                            | {"+inf": "inconsistent certificate: xi=1.0 outside [0, 1)"},
+    "theorem1_bounds nu": dict.fromkeys(ENTRIES, POSITIVE) | {"+inf": None},
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("call", ENTRY_CALLS)
+def test_reduction_checks_refuse_as_the_elementwise_ones(call, entry):
+    """One ``min`` and one ``max`` per check refuse NaN, both infinities and the smallest
+    negative float with the type and message of the elementwise test, and accept -0.0
+    where it accepted it."""
+    message = ENTRY_REFUSALS[call][entry]
+    if message is None:
+        ENTRY_CALLS[call](ENTRIES[entry])
+        return
+    with pytest.raises(ValueError) as info:
+        ENTRY_CALLS[call](ENTRIES[entry])
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (0,), (2, 3), (1, 0), (1, 2, 2)])
+@pytest.mark.parametrize("call", [spectral_radius, lambda m: solve_certificate(m, np.ones(2))],
+                         ids=["spectral_radius", "solve_certificate"])
+def test_matrix_checks_refuse_a_shape_as_before(call, shape):
+    with pytest.raises(ValueError) as info:
+        call(np.full(shape, 0.1))
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"matrix must be square, got shape {shape}"
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (4,), (6,), (5, 1), (1, 5)])
+@pytest.mark.parametrize("call", [lambda nu: solve_certificate(np.full((5, 5), 0.1), nu),
+                                  lambda nu: certify(Q1_SPEC, L_BENCH, nu=nu)],
+                         ids=["solve_certificate", "certify"])
+def test_weight_checks_refuse_a_shape_as_before(call, shape):
+    with pytest.raises(ValueError) as info:
+        call(np.ones(shape))
+    assert type(info.value) is ValueError
+    assert str(info.value) == "nu must be 5 strictly positive finite entries"
+
+
+@pytest.mark.parametrize("call", [spectral_radius, lambda m: solve_certificate(m, np.ones(0))],
+                         ids=["spectral_radius", "solve_certificate"])
+def test_a_0x0_matrix_is_refused_by_name(call):
+    """Before, ``spectral_radius`` leaked numpy's zero-size reduction error and
+    ``solve_certificate`` returned an empty witness."""
+    with pytest.raises(ValueError, match=r"^matrix must have at least one entry, got shape \(0, 0\)$"):
+        call(np.zeros((0, 0)))
+
+
+def test_theorem1_bounds_are_python_floats():
+    assert all(type(v) is float for v in theorem1_bounds([2.0, 3.0], [1.0, 1.0], 1.2, 1.0))
