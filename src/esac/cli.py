@@ -9,9 +9,9 @@ simulate   write the Monte Carlo mean-V CSV (``k,mean_v,trigger_rate``) and, wit
 example1   print and verify the scripted three-step buffer traces
 selftest   run the acceptance suite, one pass/fail line per criterion
 
-Configuration comes from an optional ``key=value`` file (``#`` comments)
-overridden by command-line flags of the same names.  Exit codes: 0 success
-(certified), 2 not certified, 1 configuration or numerical error, or a closed stdout pipe.
+Configuration comes from an optional ``key=value`` file (``#`` comments) of any keys, overridden
+by ``--<key>`` for the keys a command reads (:data:`_KEY_PARSERS`).  Exit codes: 0 success
+(certified), 2 not certified, 1 usage, configuration or numerical error, or a closed stdout pipe.
 
 Every CSV file is written by :func:`_write_csv`: numbers with 12 significant
 digits and ``.`` decimal separator, ``\\n`` line endings, so identical
@@ -80,23 +80,25 @@ def _parse_vector(raw: str) -> tuple:
     return tuple(_parse_float(tok) for tok in raw.split())
 
 
+_LOOP = ("certify", "sweep", "simulate")  # the commands that configure a loop
+#: Key -> (parser, the commands that read it, and so the only ones that take ``--<key>``).
 _KEY_PARSERS = {
-    "scheme": str,
-    "eta": _parse_int,
-    "lambda": _parse_int,
-    "d": _parse_float,
-    "q": _parse_float,
-    "p": _parse_vector,
-    "alpha": _parse_float,
-    "rho1": _parse_float,
-    "rho2": _parse_float,
-    "epsilon": _parse_float,
-    "horizon": _parse_int,
-    "runs": _parse_int,
-    "seed": _parse_int,
-    "nu": _parse_vector,
-    "noise_std": _parse_float,
-    "output": str,
+    "scheme": (str, _LOOP),
+    "eta": (_parse_int, _LOOP),
+    "lambda": (_parse_int, _LOOP),  # sweep refuses one below the minimum
+    "d": (_parse_float, ("certify", "simulate")),
+    "q": (_parse_float, _LOOP),
+    "p": (_parse_vector, _LOOP),
+    "alpha": (_parse_float, ("certify",)),
+    "rho1": (_parse_float, _LOOP),
+    "rho2": (_parse_float, _LOOP),
+    "epsilon": (_parse_float, _LOOP),
+    "horizon": (_parse_int, ("simulate",)),
+    "runs": (_parse_int, ("simulate",)),
+    "seed": (_parse_int, ("simulate",)),
+    "nu": (_parse_vector, ("certify",)),
+    "noise_std": (_parse_float, ("simulate",)),
+    "output": (str, ("sweep", "simulate")),
 }
 _KEY_TO_FIELD = {"lambda": "lam"}
 
@@ -132,7 +134,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
 def _parse_key(key: str, raw: str):
     if key not in _KEY_PARSERS:
         raise ConfigError(f"unknown key {key!r} (known: {', '.join(sorted(_KEY_PARSERS))})")
-    return _KEY_PARSERS[key](raw)
+    return _KEY_PARSERS[key][0](raw)
 
 
 def _validate(cfg: RunConfig, explicit: set) -> RunConfig:
@@ -280,9 +282,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, run) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(run=run)
-        p.add_argument("--config", help="key=value configuration file")
-        for key in _KEY_PARSERS:
+        p.set_defaults(run=run, config=None)
+        keys = [key for key, (_, readers) in _KEY_PARSERS.items() if name in readers]
+        if keys:
+            p.add_argument("--config", help="key=value configuration file")
+        for key in keys:
             p.add_argument(f"--{key}", dest=f"key_{key}", metavar="V")
         if run is cmd_simulate:  # the one runner that reads a flag of its own
             p.add_argument("--trajectory-csv", metavar="PATH",
@@ -291,17 +295,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error exits 2, which is certify's NotCertified
+        if exc.code != 2:  # --help
+            raise
+        return 1
     try:
         text = ""
         if args.config:
             with open(args.config) as fh:
                 text = fh.read()
-        overrides = [
-            (key, getattr(args, f"key_{key}"))
-            for key in _KEY_PARSERS
-            if getattr(args, f"key_{key}", None) is not None
-        ]
+        overrides = [(key, raw) for key in _KEY_PARSERS  # a command has flags of its keys only
+                     if (raw := getattr(args, f"key_{key}", None)) is not None]
         cfg = parse_config(text, overrides)
         code = args.run(cfg, args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit

@@ -137,7 +137,7 @@ class SchemeConfig:
         states = len(self.p)  # resolve checks scheme, eta and buffer_size
         eta, slots, fine = resolve(self.scheme, self.eta, self.buffer_size, states - 1,
                                    self.kappa1, self.kappa2)
-        for law, name in ((fine, "fine"), (self.kappa1, "coarse")):  # A2 and B2 run both
+        for law, name in ((self.kappa1, "coarse"), (fine, "fine")):  # A1 and B1 run kappa1 as both
             if law is None:
                 raise ValueError(f"scheme {self.scheme} requires a {name} law")
         if not self.d >= 0.0:

@@ -151,12 +151,15 @@ def theorem1_bounds(zeta, nu, sigma_open: float, d_bound: float) -> tuple[float,
 
     Returns ``(xi, c1, c2)`` with ``xi = 1 - min(nu)/max(zeta)``,
     ``c1 = max(zeta)/min(zeta)`` and the matching additive offset ``c2``, as Python floats.
-    A ``zeta`` or ``nu`` with an entry not > 0, NaN included, raises ``ValueError``.
+    A ``zeta`` or ``nu`` with an entry not > 0, NaN included, raises ``ValueError``, as do
+    ``zeta`` and ``nu`` that are not 1-D vectors of one length.
     """
     zeta, nu = np.asarray(zeta, dtype=float), np.asarray(nu, dtype=float)
     z_min, z_max = float(zeta.min()), float(zeta.max())
     if not (z_min > 0.0 and (nu_min := float(nu.min())) > 0.0):  # NaN fails it too
         raise ValueError("zeta and nu must be strictly positive")
+    if zeta.ndim != 1 or nu.shape != zeta.shape:
+        raise ValueError(f"zeta and nu must be 1-D of one length, got {zeta.shape} and {nu.shape}")
     xi = 1.0 - nu_min / z_max
     if not (0.0 <= xi < 1.0):
         raise ValueError(f"inconsistent certificate: xi={xi} outside [0, 1)")

@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import runpy
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from esac.cli import COMMANDS, ConfigError, cmd_certify, main, parse_config
+from esac.cli import (COMMANDS, _KEY_PARSERS, ConfigError, _build_parser, cmd_certify, main,
+                      parse_config)
 
 
 class TestParseConfig:
@@ -447,6 +449,70 @@ def test_every_command_has_help(name, capsys):
     out = capsys.readouterr().out
     assert out.startswith(f"usage: esac {name} ")
     assert ("--trajectory-csv" in out) == (name == "simulate")
+
+
+#: A run of each command that exits 0, and a value of each key that every command accepts.
+RUNS = {
+    "certify": ["--alpha", "1.35", "--rho1", "0.9", "--rho2", "0.45"],
+    "sweep": ["--epsilon", "0.5"],
+    "simulate": ["--rho1", "0.9", "--rho2", "0.45", "--runs", "4", "--horizon", "20"],
+    "example1": [],
+    "selftest": [],
+}
+VALUES = {"scheme": "A2", "eta": "2", "lambda": "2", "d": "1", "q": "0.5",
+          "p": "0.2 0.2 0.2 0.2 0.2", "alpha": "1.01", "rho1": "0.9", "rho2": "0.45",
+          "epsilon": "0.5", "horizon": "20", "runs": "3", "seed": "5", "nu": "1 1 1 1 1",
+          "noise_std": "0.5"}
+
+
+@pytest.mark.parametrize("key", _KEY_PARSERS)
+@pytest.mark.parametrize("name", COMMANDS)
+def test_each_command_takes_only_the_keys_it_reads(name, key, tmp_path, capsys):
+    """A command takes ``--<key>`` exactly when the key table says that it reads the key.
+    Any other key is refused as a flag, before anything runs or is written, and still
+    accepted in a config file, which describes a whole run."""
+    reads = name in _KEY_PARSERS[key][1]
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert (f"--{key} V" in capsys.readouterr().out) == reads
+    if reads:
+        return
+    out = tmp_path / "out.csv"
+    run = RUNS[name] + (["--output", str(out)] if name in _KEY_PARSERS["output"][1] else [])
+    value = str(out) if key == "output" else VALUES[key]
+    assert main([name, *run, f"--{key}", value]) == 1
+    assert f"unrecognized arguments: --{key} " in capsys.readouterr().err
+    assert not out.exists()
+    if RUNS[name]:  # example1 and selftest read no key, so they take no --config
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = {value}\n")
+        assert main([name, "--config", str(config), *run]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def test_settable_flag_count():
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    counts = {name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
+              for name, p in sub.choices.items()}
+    assert counts == {"certify": 12, "sweep": 10, "simulate": 16, "example1": 0, "selftest": 0}
+    assert sum(counts.values()) == 38
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["certify", *RUNS["certify"], "--runs", "3"], "unrecognized arguments: --runs 3"),
+    (["certify", "--alpha"], "argument --alpha: expected one argument"),
+    (["check"], "argument command: invalid choice: 'check'"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_error_exits_1_not_2(argv, message, capsys):
+    """argparse exits 2 on a usage error, the code of certify's NotCertified; the command
+    line exits 1, as on any other error, and keeps argparse's message."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: esac")
+    assert f"error: {message}" in captured.err
 
 
 def test_example1_command(capsys):

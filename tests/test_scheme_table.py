@@ -176,8 +176,8 @@ def test_cli_resolves_one_law_schemes(scheme):
 @pytest.mark.parametrize("scheme", ["A1", "B1"])
 @pytest.mark.parametrize("command", ["sweep", "certify", "simulate"])
 def test_one_law_schemes_reject_epsilon(command, scheme, tmp_path, capsys):
-    code = main([command, "--scheme", scheme, "--epsilon", "0.5",
-                 "--output", str(tmp_path / "out.csv")])
+    output = [] if command == "certify" else ["--output", str(tmp_path / "out.csv")]
+    code = main([command, "--scheme", scheme, "--epsilon", "0.5", *output])
     assert code == 1
     assert capsys.readouterr().err == (f"error: scheme {scheme} runs the coarse law only: "
                                        "epsilon=0.5 must be 1 or be left out\n")
@@ -246,11 +246,11 @@ def test_one_scheme_rule_for_every_layer(scheme, eta, lam, refused, tmp_path, ca
             call()
 
     rho2 = ["--rho2", "0.45"] if scheme in ("A2", "B2") else []
-    argv = ["--scheme", scheme, "--eta", str(eta), "--lambda", str(lam), "--alpha", "1.2",
-            "--rho1", "0.9", *rho2, "--runs", "4", "--horizon", "5",
-            "--output", str(tmp_path / "out.csv")]
+    argv = ["--scheme", scheme, "--eta", str(eta), "--lambda", str(lam), "--rho1", "0.9", *rho2]
+    own = {"certify": ["--alpha", "1.2"],  # each command takes only the keys it reads
+           "simulate": ["--runs", "4", "--horizon", "5", "--output", str(tmp_path / "out.csv")]}
     for command in ("certify", "simulate"):
-        code = main([command, *argv])
+        code = main([command, *argv, *own[command]])
         err = capsys.readouterr().err
         if refused is None:
             assert code in ((0, 2) if command == "certify" else (0,)) and err == ""

@@ -103,10 +103,12 @@ class TestSchemeConfig:
         assert config._chain[3] == 1
 
     @pytest.mark.parametrize("runs", [4, 30])  # the per-run loop, then the batched engine
-    @pytest.mark.parametrize("scheme", ["A2", "B2"])
+    @pytest.mark.parametrize("scheme", ["A2", "B2", "A1", "B1"])
     def test_two_law_scheme_requires_a_coarse_law(self, scheme, runs):
         """A missing coarse law is refused when the config is built; before, both
-        engines failed at the first coarse-headed step with a ``TypeError``."""
+        engines failed at the first coarse-headed step with a ``TypeError``.  A one-law
+        scheme, which runs its one law ``kappa1`` in the fine slot too, names it coarse
+        as well; before, it was named fine."""
         plant, config = bench_config(scheme=scheme)
         assert monte_carlo(plant, config, horizon=20, runs=runs, base_seed=0).runs == runs
         with pytest.raises(ValueError, match=f"^scheme {scheme} requires a coarse law$"):

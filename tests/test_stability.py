@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -182,10 +183,17 @@ class TestCertificate:
         with pytest.raises(ValueError, match="^zeta and nu must be strictly positive$"):
             theorem1_bounds(zeta, nu, sigma_open=1.0, d_bound=1.0)
 
-    def test_theorem1_rejects_inconsistent_certificate(self):
+    @pytest.mark.parametrize("zeta, nu, message", [
         # zeta = 0.5 < nu = 1 is no solution of (I - T) zeta = nu for T >= 0: xi = -1.
-        with pytest.raises(ValueError, match="^inconsistent certificate: xi=-1.0 outside"):
-            theorem1_bounds([0.5], [1.0], sigma_open=1.0, d_bound=1.0)
+        ([0.5], [1.0], "inconsistent certificate: xi=-1.0 outside [0, 1)"),
+        # Before, each of these returned (0.5, 1.0, 2.0).
+        ([[2.0], [2.0]], [1.0, 1.0], "zeta and nu must be 1-D of one length, got (2, 1) and (2,)"),
+        (2.0, 1.0, "zeta and nu must be 1-D of one length, got () and ()"),
+        ([2.0, 2.0, 2.0], [1.0, 1.0], "zeta and nu must be 1-D of one length, got (3,) and (2,)"),
+    ], ids=["zeta below nu", "2-D zeta", "0-d zeta and nu", "length mismatch"])
+    def test_theorem1_rejects_inconsistent_certificate(self, zeta, nu, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            theorem1_bounds(zeta, nu, sigma_open=1.0, d_bound=1.0)
 
     def test_theorem1_scalar_case(self):
         # zeta = 2, nu = 1: xi = 0.5, c1 = 1, dbar = max(2, |2*2 - 1|) = 3.
