@@ -28,7 +28,6 @@ from .stability import (
     critical_alpha,
     solve_certificate,
     spectral_radius,
-    theorem1_bounds,
 )
 from .sweep import BoundaryPoint, SweepSpec, boundary_curve
 
@@ -56,7 +55,6 @@ __all__ = [
     "simulate_trajectory",
     "solve_certificate",
     "spectral_radius",
-    "theorem1_bounds",
     "transition_matrix",
 ]
 

@@ -66,12 +66,13 @@ def effective_availability(q: float, p) -> np.ndarray:
     return l
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelModel:
     """Dropout probability, processor pmf and derived effective pmf.
 
     ``l`` is computed from ``q`` and ``p`` on construction and should not be
-    supplied by the caller.
+    supplied by the caller.  Compared and hashed by identity, as arrays have no
+    single truth value.
     """
 
     q: float

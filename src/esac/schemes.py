@@ -17,7 +17,8 @@ checks and derives, and :meth:`Buffer.step` takes them.  It stores every entry o
 and is the scripted and reference stepper: both engines of :mod:`esac.simulate` step the
 buffer's chain state (:mod:`esac.chain`) instead.  A count (``eta``, a buffer size,
 ``n_max``, a horizon, runs) is an integer >= 1 by :func:`_as_count`, its one check: a numpy
-integer counts as the equal ``int``, and ``2.0`` is refused by a ``ValueError`` naming it.
+integer counts as the equal ``int``, and ``2.0`` or ``True`` is refused by a ``ValueError``
+naming it.
 """
 from __future__ import annotations
 
@@ -52,6 +53,8 @@ def scheme_kind(scheme: str) -> SchemeKind:
 def _as_count(value, name: str, most: int | None = None) -> int:
     """``value`` as an ``int`` from 1 to ``most`` (``n_max``, or ``None``), else ValueError."""
     try:
+        if isinstance(value, bool):  # an int subclass, but a flag, not a count
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

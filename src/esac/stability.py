@@ -49,7 +49,7 @@ class ContractionSpec:
     ``alpha`` bounds open-loop growth (empty buffer), ``rho1`` the coarse law and ``rho2``
     the fine law, whose cost ``eta`` is a count (:func:`esac.schemes._as_count`) kept as an
     ``int``.  ``alpha`` also bounds the deterministic (untriggered) mode, which applies zero
-    input: it is the ``sigma_open`` of :func:`theorem1_bounds`.  ``d_bound`` is the Lyapunov
+    input: it is the ``sigma_open`` of Theorem 1's offset ``c2``.  ``d_bound`` is the Lyapunov
     ceiling inside the trigger region; the lower Lyapunov envelope is not carried here.
     """
 
@@ -146,21 +146,13 @@ def solve_certificate(t, nu) -> np.ndarray:
     return zeta
 
 
-def theorem1_bounds(zeta, nu, sigma_open: float, d_bound: float) -> tuple[float, float, float]:
-    """Geometric decay rate and offsets of the expected-Lyapunov bound.
-
-    Returns ``(xi, c1, c2)`` with ``xi = 1 - min(nu)/max(zeta)``,
-    ``c1 = max(zeta)/min(zeta)`` and the matching additive offset ``c2``, as Python floats.
-    A ``zeta`` or ``nu`` with an entry not > 0, NaN included, raises ``ValueError``, as do
-    ``zeta`` and ``nu`` that are not 1-D vectors of one length.
-    """
-    zeta, nu = np.asarray(zeta, dtype=float), np.asarray(nu, dtype=float)
+def _theorem1_bounds(zeta: np.ndarray, nu, sigma_open: float,
+                     d_bound: float) -> tuple[float, float, float]:
+    # Theorem 1's (xi, c1, c2), as Python floats, from a witness zeta > 0 that solve_certificate
+    # accepted for the weights nu it checked: xi = 1 - min(nu)/max(zeta), c1 = max(zeta)/min(zeta).
+    # xi still rounds to 1 when an entry of nu is tiny against zeta (1e-20 with rho2 = 0).
     z_min, z_max = float(zeta.min()), float(zeta.max())
-    if not (z_min > 0.0 and (nu_min := float(nu.min())) > 0.0):  # NaN fails it too
-        raise ValueError("zeta and nu must be strictly positive")
-    if zeta.ndim != 1 or nu.shape != zeta.shape:
-        raise ValueError(f"zeta and nu must be 1-D of one length, got {zeta.shape} and {nu.shape}")
-    xi = 1.0 - nu_min / z_max
+    xi = 1.0 - float(np.min(nu)) / z_max
     if not (0.0 <= xi < 1.0):
         raise ValueError(f"inconsistent certificate: xi={xi} outside [0, 1)")
     c1 = z_max / z_min
@@ -273,7 +265,9 @@ def certify(spec: ContractionSpec, l, nu=None, buffer_size=None) -> Certificatio
     witness ``zeta`` with ``nu`` (default all-ones): the verdict is NotCertified exactly when
     :func:`solve_certificate` raises ``LinAlgError``, and its ``ValueError`` for a malformed
     ``nu`` passes through.  The report also carries the Perron root of ``T``, the
-    closed-form index where defined, and the geometric-bound constants.
+    closed-form index where defined, and Theorem 1's constants ``xi``, ``c1`` and ``c2``,
+    computed from the accepted witness alone.  A ``nu`` so small against ``zeta`` that ``xi``
+    rounds to 1 raises ``ValueError`` ("inconsistent certificate").
     """
     slots = None if buffer_size is None else _as_count(buffer_size, "buffer_size")
     phi, t = _certification(l, spec.eta, slots, spec.alpha, spec.rho1, spec.rho2)
@@ -285,7 +279,7 @@ def certify(spec: ContractionSpec, l, nu=None, buffer_size=None) -> Certificatio
     except np.linalg.LinAlgError:  # no witness, including a singular I - T
         zeta = xi = c1 = c2 = None
     else:
-        xi, c1, c2 = theorem1_bounds(zeta, nu, spec.alpha, spec.d_bound)
+        xi, c1, c2 = _theorem1_bounds(zeta, nu, spec.alpha, spec.d_bound)
     return CertificationReport(
         phi=phi,
         t_matrix=t,

@@ -31,9 +31,9 @@ class BoundaryPoint(NamedTuple):
                    self.alpha_star_upper - self.alpha_star_closed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepSpec:
-    """One boundary curve: scheme, fine-law cost, contraction ratio, grid."""
+    """One boundary curve: scheme, fine-law cost, contraction ratio, grid (compared by identity)."""
 
     scheme: str  # a key of esac.schemes.SCHEMES
     eta: int

@@ -35,10 +35,9 @@ def test_exported_names():
         "simulate_trajectory",
         "solve_certificate",
         "spectral_radius",
-        "theorem1_bounds",
         "transition_matrix",
     ]
-    assert len(esac.__all__) == 25
+    assert len(esac.__all__) == 24
     for name in esac.__all__:
         assert hasattr(esac, name), name
 

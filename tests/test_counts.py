@@ -15,7 +15,7 @@ from esac.sweep import SweepSpec, boundary_curve
 
 P = (0.2,) * 5
 L = effective_availability(0.5, P)
-NOT_COUNTS = [2.5, 4.0, np.float64(2.0)]
+NOT_COUNTS = [2.5, 4.0, np.float64(2.0), True, np.True_]
 
 
 def channel(n_max):
@@ -67,7 +67,9 @@ CALLS = {
     ("simulate_trajectory", "horizon"): lambda v: simulate_trajectory(*scheme_config(), v, 7),
     ("monte_carlo", "horizon"): lambda v: run_monte_carlo(horizon=v),
     ("monte_carlo", "runs"): lambda v: run_monte_carlo(runs=v),
-    ("monte_carlo batched", "runs"): lambda v: run_monte_carlo(runs=v * 16),
+    # a flag times 16 is the int 16, so a flag goes in as it is: runs are checked before batching
+    ("monte_carlo batched", "runs"): lambda v: run_monte_carlo(
+        runs=v if isinstance(v, (bool, np.bool_)) else v * 16),
 }
 
 

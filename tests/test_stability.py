@@ -13,12 +13,12 @@ from esac.stability import (
     CERTIFIED,
     NOT_CERTIFIED,
     ContractionSpec,
+    _theorem1_bounds,
     block_schur_g1,
     certify,
     critical_alpha,
     solve_certificate,
     spectral_radius,
-    theorem1_bounds,
 )
 
 # Benchmark channel: half availability, uniform deadline pmf over 0..4.
@@ -175,29 +175,17 @@ class TestCertificate:
             solve_certificate([[0.5]], nu)
         assert not isinstance(exc.value, np.linalg.LinAlgError)
 
-    @pytest.mark.parametrize("zeta, nu", [([0.0], [1.0]), ([2.0], [-1.0]), ([2.0, -1.0], [1.0]),
-                                          ([2.0, np.nan], [1.0]), ([2.0], [np.nan, 1.0]),
-                                          ([np.nan], [np.nan])])
-    def test_theorem1_rejects_nonpositive_input(self, zeta, nu):
-        # A NaN fails the positivity check too; before, it reached "inconsistent certificate: xi=nan".
-        with pytest.raises(ValueError, match="^zeta and nu must be strictly positive$"):
-            theorem1_bounds(zeta, nu, sigma_open=1.0, d_bound=1.0)
-
     @pytest.mark.parametrize("zeta, nu, message", [
         # zeta = 0.5 < nu = 1 is no solution of (I - T) zeta = nu for T >= 0: xi = -1.
         ([0.5], [1.0], "inconsistent certificate: xi=-1.0 outside [0, 1)"),
-        # Before, each of these returned (0.5, 1.0, 2.0).
-        ([[2.0], [2.0]], [1.0, 1.0], "zeta and nu must be 1-D of one length, got (2, 1) and (2,)"),
-        (2.0, 1.0, "zeta and nu must be 1-D of one length, got () and ()"),
-        ([2.0, 2.0, 2.0], [1.0, 1.0], "zeta and nu must be 1-D of one length, got (3,) and (2,)"),
-    ], ids=["zeta below nu", "2-D zeta", "0-d zeta and nu", "length mismatch"])
+    ], ids=["zeta below nu"])
     def test_theorem1_rejects_inconsistent_certificate(self, zeta, nu, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            theorem1_bounds(zeta, nu, sigma_open=1.0, d_bound=1.0)
+            _theorem1_bounds(np.array(zeta), nu, sigma_open=1.0, d_bound=1.0)
 
     def test_theorem1_scalar_case(self):
         # zeta = 2, nu = 1: xi = 0.5, c1 = 1, dbar = max(2, |2*2 - 1|) = 3.
-        xi, c1, c2 = theorem1_bounds([2.0], [1.0], sigma_open=2.0, d_bound=1.0)
+        xi, c1, c2 = _theorem1_bounds(np.array([2.0]), [1.0], sigma_open=2.0, d_bound=1.0)
         assert xi == pytest.approx(0.5)
         assert c1 == pytest.approx(1.0)
         assert c2 == pytest.approx(3.0)
@@ -212,7 +200,7 @@ class TestCertificate:
         nu = rng.uniform(0.5, 2.0, n)
         zeta = solve_certificate(t, nu)
         assert np.all(zeta > 0.0)
-        xi, c1, c2 = theorem1_bounds(zeta, nu, sigma_open=1.5, d_bound=1.0)
+        xi, c1, c2 = _theorem1_bounds(zeta, nu, sigma_open=1.5, d_bound=1.0)
         assert 0.0 <= xi < 1.0
         assert c1 >= 1.0
         assert c2 > 0.0
@@ -496,7 +484,7 @@ class TestCertify:
         assert np.all(report.zeta > 0.0)
         # The untriggered mode applies zero input, so it grows by alpha.
         assert spec.d_bound == 1.0
-        assert (report.xi, report.c1, report.c2) == theorem1_bounds(
+        assert (report.xi, report.c1, report.c2) == _theorem1_bounds(
             report.zeta, np.ones(5), sigma_open=1.35, d_bound=1.0)
 
     def test_q1_not_certified_above_threshold(self):
@@ -600,30 +588,21 @@ def _with(base, index, value):
 
 
 #: Each check's input with one entry replaced: the matrix of ``spectral_radius`` and
-#: ``solve_certificate``, the weights of ``solve_certificate`` and ``certify``, and both
-#: vectors of ``theorem1_bounds``.
+#: ``solve_certificate``, and the weights of ``solve_certificate`` and ``certify``.
 ENTRY_CALLS = {
     "spectral_radius": lambda v: spectral_radius(_with(M2, (0, 1), v)),
     "solve_certificate t": lambda v: solve_certificate(_with(M2, (0, 1), v), np.ones(2)),
     "solve_certificate nu": lambda v: solve_certificate(M2, _with([1.0, 1.0], 1, v)),
     "certify nu": lambda v: certify(Q1_SPEC, L_BENCH, nu=_with(np.ones(5), 2, v)),
-    "theorem1_bounds zeta": lambda v: theorem1_bounds(_with([2.0, 3.0], 1, v), [1.0, 1.0], 1.2, 1.0),
-    "theorem1_bounds nu": lambda v: theorem1_bounds([2.0, 3.0], _with([1.0, 1.0], 1, v), 1.2, 1.0),
 }
 ENTRIES = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf, "tiny negative": -5e-324, "-0.0": -0.0}
 MATRIX = "matrix must be entry-wise finite and nonnegative"
-POSITIVE = "zeta and nu must be strictly positive"
-#: What the elementwise checks (``isfinite & >= 0``) did with each entry, None for an accepted
-#: one.  A NaN given to ``theorem1_bounds`` is the one change: its positivity check refuses it,
-#: where the elementwise ``zeta <= 0`` let it through to "inconsistent certificate: xi=nan".
+#: What the elementwise checks (``isfinite & >= 0``) did with each entry, None for an accepted one.
 ENTRY_REFUSALS = {
     "spectral_radius": dict.fromkeys(ENTRIES, MATRIX) | {"-0.0": None},
     "solve_certificate t": dict.fromkeys(ENTRIES, MATRIX) | {"-0.0": None},
     "solve_certificate nu": dict.fromkeys(ENTRIES, "nu must be 2 strictly positive finite entries"),
     "certify nu": dict.fromkeys(ENTRIES, "nu must be 5 strictly positive finite entries"),
-    "theorem1_bounds zeta": dict.fromkeys(ENTRIES, POSITIVE)
-                            | {"+inf": "inconsistent certificate: xi=1.0 outside [0, 1)"},
-    "theorem1_bounds nu": dict.fromkeys(ENTRIES, POSITIVE) | {"+inf": None},
 }
 
 
@@ -673,4 +652,32 @@ def test_a_0x0_matrix_is_refused_by_name(call):
 
 
 def test_theorem1_bounds_are_python_floats():
-    assert all(type(v) is float for v in theorem1_bounds([2.0, 3.0], [1.0, 1.0], 1.2, 1.0))
+    assert all(type(v) is float for v in _theorem1_bounds(np.array([2.0, 3.0]), [1.0, 1.0], 1.2, 1.0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_theorem1_holds_on_the_report(seed):
+    """Theorem 1's constants satisfy, on every certified report, the relation its geometric
+    bound needs: ``T zeta <= xi zeta`` entry-wise, with ``c1 = max(zeta) / min(zeta)``."""
+    rng = np.random.default_rng(seed)
+    certified = 0
+    for _ in range(50):
+        report = certify(*random_config(rng))
+        if not report.certified:
+            continue
+        certified += 1
+        zeta = report.zeta
+        assert np.all(report.t_matrix @ zeta <= (report.xi + 1e-12) * zeta), seed  # rounding of zeta
+        assert report.c1 == zeta.max() / zeta.min()
+        assert 0.0 < report.c2 < np.inf
+        assert all(type(v) is float for v in (report.xi, report.c1, report.c2))
+    assert certified >= 10
+
+
+def test_degenerate_nu_is_refused_not_divided_by():
+    """With ``rho2 = 0`` a tiny weight leaves its state's ``zeta`` at the weight itself, so
+    ``xi = 1 - 1e-20 / max(zeta)`` rounds to 1: a ``ValueError``, never ``ZeroDivisionError``."""
+    spec = ContractionSpec(alpha=1.2, rho1=0.9, rho2=0.0, eta=2)
+    with pytest.raises(ValueError, match="^inconsistent certificate") as info:
+        certify(spec, L_BENCH, nu=[1.0, 1.0, 1e-20, 1.0, 1.0])
+    assert type(info.value) is ValueError

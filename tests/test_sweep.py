@@ -17,6 +17,16 @@ class TestSweepSpec:
         assert len(DEFAULT_RHO1_GRID) == 19
         np.testing.assert_allclose(np.diff(DEFAULT_RHO1_GRID), 0.05, atol=1e-12)
 
+    def test_specs_compare_and_hash_by_identity(self):
+        """Both hold arrays, whose ``==`` has no single truth value: they compare and hash
+        as objects, so neither raises and equal fields are still two specs."""
+        channels = [ChannelModel(q=0.5, p=[0.2] * 5) for _ in range(2)]
+        specs = [SweepSpec("A2", 2, 0.5, c, 4) for c in channels]
+        for a, b in (channels, specs):
+            assert a == a and a != b
+            assert hash(a) == hash(a)
+            assert len({a, b, a}) == 2
+
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             SweepSpec("A2", 2, 0.5, BENCH, 4, rho1_grid=(0.5, 0.4))
