@@ -12,15 +12,18 @@ the no-computation event gives the effective availability pmf ``l``:
 
 One rule says what a valid channel is, and every layer (the certificate,
 the simulator's :class:`~esac.simulate.SchemeConfig` and the command line)
-checks it here: ``q`` lies in [0, 1], and ``p`` is a vector of at least two
-entries (``n_max >= 1``: a processor that can never compute has no loop to
-certify) in [0, 1] that sums to one within ``PMF_SUM_TOL``.
+checks it here: ``q`` is a real number (not a flag) in [0, 1], and ``p`` is a
+vector of at least two entries (``n_max >= 1``: a processor that can never
+compute has no loop to certify) in [0, 1] that sums to one within
+``PMF_SUM_TOL``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .schemes import _refuse_flag
 
 #: Tolerance for validating that a probability vector sums to one.  Vectors
 #: outside this tolerance are rejected, never silently renormalised.
@@ -59,6 +62,7 @@ def effective_availability(q: float, p) -> np.ndarray:
     numpy.ndarray
         Effective pmf ``l`` of the same length, summing to one.
     """
+    _refuse_flag(q, "q")
     if not (0.0 <= q <= 1.0):
         raise ValueError(f"q must be in [0, 1], got {q}")
     l = q * _as_pmf(p, "p")

@@ -18,7 +18,8 @@ and is the scripted and reference stepper: both engines of :mod:`esac.simulate` 
 buffer's chain state (:mod:`esac.chain`) instead.  A count (``eta``, a buffer size,
 ``n_max``, a horizon, runs) is an integer >= 1 by :func:`_as_count`, its one check: a numpy
 integer counts as the equal ``int``, and ``2.0`` or ``True`` is refused by a ``ValueError``
-naming it.
+naming it.  A real number (a gain, ``d_bound``, ``q``, ``d``, ``noise_std``, ``x0``) is never
+a flag either: :func:`_refuse_flag` refuses ``True`` or ``numpy.True_`` there by name.
 """
 from __future__ import annotations
 
@@ -62,6 +63,13 @@ def _as_count(value, name: str, most: int | None = None) -> int:
         rule = "be >= 1" if most is None else f"satisfy 1 <= {name} <= n_max={most}"
         raise ValueError(f"{name} must {rule}, got {count}")
     return count
+
+
+def _refuse_flag(value, name: str):
+    """Raise ValueError if ``value``, read as a real number, is a ``bool`` or has a bool dtype
+    (``numpy.bool_``, a 0-d bool array)."""
+    if isinstance(value, bool) or getattr(value, "dtype", None) == bool:
+        raise ValueError(f"{name} must be a real number, not a flag, got {value!r}")
 
 
 def resolve(scheme: str, eta: int, buffer_size: int | None, n_max: int,

@@ -28,12 +28,13 @@ an entry is computed by its state's :func:`~esac.chain.law_of` law only when it
 becomes the head.  A call of at least ``_BATCH_MIN_RUNS`` (24) runs
 advances its runs together on arrays with one entry per run (see
 :func:`_run_batch`), each step doing its lookups at one flat index per run;
-it keeps the runs' Lyapunov values, and after the last step one cumsum per
-block adds them and their squares in run order, as the per-run loop does.  Narrower calls run
-:func:`simulate_trajectory`, its scalar twin, once per run without its
-per-step records, which is faster there because numpy's cost per call
-outweighs a width of about two dozen runs.  :meth:`esac.schemes.Buffer.step`,
-which stores every entry of a grant, is the scripted and reference stepper.
+it keeps the runs' Lyapunov values, and after the last step adds them and
+their squares one run at a time, in run order, as the per-run loop does.
+Narrower calls run :func:`simulate_trajectory`, its scalar twin, once per
+run without its per-step records, which is faster there because numpy's
+cost per call outweighs a width of about two dozen runs.
+:meth:`esac.schemes.Buffer.step`, which stores every entry of a grant, is
+the scripted and reference stepper.
 
 Plant and law callables must therefore work elementwise on float arrays as
 well as on scalars (``np.sin``, not ``math.sin``), giving each element the
@@ -55,7 +56,7 @@ import numpy as np
 
 from .chain import jump_table, law_of
 from .channel import effective_availability
-from .schemes import ControlLaw, _as_count, resolve, scheme_kind
+from .schemes import ControlLaw, _as_count, _refuse_flag, resolve, scheme_kind
 
 #: States beyond this magnitude mark a run as divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -77,14 +78,15 @@ _BATCH_MIN_RUNS = 24
 #: bytes beyond, where the width floor takes over.  Decoding adds a float64
 #: slab of at most ``_DECODE_SLAB_DRAWS`` uniforms, or of one run's
 #: ``2 * horizon`` if that is more.  Each step writes the runs' Lyapunov
-#: values over the disturbances it has used, and the run-order reduction adds
-#: a block of two slabs, or of ``2 * (width + 1)`` numbers if that is more.
+#: values over the disturbances it has used, and the run-order sums read them
+#: one run at a time, adding only one run's squares.
 _BATCH_MAX_DRAWS = 1 << 21
 
 #: Uniforms that :func:`_decode_streams` holds as float64 before it decodes
-#: them (32 KiB).  A larger slab decodes a little faster but adds its size
-#: to a batch's peak memory: on 2 vCPUs, the streams of a Q1 call of 512
-#: runs x 200 steps took 5.2 ms to decode at 32 KiB and 4.3 ms at 128 KiB.
+#: them (32 KiB): it sizes the decode slab only.  A larger slab decodes a
+#: little faster but adds its size to a batch's peak memory: on 2 vCPUs, the
+#: streams of a Q1 call of 512 runs x 200 steps took 5.2 ms to decode at
+#: 32 KiB and 4.3 ms at 128 KiB.
 _DECODE_SLAB_DRAWS = 1 << 12
 
 
@@ -103,6 +105,8 @@ class PlantModel:
     lyapunov: Callable
 
     def __post_init__(self):
+        for name in ("noise_std", "x0"):
+            _refuse_flag(getattr(self, name), name)
         if not 0.0 <= self.noise_std < math.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if not math.isfinite(self.x0):
@@ -140,6 +144,7 @@ class SchemeConfig:
         for law, name in ((self.kappa1, "coarse"), (fine, "fine")):  # A1 and B1 run kappa1 as both
             if law is None:
                 raise ValueError(f"scheme {self.scheme} requires a {name} law")
+        _refuse_flag(self.d, "d")
         if not self.d >= 0.0:
             raise ValueError(f"d must be >= 0, got {self.d}")
         object.__setattr__(self, "_chain", (jump_table(states, eta, slots), law_of(states, eta),
@@ -435,25 +440,19 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
         noise[:, k] = v  # the values of step k + 1, in the column this step has used
         trig = size > config.d
         triggered[k + 1] = np.count_nonzero(trig) + ndead
-    _add_in_run_order(v0[:, None], sum_v[:1], sum_sq[:1])
-    _add_in_run_order(noise, sum_v[1:], sum_sq[1:])
+    # Add the runs one at a time, in run order, as the per-run loop does: step 0 in
+    # Python floats (float64), then each run's row of values for steps 1 to horizon.
+    first, first_sq = float(sum_v[0]), float(sum_sq[0])
+    for v in np.asarray(v0, dtype=float).tolist():
+        first += v
+        first_sq += v * v
+    sum_v[0], sum_sq[0] = first, first_sq
+    rest, rest_sq = sum_v[1:], sum_sq[1:]
+    for v in noise:
+        rest += v
+        rest_sq += v * v
     sum_trigger += triggered
     return int(ndead)
-
-
-def _add_in_run_order(values: np.ndarray, sums: np.ndarray, squares: np.ndarray):
-    """Add column ``k`` of ``values`` (one row per run) and its squares into
-    ``sums[k]`` and ``squares[k]`` in run order, as the per-run loop does."""
-    width, steps = values.shape
-    cols = max(1, _DECODE_SLAB_DRAWS // (width + 1))
-    for first in range(0, steps, cols):
-        cut = slice(first, first + cols)
-        part = np.empty((2, width + 1, len(sums[cut])))  # the values and their squares
-        part[:, 0] = sums[cut], squares[cut]  # the running totals lead
-        part[0, 1:] = values[:, cut]
-        np.multiply(part[0, 1:], part[0, 1:], out=part[1, 1:])
-        np.cumsum(part, axis=1, out=part)  # sequential, not a pairwise sum
-        sums[cut], squares[cut] = part[:, -1]
 
 
 def example_system(rho1: float = 0.9):

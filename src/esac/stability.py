@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import law_of, transition_matrix
-from .schemes import _as_count, resolve
+from .schemes import _as_count, _refuse_flag, resolve
 
 #: Margin of Schur verdicts: a witness must prove spectral radius <= 1 - SCHUR_TOL.
 SCHUR_TOL = 1e-9
@@ -62,6 +62,7 @@ class ContractionSpec:
     def __post_init__(self):
         for name in ("alpha", "rho1", "rho2", "d_bound"):
             v = getattr(self, name)
+            _refuse_flag(v, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
         object.__setattr__(self, "eta", _as_count(self.eta, "eta"))

@@ -1,6 +1,7 @@
 """One count rule: every entry point takes ``eta``, buffer sizes, ``n_max``,
 horizons and run counts through ``esac.schemes._as_count``, so a numpy
-integer runs as the equal ``int`` and a non-integer is refused by name."""
+integer runs as the equal ``int`` and a non-integer is refused by name.
+Nor is a real number ever a flag (``esac.schemes._refuse_flag``)."""
 import dataclasses
 
 import numpy as np
@@ -182,3 +183,28 @@ class TestNumpyIntegersAreInts:
                 assert a.tobytes() == b.tobytes(), field.name
             else:
                 assert a == b, field.name
+
+
+#: (entry point, real number) -> a call that passes ``value`` as that number.
+REALS = {
+    ("ContractionSpec", "alpha"): lambda v: ContractionSpec(alpha=v, rho1=0.9, rho2=0.45, eta=2),
+    ("ContractionSpec", "rho1"): lambda v: ContractionSpec(alpha=1.2, rho1=v, rho2=0.45, eta=2),
+    ("ContractionSpec", "rho2"): lambda v: ContractionSpec(alpha=1.2, rho1=1.5, rho2=v, eta=2),
+    ("ContractionSpec", "d_bound"): lambda v: ContractionSpec(
+        alpha=1.2, rho1=0.9, rho2=0.45, eta=2, d_bound=v),
+    ("effective_availability", "q"): lambda v: effective_availability(v, P),
+    ("ChannelModel", "q"): lambda v: ChannelModel(q=v, p=P),
+    ("SchemeConfig", "q"): lambda v: dataclasses.replace(scheme_config()[1], q=v),
+    ("SchemeConfig", "d"): lambda v: dataclasses.replace(scheme_config()[1], d=v),
+    ("PlantModel", "noise_std"): lambda v: dataclasses.replace(example_system()[0], noise_std=v),
+    ("PlantModel", "x0"): lambda v: dataclasses.replace(example_system()[0], x0=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_, np.array(True)], ids=repr)
+@pytest.mark.parametrize("entry, name", list(REALS), ids=[" ".join(k) for k in REALS])
+def test_every_real_number_refuses_a_flag(entry, name, value):
+    # A flag compares as 0 or 1, so every range check would pass it as that number.
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, not a flag, got "):
+        REALS[entry, name](value)
+    REALS[entry, name](1)  # a plain int stays a real number

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import math
 import tracemalloc
 import warnings
@@ -332,6 +333,18 @@ EXTREMES = {"q0": ({"q": 0.0}, 60), "q1": ({"q": 1.0}, 60), "p001": ({"p": (0.0,
             "d0": ({"d": 0.0}, 60), "dinf": ({"d": math.inf}, 60), "horizon1": ({}, 1)}
 
 
+#: Thousands of runs per batch, with the bench plant and with the divergent one, whose
+#: runs pass the divergence limit at steps 12 and 13.  One reference serves both tests.
+WIDE = {"bench": (bench_config()[0], 5), "divergent": (divergent_plant(), 13)}
+WIDE_RUNS = 8_200
+
+
+@functools.cache
+def wide_reference(plant_name):
+    plant, horizon = WIDE[plant_name]
+    return reference_monte_carlo(plant, bench_config()[1], horizon, WIDE_RUNS, 17)
+
+
 class TestMonteCarloOracle:
     """Both engines equal the run-order mean of ``simulate_trajectory`` bit for
     bit, and give the same standard errors."""
@@ -342,21 +355,25 @@ class TestMonteCarloOracle:
         batched = runs >= esac.simulate._BATCH_MIN_RUNS
         with mock.patch.object(esac.simulate, "_BATCH_MIN_RUNS", runs + 1 if batched else 1):
             other = monte_carlo(plant, config, horizon, runs, base_seed)
-        mean_v, trigger_rate, divergent, paths = reference_monte_carlo(
-            plant, config, horizon, runs, base_seed)
+        reference = reference_monte_carlo(plant, config, horizon, runs, base_seed)
         for res in (result, other):
-            np.testing.assert_array_equal(res.mean_v, mean_v)
-            np.testing.assert_array_equal(res.trigger_rate, trigger_rate)
-            assert res.divergent_runs == divergent
-            assert type(res.divergent_runs) is int
+            self.assert_matches(res, reference)
         np.testing.assert_array_equal(result.se_v, other.se_v)
+        return result
+
+    @staticmethod
+    def assert_matches(result, reference):
+        mean_v, trigger_rate, divergent, paths = reference
+        np.testing.assert_array_equal(result.mean_v, mean_v)
+        np.testing.assert_array_equal(result.trigger_rate, trigger_rate)
+        assert result.divergent_runs == divergent
+        assert type(result.divergent_runs) is int
         # The sums-of-squares form loses up to about sqrt(eps) * max|v| to
         # cancellation where the runs agree, with max|v| taken at each step.
-        expected = np.std(paths, axis=0, ddof=1) / math.sqrt(runs)
+        expected = np.std(paths, axis=0, ddof=1) / math.sqrt(len(paths))
         tol = 1e-9 * expected + 10 * math.sqrt(np.finfo(float).eps) * np.abs(paths).max(axis=0)
         error = np.abs(result.se_v - expected)
         assert np.all(error <= tol), f"se_v off by {error - tol} beyond tolerance"
-        return result
 
     @pytest.mark.parametrize("runs", WIDTHS)
     @pytest.mark.parametrize("scheme, eta, buffer_size, p", SCHEME_CASES, ids=[
@@ -412,6 +429,25 @@ class TestMonteCarloOracle:
         plant, config = bench_config()
         self.check(plant, config, horizon=horizon, runs=45, base_seed=21)
         self.check(divergent_plant(), config, horizon=horizon, runs=45, base_seed=21)
+
+    @pytest.mark.parametrize("plant_name", WIDE)
+    def test_wide_batch(self, plant_name):
+        # One batch of 8,200 runs.
+        self.check_wide(plant_name)
+
+    @pytest.mark.parametrize("plant_name", WIDE)
+    def test_wide_batches_carry_the_sums(self, plant_name, monkeypatch):
+        # Batches of 4,096, 4,096 and 8 runs: the run-order sums continue across both
+        # batch boundaries at that width.
+        monkeypatch.setattr(esac.simulate, "_BATCH_MAX_DRAWS", 3 * WIDE[plant_name][1] * 4_096)
+        self.check_wide(plant_name)
+
+    def check_wide(self, plant_name):
+        plant, horizon = WIDE[plant_name]
+        _, config = bench_config()
+        result = monte_carlo(plant, config, horizon, WIDE_RUNS, 17)
+        self.assert_matches(result, wide_reference(plant_name))
+        assert (result.divergent_runs > 0) == (plant_name == "divergent")
 
 
 @pytest.mark.parametrize("runs", [5, 40])
@@ -545,7 +581,7 @@ def test_trajectory_without_records(plant_name, scheme, eta, buffer_size, p, q):
 def test_batched_call_memory_peak():
     """A 10k-run call of criterion 5's shape stays near the batch budget:
     the Lyapunov values reuse the disturbances' room, and the run-order
-    reduction adds a small block, not a value array per batch."""
+    sums add one run's squares at a time, not a value array per batch."""
     plant, _, _ = example_system()
     tracemalloc.start()
     try:
