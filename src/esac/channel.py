@@ -12,7 +12,8 @@ the no-computation event gives the effective availability pmf ``l``:
 
 One rule says what a valid channel is, and every layer (the certificate,
 the simulator's :class:`~esac.simulate.SchemeConfig` and the command line)
-checks it here: ``q`` is a real number (not a flag) in [0, 1], and ``p`` is a
+checks it here: ``q`` is a real number in [0, 1] (:func:`esac.schemes._as_real`, which
+refuses a flag, a string, ``None`` or an array by name), and ``p`` is a
 vector of at least two entries (``n_max >= 1``: a processor that can never
 compute has no loop to certify) in [0, 1] that sums to one within
 ``PMF_SUM_TOL``.
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schemes import _refuse_flag
+from .schemes import _as_real
 
 #: Tolerance for validating that a probability vector sums to one.  Vectors
 #: outside this tolerance are rejected, never silently renormalised.
@@ -62,10 +63,7 @@ def effective_availability(q: float, p) -> np.ndarray:
     numpy.ndarray
         Effective pmf ``l`` of the same length, summing to one.
     """
-    _refuse_flag(q, "q")
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    l = q * _as_pmf(p, "p")
+    l = _as_real(q, "q") * _as_pmf(p, "p")
     l[0] += 1.0 - q
     return l
 

@@ -10,8 +10,9 @@ example1   print and verify the scripted three-step buffer traces
 selftest   run the acceptance suite, one pass/fail line per criterion
 
 Configuration comes from an optional ``key=value`` file (``#`` comments) of any keys, overridden
-by ``--<key>`` for the keys a command reads (:data:`_KEY_PARSERS`).  Exit codes: 0 success
-(certified), 2 not certified, 1 usage, configuration or numerical error, or a closed stdout pipe.
+by ``--<key>`` for the keys a command reads (:data:`_KEY_PARSERS`).  Every key given is checked by
+the library's rules, whether or not the command reads it.  Exit codes: 0 success (certified),
+2 not certified, 1 usage, configuration or numerical error, or a closed stdout pipe.
 
 Every CSV file is written by :func:`_write_csv`: numbers with 12 significant
 digits and ``.`` decimal separator, ``\\n`` line endings, so identical
@@ -29,7 +30,7 @@ import numpy as np
 from . import acceptance
 from .chain import min_buffer_size
 from .channel import ChannelModel
-from .schemes import _as_count, resolve, scheme_kind
+from .schemes import _REAL_RANGES, _as_count, _as_real, resolve, scheme_kind
 from .simulate import PlantModel, SchemeConfig, example_system, monte_carlo, simulate_trajectory
 from .stability import ContractionSpec, _as_weights, certify
 from .sweep import BoundaryPoint, SweepSpec, boundary_curve
@@ -139,9 +140,12 @@ def _parse_key(key: str, raw: str):
 
 def _validate(cfg: RunConfig, explicit: set) -> RunConfig:
     try:
+        for key in sorted(explicit & _REAL_RANGES.keys()):  # each real key given, read or not
+            _as_real(getattr(cfg, key), key)
         n_max = ChannelModel(q=cfg.q, p=np.array(cfg.p)).n_max
         eta, lam, rho2 = resolve(cfg.scheme, cfg.eta, cfg.lam, n_max, cfg.rho1, cfg.rho2)
         horizon, runs = _as_count(cfg.horizon, "horizon"), _as_count(cfg.runs, "runs")
+        _as_count(cfg.seed, "seed", least=0)
         if cfg.nu is not None:
             _as_weights(cfg.nu, n_max + 1)
     except ValueError as exc:  # each message names what it refuses

@@ -18,11 +18,12 @@ and is the scripted and reference stepper: both engines of :mod:`esac.simulate` 
 buffer's chain state (:mod:`esac.chain`) instead.  A count (``eta``, a buffer size,
 ``n_max``, a horizon, runs) is an integer >= 1 by :func:`_as_count`, its one check: a numpy
 integer counts as the equal ``int``, and ``2.0`` or ``True`` is refused by a ``ValueError``
-naming it.  A real number (a gain, ``d_bound``, ``q``, ``d``, ``noise_std``, ``x0``) is never
-a flag either: :func:`_refuse_flag` refuses ``True`` or ``numpy.True_`` there by name.
+naming it.  A real number (a gain, ``d_bound``, ``q``, ``d``, ``noise_std``, ``x0``, ``epsilon``)
+has one check too, :func:`_as_real`, against its one range in :data:`_REAL_RANGES`.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -41,6 +42,14 @@ SCHEMES = {
     "B2": SchemeKind(buffered=False, two_law=True),
 }
 
+_BIG = math.nextafter(math.inf, 0.0)  # the largest float, so "<= _BIG" refuses inf and NaN
+#: Each real parameter's range ``least <= value <= most`` (which NaN fails) and its words.
+_REAL_RANGES = {"x0": (-_BIG, _BIG, "be finite"), "d": (0.0, math.inf, "be >= 0"),
+                **dict.fromkeys(("alpha", "rho1", "rho2", "d_bound", "noise_std"),
+                                (0.0, _BIG, "be finite and >= 0")),
+                **dict.fromkeys(("q", "epsilon"), (0.0, 1.0, "be in [0, 1]")),
+                "rho1 grid": (5e-324, 1 - 2**-53, "lie strictly inside (0, 1)")}  # next to 0, 1
+
 
 def scheme_kind(scheme: str) -> SchemeKind:
     """``(buffered, two_law)`` of ``scheme``; ``ValueError`` for an unknown name."""
@@ -51,25 +60,31 @@ def scheme_kind(scheme: str) -> SchemeKind:
                          f"{', '.join(SCHEMES)}") from None
 
 
-def _as_count(value, name: str, most: int | None = None) -> int:
-    """``value`` as an ``int`` from 1 to ``most`` (``n_max``, or ``None``), else ValueError."""
+def _as_count(value, name: str, most: int | None = None, least: int = 1) -> int:
+    """``value`` as an ``int`` from ``least`` to ``most`` (``None``: no bound), else ValueError."""
     try:
         if isinstance(value, bool):  # an int subclass, but a flag, not a count
             raise TypeError
         count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if count < 1 or most is not None and count > most:
-        rule = "be >= 1" if most is None else f"satisfy 1 <= {name} <= n_max={most}"
+    if count < least or most is not None and count > most:
+        rule = f"be >= {least}" if most is None else f"satisfy {least} <= {name} <= n_max={most}"
         raise ValueError(f"{name} must {rule}, got {count}")
     return count
 
 
-def _refuse_flag(value, name: str):
-    """Raise ValueError if ``value``, read as a real number, is a ``bool`` or has a bool dtype
-    (``numpy.bool_``, a 0-d bool array)."""
-    if isinstance(value, bool) or getattr(value, "dtype", None) == bool:
-        raise ValueError(f"{name} must be a real number, not a flag, got {value!r}")
+def _as_real(value, name: str):
+    """``value``, as given, if it is a real number in ``name``'s range, else ValueError."""
+    if type(value) is not float:  # a real number: a Python or numpy int or float, or a 0-d array
+        flag = isinstance(value, bool) or getattr(value, "dtype", None) == bool  # compares as 0, 1
+        if flag or not (isinstance(value, (int, float))
+                        or getattr(value, "ndim", 1) == 0 and value.dtype.kind in "iuf"):
+            raise ValueError(f"{name} must be a real number{', not a flag' * flag}, got {value!r}")
+    least, most, rule = _REAL_RANGES[name]
+    if not least <= value <= most:
+        raise ValueError(f"{name} must {rule}, got {value}")
+    return value
 
 
 def resolve(scheme: str, eta: int, buffer_size: int | None, n_max: int,

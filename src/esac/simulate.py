@@ -48,7 +48,6 @@ and each prediction into float64 arrays.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,7 +55,7 @@ import numpy as np
 
 from .chain import jump_table, law_of
 from .channel import effective_availability
-from .schemes import ControlLaw, _as_count, _refuse_flag, resolve, scheme_kind
+from .schemes import ControlLaw, _as_count, _as_real, resolve, scheme_kind
 
 #: States beyond this magnitude mark a run as divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -105,12 +104,8 @@ class PlantModel:
     lyapunov: Callable
 
     def __post_init__(self):
-        for name in ("noise_std", "x0"):
-            _refuse_flag(getattr(self, name), name)
-        if not 0.0 <= self.noise_std < math.inf:
-            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if not math.isfinite(self.x0):
-            raise ValueError(f"x0 must be finite, got {self.x0}")
+        _as_real(self.noise_std, "noise_std")
+        _as_real(self.x0, "x0")
 
 
 @dataclass(frozen=True)
@@ -121,10 +116,10 @@ class SchemeConfig:
     infinite ``d`` never triggers).  ``q`` and ``p`` must pass the one channel
     rule of :mod:`esac.channel` that the certificate checks: ``q`` in [0, 1]
     and ``p`` a pmf of at least two entries in [0, 1] summing to one, never
-    renormalised.  ``scheme``, ``eta`` and ``buffer_size`` must pass the one
-    scheme rule, :func:`esac.schemes.resolve`, whose result (``n_max = len(p) - 1``) builds
-    the chain both engines step: ``_chain = (jump table, each state's law index, (None,
-    coarse law, fine law), eta, buffered)``.
+    renormalised, and ``p`` is kept as the tuple of floats it checked.  ``scheme``, ``eta``
+    and ``buffer_size`` must pass the one scheme rule, :func:`esac.schemes.resolve`, whose
+    result (``n_max = len(p) - 1``) builds the chain both engines step: ``_chain = (jump
+    table, each state's law index, (None, coarse law, fine law), eta, buffered)``.
     """
 
     scheme: str  # a key of esac.schemes.SCHEMES
@@ -138,15 +133,14 @@ class SchemeConfig:
 
     def __post_init__(self):
         effective_availability(self.q, self.p)  # the channel rule, before resolve reads p
+        object.__setattr__(self, "p", tuple(np.asarray(self.p, dtype=float).tolist()))
         states = len(self.p)  # resolve checks scheme, eta and buffer_size
         eta, slots, fine = resolve(self.scheme, self.eta, self.buffer_size, states - 1,
                                    self.kappa1, self.kappa2)
         for law, name in ((self.kappa1, "coarse"), (fine, "fine")):  # A1 and B1 run kappa1 as both
             if law is None:
                 raise ValueError(f"scheme {self.scheme} requires a {name} law")
-        _refuse_flag(self.d, "d")
-        if not self.d >= 0.0:
-            raise ValueError(f"d must be >= 0, got {self.d}")
+        _as_real(self.d, "d")
         object.__setattr__(self, "_chain", (jump_table(states, eta, slots), law_of(states, eta),
                            (None, self.kappa1, fine), eta, scheme_kind(self.scheme).buffered))
 
@@ -245,8 +239,8 @@ def simulate_trajectory(
 ) -> Trajectory:
     """Run one closed-loop realization for ``horizon`` steps from ``seed``.
 
-    ``horizon`` is a count (:func:`esac.schemes._as_count`).  ``seed`` is an int, which
-    seeds a new ``default_rng``, or a ``Generator``, which this run advances by its draws
+    ``horizon`` is a count and ``seed`` an integer >= 0 (:func:`esac.schemes._as_count`),
+    which seeds a new ``default_rng``, or a ``Generator``, which this run advances by its draws
     (see the module docstring); :func:`monte_carlo` passes one ``Generator`` to its runs
     in turn.  It steps the chain state as :func:`_run_batch` does and records
     ``(fine, coarse) = divmod(state, eta)``, or ``(0, 0)`` for an unbuffered scheme;
@@ -259,7 +253,8 @@ def simulate_trajectory(
     horizon = _as_count(horizon, "horizon")
     table, heads, laws, eta, buffered = config._chain
     law = [laws[j] and laws[j].evaluate for j in heads]
-    streams = _decode_streams(plant, config, horizon, np.random.default_rng(seed), 1)
+    rng = seed if isinstance(seed, np.random.Generator) else _as_count(seed, "seed", least=0)
+    streams = _decode_streams(plant, config, horizon, np.random.default_rng(rng), 1)
     noise, transmits, grants = (memoryview(a.ravel()) for a in streams)
 
     xs = np.empty(horizon + 1)
@@ -319,16 +314,16 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Average the Lyapunov path over ``runs`` independent realizations.
 
-    ``runs`` and ``horizon`` are counts (:func:`esac.schemes._as_count`).  The result
-    also carries the per-step standard error ``se_v`` (see :class:`MonteCarloResult`).
+    ``runs`` and ``horizon`` are counts and ``base_seed`` an integer >= 0 (:func:`_as_count`).
+    The result also carries the per-step standard error ``se_v`` (see :class:`MonteCarloResult`).
     The runs draw from one ``default_rng(base_seed)`` in run order, so run 0 is
-    ``simulate_trajectory(plant, config, horizon, base_seed)``; the reductions happen
-    in run order.  Wide calls take the batched engine, narrow ones the per-run loop
-    (see the module docstring); both give the same bits.
+    ``simulate_trajectory(plant, config, horizon, base_seed)``; the reductions happen in run
+    order.  Wide calls take the batched engine, narrow ones the per-run loop (see the module
+    docstring); both give the same bits.
     """
     runs, horizon = _as_count(runs, "runs"), _as_count(horizon, "horizon")
 
-    rng = np.random.default_rng(base_seed)
+    rng = np.random.default_rng(_as_count(base_seed, "base_seed", least=0))
     sum_v = np.zeros(horizon + 1)
     sum_sq = np.zeros(horizon + 1)
     sum_trigger = np.zeros(horizon + 1)

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import law_of, transition_matrix
-from .schemes import _as_count, _refuse_flag, resolve
+from .schemes import _as_count, _as_real, resolve
 
 #: Margin of Schur verdicts: a witness must prove spectral radius <= 1 - SCHUR_TOL.
 SCHUR_TOL = 1e-9
@@ -61,10 +61,7 @@ class ContractionSpec:
 
     def __post_init__(self):
         for name in ("alpha", "rho1", "rho2", "d_bound"):
-            v = getattr(self, name)
-            _refuse_flag(v, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+            _as_real(getattr(self, name), name)
         object.__setattr__(self, "eta", _as_count(self.eta, "eta"))
         if self.rho2 > self.rho1:
             raise ValueError(
@@ -230,8 +227,11 @@ def critical_alpha(scheme: str, eta: int, rho1, rho2, l, n_max: int) -> Critical
     if n_max != len(l) - 1:
         raise ValueError(f"n_max={n_max} does not match the channel: l has {len(l)} entries")
     eta, slots, rho2 = resolve(scheme, eta, None, n_max, rho1, rho2)
-    rho1, rho2 = np.broadcast_arrays(np.asarray(rho1, dtype=float), np.asarray(rho2, dtype=float))
-    shape, rho1, rho2 = rho1.shape, rho1.ravel(), rho2.ravel()
+    rho1, rho2 = np.broadcast_arrays(rho1, rho2)  # in their own dtypes: a flag stays a flag
+    for name, rho in (("rho1", rho1), ("rho2", rho2)):  # "< 1" below reads real numbers only
+        for r in rho.ravel().tolist() if rho.dtype != float else ():  # float64 entries are real
+            _as_real(r, name)
+    shape, rho1, rho2 = rho1.shape, rho1.ravel().astype(float), rho2.ravel().astype(float)
     for r1, r2 in zip(rho1.tolist(), rho2.tolist()):  # each point's scalar checks, in order
         if not (r1 < 1.0 and r2 < 1.0):
             raise ValueError("critical_alpha requires rho1 < 1 and rho2 < 1")

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelModel
-from .schemes import resolve, scheme_kind
+from .schemes import _as_real, resolve, scheme_kind
 from .stability import critical_alpha
 
 #: Default rho1 grid: 0.05, 0.10, ..., 0.95.
@@ -47,13 +47,11 @@ class SweepSpec:
             raise ValueError(f"n_max={self.n_max} does not match the channel: "
                              f"l has {len(self.channel.l)} entries")
         resolve(self.scheme, self.eta, None, self.n_max)
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if self.epsilon != 1.0 and not scheme_kind(self.scheme).two_law:
+        if _as_real(self.epsilon, "epsilon") != 1.0 and not scheme_kind(self.scheme).two_law:
             raise ValueError(f"scheme {self.scheme} runs the coarse law only: "
                              f"epsilon={self.epsilon} must be 1")
-        grid = tuple(float(r) for r in self.rho1_grid)
-        if not grid or any(not (0.0 < r < 1.0) for r in grid):
+        grid = tuple(float(_as_real(r, "rho1 grid")) for r in self.rho1_grid)
+        if not grid:
             raise ValueError("rho1 grid must lie strictly inside (0, 1)")
         if list(grid) != sorted(grid):
             raise ValueError("rho1 grid must be ascending")

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from esac.cli import (COMMANDS, _KEY_PARSERS, ConfigError, _build_parser, cmd_certify, main,
-                      parse_config)
+from esac.cli import (COMMANDS, _KEY_PARSERS, ConfigError, _build_parser, _parse_float,
+                      cmd_certify, main, parse_config)
 
 
 class TestParseConfig:
@@ -361,6 +361,20 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith(f"error: {key} must be")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--rho1", "-3", "--rho2", "0.45"], "rho1 must be finite and >= 0, got -3.0"),
+        (["--rho1", "nan", "--rho2", "0.45"], "rho1 must be finite and >= 0, got nan"),
+        (["--rho1", "0.9", "--rho2", "0.45", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["negative rho1", "nan rho1", "negative seed"])
+    def test_refuses_a_given_value_by_name(self, flags, message, tmp_path, capsys):
+        # Before, rho1 = -3 and nan ran (as epsilon = -0.15 and nan) and wrote a CSV, and a
+        # negative seed printed only numpy's "expected non-negative integer".
+        out = tmp_path / "mc.csv"
+        code = main(["simulate", *flags, "--runs", "4", "--horizon", "20", "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 DATA = Path(__file__).parent / "data"
 A2 = ["--scheme", "A2", "--eta", "2", "--rho1", "0.9", "--rho2", "0.45"]
@@ -489,6 +503,29 @@ def test_each_command_takes_only_the_keys_it_reads(name, key, tmp_path, capsys):
         config.write_text(f"{key} = {value}\n")
         assert main([name, "--config", str(config), *run]) == 0
         assert capsys.readouterr().err == ""
+
+
+#: An out-of-range value of each real key.
+OUT_OF_RANGE = {"d": "-1", "q": "1.5", "alpha": "-1", "rho1": "-3", "rho2": "-1",
+                "epsilon": "2", "noise_std": "-1"}
+UNREAD_REALS = [(name, key) for key, (parse, readers) in _KEY_PARSERS.items()
+                if parse is _parse_float for name in RUNS if RUNS[name] and name not in readers]
+
+
+@pytest.mark.parametrize("name, key", UNREAD_REALS, ids=[" ".join(k) for k in UNREAD_REALS])
+def test_every_real_key_in_a_config_file_is_checked(name, key, tmp_path, capsys):
+    """A config file describes a whole run, so each command checks every real key in it, as
+    it checks every count and vector, also a key that it does not read.  Before, only the
+    command that read a real key checked it: ``noise_std = -1`` passed certify."""
+    assert set(OUT_OF_RANGE) == {k for k, (parse, _) in _KEY_PARSERS.items()
+                                 if parse is _parse_float}
+    out = tmp_path / "out.csv"
+    run = RUNS[name] + (["--output", str(out)] if name in _KEY_PARSERS["output"][1] else [])
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {OUT_OF_RANGE[key]}\n")
+    assert main([name, "--config", str(config), *run]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+    assert not out.exists()
 
 
 def test_settable_flag_count():

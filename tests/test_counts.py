@@ -1,7 +1,8 @@
 """One count rule: every entry point takes ``eta``, buffer sizes, ``n_max``,
 horizons and run counts through ``esac.schemes._as_count``, so a numpy
 integer runs as the equal ``int`` and a non-integer is refused by name.
-Nor is a real number ever a flag (``esac.schemes._refuse_flag``)."""
+One real-number rule: every real parameter goes through ``esac.schemes._as_real``,
+which refuses a flag or a non-number by name."""
 import dataclasses
 
 import numpy as np
@@ -185,6 +186,11 @@ class TestNumpyIntegersAreInts:
                 assert a == b, field.name
 
 
+def grid(v):
+    """A two-point grid that holds ``v`` as it is, not cast to the dtype of its other point."""
+    return np.array([0.5, v], dtype=object)
+
+
 #: (entry point, real number) -> a call that passes ``value`` as that number.
 REALS = {
     ("ContractionSpec", "alpha"): lambda v: ContractionSpec(alpha=v, rho1=0.9, rho2=0.45, eta=2),
@@ -198,7 +204,20 @@ REALS = {
     ("SchemeConfig", "d"): lambda v: dataclasses.replace(scheme_config()[1], d=v),
     ("PlantModel", "noise_std"): lambda v: dataclasses.replace(example_system()[0], noise_std=v),
     ("PlantModel", "x0"): lambda v: dataclasses.replace(example_system()[0], x0=v),
+    ("SweepSpec", "epsilon"): lambda v: SweepSpec("A2", 2, v, ChannelModel(q=0.5, p=P), 4),
+    ("SweepSpec", "rho1 grid"): lambda v: SweepSpec(
+        "A2", 2, 0.5, ChannelModel(q=0.5, p=P), 4, rho1_grid=(v,)),
+    ("critical_alpha", "rho1"): lambda v: critical_alpha("A2", 2, v, 0.45, L, 4),
+    ("critical_alpha", "rho2"): lambda v: critical_alpha("A2", 2, 0.9, v, L, 4),
+    ("critical_alpha grid", "rho1"): lambda v: critical_alpha("A2", 2, grid(v), 0.45, L, 4),
+    ("critical_alpha grid", "rho2"): lambda v: critical_alpha("A2", 2, 0.9, grid(v), L, 4),
 }
+
+#: A plain number that each entry accepts: 1 unless its range or the call's other numbers
+#: refuse it (a rho1 grid and critical_alpha need rho1 < 1, and rho2 <= rho1).
+PLAIN = {("SweepSpec", "rho1 grid"): 0.5, ("critical_alpha", "rho1"): 0.5,
+         ("critical_alpha", "rho2"): 0, ("critical_alpha grid", "rho1"): 0.5,
+         ("critical_alpha grid", "rho2"): 0}
 
 
 @pytest.mark.parametrize("value", [True, False, np.True_, np.False_, np.array(True)], ids=repr)
@@ -207,4 +226,20 @@ def test_every_real_number_refuses_a_flag(entry, name, value):
     # A flag compares as 0 or 1, so every range check would pass it as that number.
     with pytest.raises(ValueError, match=f"^{name} must be a real number, not a flag, got "):
         REALS[entry, name](value)
-    REALS[entry, name](1)  # a plain int stays a real number
+    REALS[entry, name](PLAIN.get((entry, name), 1))  # a plain number stays a real number
+
+
+#: (entry, name, value): every REALS entry with every non-number, but critical_alpha's
+#: scalar rho1 and rho2, which broadcast an array as a grid of points.
+NON_NUMBERS = [(entry, name, value) for entry, name in REALS
+               for value in ["1", None, 1j, np.array([0.5, 0.5])]
+               if not (entry == "critical_alpha" and np.ndim(value))]
+
+
+@pytest.mark.parametrize("entry, name, value", NON_NUMBERS,
+                         ids=[f"{e} {n} {v!r}" for e, n, v in NON_NUMBERS])
+def test_every_real_number_refuses_a_non_number(entry, name, value):
+    # Before the rule these raised a bare TypeError, numpy's "truth value of an array ... is
+    # ambiguous", or ran: epsilon, a rho1 grid entry and critical_alpha's gains were cast.
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+        REALS[entry, name](value)

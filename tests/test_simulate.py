@@ -116,6 +116,21 @@ class TestSchemeConfig:
             monte_carlo(plant, dataclasses.replace(config, kappa1=None), horizon=20, runs=runs,
                         base_seed=0)
 
+    @pytest.mark.parametrize("runs", [30, 4])  # the batched engine, then the per-run loop
+    def test_keeps_the_p_it_checked(self, runs):
+        """``p`` is stored as the tuple of floats that passed the channel rule.  Before, the
+        caller's array was kept: changing it after construction changed the simulated channel
+        unchecked, and an array ``p`` made ``==`` raise ``ValueError``, ``hash`` ``TypeError``."""
+        p = np.array(BENCH_P)
+        plant, config = bench_config(p=p)
+        assert config.p == BENCH_P and all(type(v) is float for v in config.p)
+        want = monte_carlo(plant, config, horizon=50, runs=runs, base_seed=1)
+        p[:] = [0.0, 0.0, 0.0, 0.0, 5.0]
+        got = monte_carlo(plant, config, horizon=50, runs=runs, base_seed=1)
+        assert got.mean_v.tobytes() == want.mean_v.tobytes()
+        twin = dataclasses.replace(config, p=np.array(BENCH_P))
+        assert config == twin and hash(config) == hash(twin)
+
     def test_accepts_edge_values(self):
         _, config = bench_config(eta=1, q=1.0, p=(0.0, 1.0))
         assert dataclasses.replace(config, q=0.0).q == 0.0
@@ -196,6 +211,25 @@ class TestSimulateTrajectory:
         np.testing.assert_array_equal(a.gamma, b.gamma)
         c = simulate_trajectory(plant, config, horizon=80, seed=13)
         assert not np.array_equal(a.x, c.x)
+
+    @pytest.mark.parametrize("seed, message", [
+        (True, "seed must be an integer, got True"),
+        (np.True_, "seed must be an integer, got np.True_"),
+        (1.5, "seed must be an integer, got 1.5"),
+        ("3", "seed must be an integer, got '3'"),
+        (-1, "seed must be >= 0, got -1"),
+    ], ids=repr)
+    def test_refuses_a_seed_by_name(self, seed, message):
+        # Before, True ran as seed 1; 1.5 and "3" raised numpy's TypeError, and -1 numpy's
+        # "expected non-negative integer", none naming the seed.
+        plant, config = bench_config()
+        with pytest.raises(ValueError) as info:
+            simulate_trajectory(plant, config, horizon=20, seed=seed)
+        assert str(info.value) == message
+        for runs in (4, 30):  # the per-run loop, then the batched engine
+            with pytest.raises(ValueError) as info:
+                monte_carlo(plant, config, horizon=20, runs=runs, base_seed=seed)
+            assert str(info.value) == "base_" + message
 
     def test_perfect_channel_contracts_noise_free(self):
         # q = 1 with all mass on the largest grant keeps the buffer full of
