@@ -30,7 +30,7 @@ import numpy as np
 from . import acceptance
 from .chain import min_buffer_size
 from .channel import ChannelModel
-from .schemes import _REAL_RANGES, _as_count, _as_real, resolve, scheme_kind
+from .schemes import _REAL_RANGES, SCHEMES, _as_count, _as_real, resolve
 from .simulate import PlantModel, SchemeConfig, example_system, monte_carlo, simulate_trajectory
 from .stability import ContractionSpec, _as_weights, certify
 from .sweep import BoundaryPoint, SweepSpec, boundary_curve
@@ -153,7 +153,7 @@ def _validate(cfg: RunConfig, explicit: set) -> RunConfig:
     if "rho2" in explicit and "epsilon" in explicit:
         raise ConfigError("give exactly one of rho2 and epsilon, not both")
     epsilon = cfg.epsilon
-    if not scheme_kind(cfg.scheme).two_law:  # the coarse law runs in the fine law's place
+    if not SCHEMES[cfg.scheme].two_law:  # the coarse law runs in the fine law's place
         if epsilon not in (None, 1.0):
             raise ConfigError(f"scheme {cfg.scheme} runs the coarse law only: "
                               f"epsilon={epsilon} must be 1 or be left out")
@@ -199,7 +199,7 @@ def cmd_certify(cfg: RunConfig, out=None) -> int:
     spec = ContractionSpec(alpha=cfg.alpha, rho1=cfg.rho1, rho2=cfg.rho2, eta=cfg.eta,
                            d_bound=cfg.d)
     report = certify(spec, _channel(cfg).l, nu=cfg.nu, buffer_size=cfg.lam)
-    index_name = "psi" if scheme_kind(cfg.scheme).two_law else "omega"
+    index_name = "psi" if SCHEMES[cfg.scheme].two_law else "omega"
     print(f"scheme            {cfg.scheme} (eta={cfg.eta}, n_max={cfg.n_max})", file=out)
     print(f"alpha/rho1/rho2   {_fmt(cfg.alpha)} / {_fmt(cfg.rho1)} / {_fmt(cfg.rho2)}", file=out)
     print(f"spectral radius   {_fmt(report.spectral_radius)}", file=out)

@@ -1,7 +1,7 @@
 """The E-SAC schemes: their table, the one rule of what they run with, their stepper.
 
-:data:`SCHEMES` maps each scheme to ``(buffered, two_law)``, and every other
-module reads names through :func:`scheme_kind`.
+:data:`SCHEMES` maps each scheme to ``(buffered, two_law)``, and :func:`resolve` is
+the one lookup of a name: every other module reads the table after it has checked the name.
 ``B1`` and ``B2`` apply a control law directly when measurement and
 processor are available and output zero otherwise.  ``A1`` and ``A2``
 maintain a buffer of tentative future inputs: surplus processing units are
@@ -51,15 +51,6 @@ _REAL_RANGES = {"x0": (-_BIG, _BIG, "be finite"), "d": (0.0, math.inf, "be >= 0"
                 "rho1 grid": (5e-324, 1 - 2**-53, "lie strictly inside (0, 1)")}  # next to 0, 1
 
 
-def scheme_kind(scheme: str) -> SchemeKind:
-    """``(buffered, two_law)`` of ``scheme``; ``ValueError`` for an unknown name."""
-    try:
-        return SCHEMES[scheme]
-    except KeyError:
-        raise ValueError(f"unknown scheme {scheme!r}: expected one of "
-                         f"{', '.join(SCHEMES)}") from None
-
-
 def _as_count(value, name: str, most: int | None = None, least: int = 1) -> int:
     """``value`` as an ``int`` from ``least`` to ``most`` (``None``: no bound), else ValueError."""
     try:
@@ -75,12 +66,13 @@ def _as_count(value, name: str, most: int | None = None, least: int = 1) -> int:
 
 
 def _as_real(value, name: str):
-    """``value``, as given, if it is a real number in ``name``'s range, else ValueError."""
+    """``value`` if real and in ``name``'s range, a numpy one as ``.item()``, else ValueError."""
     if type(value) is not float:  # a real number: a Python or numpy int or float, or a 0-d array
         flag = isinstance(value, bool) or getattr(value, "dtype", None) == bool  # compares as 0, 1
         if flag or not (isinstance(value, (int, float))
                         or getattr(value, "ndim", 1) == 0 and value.dtype.kind in "iuf"):
             raise ValueError(f"{name} must be a real number{', not a flag' * flag}, got {value!r}")
+        value = value.item() if hasattr(value, "dtype") else value
     least, most, rule = _REAL_RANGES[name]
     if not least <= value <= most:
         raise ValueError(f"{name} must {rule}, got {value}")
@@ -96,7 +88,9 @@ def resolve(scheme: str, eta: int, buffer_size: int | None, n_max: int,
     smallest size from which the chain stops changing.  A one-law scheme runs ``coarse`` (a
     law or a contraction) as its fine law with ``eta = 1``; an unbuffered scheme has one slot.
     """
-    kind = scheme_kind(scheme)
+    kind = SCHEMES.get(scheme)
+    if kind is None:
+        raise ValueError(f"unknown scheme {scheme!r}: expected one of {', '.join(SCHEMES)}")
     n_max = _as_count(n_max, "n_max")  # a processor that never computes fits no eta or size
     eta = _as_count(eta, "eta", n_max if kind.two_law else None)
     if not kind.two_law:

@@ -55,7 +55,7 @@ import numpy as np
 
 from .chain import jump_table, law_of
 from .channel import effective_availability
-from .schemes import ControlLaw, _as_count, _as_real, resolve, scheme_kind
+from .schemes import SCHEMES, ControlLaw, _as_count, _as_real, resolve
 
 #: States beyond this magnitude mark a run as divergent.
 DIVERGENCE_LIMIT = 1e12
@@ -104,22 +104,22 @@ class PlantModel:
     lyapunov: Callable
 
     def __post_init__(self):
-        _as_real(self.noise_std, "noise_std")
-        _as_real(self.x0, "x0")
+        for name in ("noise_std", "x0"):  # stored as the rule returns them
+            object.__setattr__(self, name, _as_real(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
     """Which algorithm runs the loop and with what parameters.
 
-    A step triggers when ``|x| > d``, so ``d`` must be nonnegative (an
-    infinite ``d`` never triggers).  ``q`` and ``p`` must pass the one channel
-    rule of :mod:`esac.channel` that the certificate checks: ``q`` in [0, 1]
-    and ``p`` a pmf of at least two entries in [0, 1] summing to one, never
-    renormalised, and ``p`` is kept as the tuple of floats it checked.  ``scheme``, ``eta``
-    and ``buffer_size`` must pass the one scheme rule, :func:`esac.schemes.resolve`, whose
-    result (``n_max = len(p) - 1``) builds the chain both engines step: ``_chain = (jump
-    table, each state's law index, (None, coarse law, fine law), eta, buffered)``.
+    A step triggers when ``|x| > d``, so ``d`` must be nonnegative (an infinite ``d`` never
+    triggers).  ``q`` and ``p`` must pass the one channel rule of :mod:`esac.channel` that the
+    certificate checks: ``q`` in [0, 1] and ``p`` a pmf of at least two entries in [0, 1] summing to
+    one, never renormalised, and ``p`` is kept as the tuple of floats it checked.  ``scheme``,
+    ``eta`` and ``buffer_size`` must pass the one scheme rule, :func:`esac.schemes.resolve`, whose
+    result (``n_max = len(p) - 1``) builds the chain both engines step: ``_chain = (jump table, each
+    state's law index, (None, coarse law, fine law), eta, buffered)``.  Each law the scheme runs
+    must be a :class:`~esac.schemes.ControlLaw`, whose ``evaluate`` both engines call.
     """
 
     scheme: str  # a key of esac.schemes.SCHEMES
@@ -132,17 +132,19 @@ class SchemeConfig:
     p: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "q", _as_real(self.q, "q"))
         effective_availability(self.q, self.p)  # the channel rule, before resolve reads p
         object.__setattr__(self, "p", tuple(np.asarray(self.p, dtype=float).tolist()))
         states = len(self.p)  # resolve checks scheme, eta and buffer_size
         eta, slots, fine = resolve(self.scheme, self.eta, self.buffer_size, states - 1,
                                    self.kappa1, self.kappa2)
         for law, name in ((self.kappa1, "coarse"), (fine, "fine")):  # A1 and B1 run kappa1 as both
-            if law is None:
-                raise ValueError(f"scheme {self.scheme} requires a {name} law")
-        _as_real(self.d, "d")
+            if not isinstance(law, ControlLaw):
+                got = "" if law is None else f" (a ControlLaw), got {law!r}"
+                raise ValueError(f"scheme {self.scheme} requires a {name} law{got}")
+        object.__setattr__(self, "d", _as_real(self.d, "d"))
         object.__setattr__(self, "_chain", (jump_table(states, eta, slots), law_of(states, eta),
-                           (None, self.kappa1, fine), eta, scheme_kind(self.scheme).buffered))
+                           (None, self.kappa1, fine), eta, SCHEMES[self.scheme].buffered))
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,7 +419,7 @@ def _run_batch(plant: PlantModel, config: SchemeConfig, horizon: int,
         for kappa, heads in laws:
             rows = heads.take(idx).nonzero()[0]
             if rows.size:
-                u[rows] = kappa(chi[rows])
+                u[rows] = kappa.evaluate(chi[rows])
         if ndead:  # the plant steps the live runs only
             x[live] = plant.step(x[live], u[live], noise[live, k])
         else:

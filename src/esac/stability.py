@@ -60,8 +60,9 @@ class ContractionSpec:
     d_bound: float = 1.0
 
     def __post_init__(self):
+        fields = vars(self)  # stored as the rule returns them; cheaper than object.__setattr__
         for name in ("alpha", "rho1", "rho2", "d_bound"):
-            _as_real(getattr(self, name), name)
+            fields[name] = _as_real(fields[name], name)
         object.__setattr__(self, "eta", _as_count(self.eta, "eta"))
         if self.rho2 > self.rho1:
             raise ValueError(
@@ -171,20 +172,16 @@ def _schur_index(t: np.ndarray, r=1.0) -> tuple:
 def block_schur_g1(h) -> tuple[float, bool]:
     """Schur test via the scalar Schur complement at the (1,1) entry.
 
-    Splits ``h`` into a 1x1 top-left block ``X``, row ``Y``, column ``Z``
-    and trailing block ``M``; requires finite entries, ``M`` nonnegative
-    with inf-norm < 1 and ``trace(M @ M) < 1``.  Returns ``(g1, verdict)`` where
-    ``g1 = (1 - X) - Y (I - M)^{-1} Z`` and the verdict ``g1 > SCHUR_TOL`` holds
-    exactly when ``h`` is Schur stable.
+    Splits ``h`` into a 1x1 top-left block ``X``, row ``Y``, column ``Z`` and trailing block
+    ``M``; requires ``h`` finite and nonnegative, the lemma's hypothesis (checked by
+    :func:`spectral_radius`'s rule), and ``M`` with inf-norm < 1 and ``trace(M @ M) < 1``.
+    Returns ``(g1, verdict)`` where ``g1 = (1 - X) - Y (I - M)^{-1} Z`` and the verdict
+    ``g1 > SCHUR_TOL`` holds exactly when ``h`` is Schur stable.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 2:
         raise ValueError(f"h must be square of size >= 2, got shape {h.shape}")
-    if not np.isfinite(h).all():
-        raise ValueError("h must have finite entries")
-    m = h[1:, 1:]
-    if np.any(m < 0.0):
-        raise ValueError("trailing block must be nonnegative")
+    m = _nonnegative_square(h)[1:, 1:]
     if not np.linalg.norm(m, ord=np.inf) < 1.0:
         raise ValueError("trailing block must have inf-norm < 1")
     if not np.trace(m @ m) < 1.0:

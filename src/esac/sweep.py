@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelModel
-from .schemes import _as_real, resolve, scheme_kind
+from .schemes import SCHEMES, _as_real, resolve
 from .stability import critical_alpha
 
 #: Default rho1 grid: 0.05, 0.10, ..., 0.95.
@@ -47,12 +47,12 @@ class SweepSpec:
             raise ValueError(f"n_max={self.n_max} does not match the channel: "
                              f"l has {len(self.channel.l)} entries")
         resolve(self.scheme, self.eta, None, self.n_max)
-        if _as_real(self.epsilon, "epsilon") != 1.0 and not scheme_kind(self.scheme).two_law:
+        if _as_real(self.epsilon, "epsilon") != 1.0 and not SCHEMES[self.scheme].two_law:
             raise ValueError(f"scheme {self.scheme} runs the coarse law only: "
                              f"epsilon={self.epsilon} must be 1")
         grid = tuple(float(_as_real(r, "rho1 grid")) for r in self.rho1_grid)
         if not grid:
-            raise ValueError("rho1 grid must lie strictly inside (0, 1)")
+            raise ValueError("rho1 grid must have at least one entry")
         if list(grid) != sorted(grid):
             raise ValueError("rho1 grid must be ascending")
         object.__setattr__(self, "rho1_grid", grid)

@@ -248,6 +248,14 @@ class TestSweepCommand:
         assert "lambda" in err and "certify" in err
         assert not out.exists()
 
+    def test_failed_bracket_is_an_error_exit(self, tmp_path, capsys, monkeypatch):
+        # No margin collapses every bracket to one point, which no check passes.
+        monkeypatch.setattr("esac.stability.SCHUR_TOL", 0.0)
+        out = tmp_path / "curve.csv"
+        assert main(["sweep", "--scheme", "A1", "--epsilon", "1", "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: no witnessed bracket")
+        assert not out.exists()
+
     def test_buffer_at_or_above_minimum_sweeps_the_same_curve(self, tmp_path):
         paths = [tmp_path / f"{lam}.csv" for lam in ("default", "4", "6")]
         for path in paths:

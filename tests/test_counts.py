@@ -213,6 +213,9 @@ REALS = {
     ("critical_alpha grid", "rho2"): lambda v: critical_alpha("A2", 2, 0.9, grid(v), L, 4),
 }
 
+#: The REALS that a frozen dataclass checks and stores.
+STORED = [k for k in REALS if k[0] in ("ContractionSpec", "PlantModel", "SchemeConfig")]
+
 #: A plain number that each entry accepts: 1 unless its range or the call's other numbers
 #: refuse it (a rho1 grid and critical_alpha need rho1 < 1, and rho2 <= rho1).
 PLAIN = {("SweepSpec", "rho1 grid"): 0.5, ("critical_alpha", "rho1"): 0.5,
@@ -227,6 +230,16 @@ def test_every_real_number_refuses_a_flag(entry, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be a real number, not a flag, got "):
         REALS[entry, name](value)
     REALS[entry, name](PLAIN.get((entry, name), 1))  # a plain number stays a real number
+
+
+@pytest.mark.parametrize("value", [np.float64(0.5), np.array(0.5), np.float32(0.5),
+                                   np.int64(1), np.array(1)], ids=repr)
+@pytest.mark.parametrize("entry, name", STORED, ids=[" ".join(k) for k in STORED])
+def test_a_stored_numpy_real_is_the_equal_python_scalar(entry, name, value):
+    # Before, the value was stored as given, and a 0-d array made hash() raise TypeError.
+    stored = REALS[entry, name](value)
+    assert type(getattr(stored, name)) is type(value.item()) and getattr(stored, name) == value
+    hash(stored)
 
 
 #: (entry, name, value): every REALS entry with every non-number, but critical_alpha's

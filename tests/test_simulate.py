@@ -11,7 +11,7 @@ import pytest
 
 import esac.simulate
 from esac.acceptance import benchmark_scheme_config
-from esac.schemes import Buffer, ControlLaw, resolve, scheme_kind
+from esac.schemes import SCHEMES, Buffer, ControlLaw, resolve
 from esac.simulate import (
     PlantModel,
     SchemeConfig,
@@ -115,6 +115,20 @@ class TestSchemeConfig:
         with pytest.raises(ValueError, match=f"^scheme {scheme} requires a coarse law$"):
             monte_carlo(plant, dataclasses.replace(config, kappa1=None), horizon=20, runs=runs,
                         base_seed=0)
+
+    @pytest.mark.parametrize("runs", [4, 30])  # the per-run loop, then the batched engine
+    @pytest.mark.parametrize("scheme, field",
+                             [("A1", "kappa1"), ("A2", "kappa1"), ("A2", "kappa2")])
+    def test_refuses_a_law_that_is_no_control_law(self, scheme, field, runs):
+        """A law is a ``ControlLaw``, whose ``evaluate`` both engines call.  Before, a plain
+        function was accepted: the batched engine called it and ran, and the per-run loop
+        raised ``AttributeError`` at its first grant."""
+        plant, config = bench_config(scheme=scheme)
+        name = "coarse" if field == "kappa1" else "fine"
+        with pytest.raises(ValueError, match=f"^scheme {scheme} requires a {name} law "
+                                             r"\(a ControlLaw\), got <function "):
+            bad = dataclasses.replace(config, **{field: getattr(config, field).evaluate})
+            monte_carlo(plant, bad, horizon=20, runs=runs, base_seed=0)
 
     @pytest.mark.parametrize("runs", [30, 4])  # the batched engine, then the per-run loop
     def test_keeps_the_p_it_checked(self, runs):
@@ -588,7 +602,7 @@ def test_trajectory_replays_through_buffer_step(plant_name, scheme, eta, buffer_
     counts = np.empty((traj.steps, 2), dtype=np.int64)
     for k in range(traj.steps):
         applied[k] = buf.step(traj.x[k], traj.gamma[k], traj.n[k], kappa1, kappa2, eta, f)
-        counts[k] = buf.counts if scheme_kind(scheme).buffered else (0, 0)
+        counts[k] = buf.counts if SCHEMES[scheme].buffered else (0, 0)
     np.testing.assert_array_equal(traj.u.view(np.uint64), applied.view(np.uint64))
     np.testing.assert_array_equal(np.c_[traj.fine, traj.coarse], counts)
 

@@ -236,11 +236,14 @@ class TestBlockSchur:
         ([[0.5]], "h must be square of size >= 2"),
         (np.ones((2, 3)), "h must be square of size >= 2"),
         (np.ones(4), "h must be square of size >= 2"),
-        ([[0.1, 0.1], [0.1, -0.2]], "trailing block must be nonnegative"),
+        ([[0.1, 0.1], [0.1, -0.2]], "matrix must be entry-wise finite and nonnegative"),
         # Rows of M sum to 0.9 < 1, but trace(M @ M) = 2 * 0.81.
         ([[0.5, 0.1, 0.1], [0.1, 0.9, 0.0], [0.1, 0.0, 0.9]],
          r"trailing block must satisfy trace\(M @ M\) < 1"),
-        ([[0.1, 0.1], [np.nan, 0.1]], "h must have finite entries"),
+        ([[0.1, 0.1], [np.nan, 0.1]], "matrix must be entry-wise finite and nonnegative"),
+        # Off the trailing block: the lemma needs all of h nonnegative, and this h has
+        # spectral radius 1.118, where g1 = 2.5 read as Schur stable.
+        ([[0.5, -1.0], [1.0, 0.5]], "matrix must be entry-wise finite and nonnegative"),
     ])
     def test_refusals_name_the_condition(self, h, message):
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -395,6 +398,15 @@ class TestCriticalAlpha:
             # The eigenvector [1; z(r)] has zero entries here, so it proves
             # the upper end but could never pass a strict lower-end check.
             assert np.any(result.upper_witness == 0.0)
+
+    def test_failed_bracket_names_the_first_point(self, monkeypatch):
+        # With no margin, r = 1 - SCHUR_TOL, 1, 1 + SCHUR_TOL collapse to lower == closed ==
+        # upper, which no bracket passes: the first grid point's closed form is named.
+        closed = critical_alpha("A2", 2, np.array([0.5, 0.9]), 0.45, L_BENCH, 4).closed
+        monkeypatch.setattr("esac.stability.SCHUR_TOL", 0.0)
+        with pytest.raises(ArithmeticError, match=re.escape(
+                f"no witnessed bracket around the closed-form alpha*={closed[0]}")):
+            critical_alpha("A2", 2, np.array([0.5, 0.9]), 0.45, L_BENCH, 4)
 
     def test_uses_no_eigenvalue_solver(self, monkeypatch):
         def refuse(*args):

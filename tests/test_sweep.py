@@ -32,7 +32,7 @@ class TestSweepSpec:
             SweepSpec("A2", 2, 0.5, BENCH, 4, rho1_grid=(0.5, 0.4))
         with pytest.raises(ValueError):
             SweepSpec("A2", 2, 0.5, BENCH, 4, rho1_grid=(0.0, 0.5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^rho1 grid must have at least one entry$"):
             SweepSpec("A2", 2, 0.5, BENCH, 4, rho1_grid=())
 
     def test_rejects_bad_epsilon_and_scheme(self):
