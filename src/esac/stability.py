@@ -8,8 +8,14 @@ anyone can check: the solution ``zeta`` of ``(I - T) zeta = nu`` with
 ``zeta > 0`` and ``T zeta < (1 - SCHUR_TOL) zeta`` entry-wise, which by the
 Collatz-Wielandt bound proves the Perron root of ``T`` below 1.  It certifies a
 geometric bound ``E{V(x_k)} <= C1 * xi**k * E{V(x_0)} + C2`` on the expected
-Lyapunov value.  The Perron root itself is reported from
-``numpy.linalg.eigvals``.
+Lyapunov value.
+
+Every grant overwrites the buffer, so ``Pi = l0 P + 1 g^T``: ``P`` is the shift map, ``l0``
+the no-computation mass and ``g = [0, l[1:]]`` (folded for a truncated buffer) the grant
+masses that every row carries.  :func:`certify` takes ``zeta`` and the closed-form index from
+one forward recursion along ``P`` and one Sherman-Morrison step, in Python floats.  LAPACK
+runs only in ``eigvals`` (the reported Perron root) and in the solves of
+:func:`solve_certificate`, :func:`block_schur_g1` and :func:`critical_alpha`.
 
 The closed-form index (``CertificationReport.closed_form``) is the Schur
 complement of ``T`` at the empty-buffer state: ``psi`` for the two-law
@@ -32,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import law_of, transition_matrix
+from .chain import _shift_column, law_of, transition_matrix
 from .schemes import _as_count, _as_real, resolve
 
 #: Margin of Schur verdicts: a witness must prove spectral radius <= 1 - SCHUR_TOL.
@@ -97,12 +103,12 @@ class CertificationReport:
         return self.verdict == CERTIFIED
 
 
-def _certification(l, eta, slots, alpha, rho1, rho2) -> tuple[np.ndarray, np.ndarray]:
-    # Phi's diagonal [alpha, rho1, rho2][law_of] and T = Phi Pi of the slots-slot buffer's chain
-    # (None: a buffer that never truncates).  (G,) gains give (G, n) phi and a (G, n, n) stack.
+def _certification(l, eta, slots, alpha, rho1, rho2) -> tuple[np.ndarray, ...]:
+    # Pi of the slots-slot buffer's chain (None: a buffer that never truncates), Phi's diagonal
+    # [alpha, rho1, rho2][law_of] and T = Phi Pi.  (G,) gains give (G, n) phi and a (G, n, n) stack.
     pi = transition_matrix(l, eta, slots)
     phi = np.array([alpha, rho1, rho2])[law_of(len(pi), _as_count(eta, "eta", len(pi) - 1))]
-    return phi, phi.T[..., None] * pi
+    return pi, phi, phi.T[..., None] * pi
 
 
 def _nonnegative_square(m) -> np.ndarray:
@@ -140,18 +146,41 @@ def solve_certificate(t, nu) -> np.ndarray:
     t = _nonnegative_square(t)
     nu = _as_weights(nu, len(t))
     zeta = np.linalg.solve(np.eye(len(t)) - t, nu)
-    if not ((zeta > 0.0).all() and (t @ zeta < (1.0 - SCHUR_TOL) * zeta).all()):
+    if not _witnessed(t, zeta):
         raise np.linalg.LinAlgError("T is not Schur stable: no positive witness zeta")
     return zeta
 
 
-def _theorem1_bounds(zeta: np.ndarray, nu, sigma_open: float,
-                     d_bound: float) -> tuple[float, float, float]:
-    # Theorem 1's (xi, c1, c2), as Python floats, from a witness zeta > 0 that solve_certificate
-    # accepted for the weights nu it checked: xi = 1 - min(nu)/max(zeta), c1 = max(zeta)/min(zeta).
+def _witnessed(t: np.ndarray, zeta: np.ndarray) -> bool:
+    # The check every certificate passes: zeta > 0 and T zeta < (1 - SCHUR_TOL) zeta on the float T.
+    return bool((zeta > 0.0).all() and (t @ zeta < (1.0 - SCHUR_TOL) * zeta).all())
+
+
+def _structured_solve(row0: list, phi: list, nu: list, shift: list) -> tuple:
+    # (I - T) zeta = nu and the Schur index alpha (l0 + g.z) at state 0 from row 0 of Pi (l0, g):
+    # (I - l0 Phi P)^{-1} of T[1:, 0] (u), phi (v), nu (a) below state 0, then Sherman-Morrison on
+    # g, in Python floats.  zeta is None when d = 1 - g.v <= 0 or index >= 1, as rho(T) >= 1 then.
+    n, l0, alpha = len(phi), row0[0], phi[0]
+    u, v, a, gu, gv, ga = [1.0] * n, [0.0] * n, [0.0] * n, 0.0, 0.0, 0.0
+    for i in range(1, n):
+        s, lf, g = shift[i], l0 * phi[i], row0[i]
+        u[i], v[i], a[i] = lf * u[s], phi[i] + lf * v[s], nu[i] + lf * a[s]
+        gu, gv, ga = gu + g * u[i], gv + g * v[i], ga + g * a[i]
+    d = 1.0 - gv
+    index = alpha * (l0 + gu / d) if d > 0.0 else math.inf
+    if not index < 1.0:
+        return index, None
+    zeta0 = (nu[0] + alpha * ga / d) / (1.0 - index)
+    c = (ga + gu * zeta0) / d
+    return index, np.array([zeta0] + [a[i] + u[i] * zeta0 + v[i] * c for i in range(1, n)])
+
+
+def _theorem1_bounds(zeta, nu, sigma_open: float, d_bound: float) -> tuple[float, float, float]:
+    # Theorem 1's (xi, c1, c2), as Python floats, from a witness zeta that passed _witnessed for
+    # the weights nu it solves for: xi = 1 - min(nu)/max(zeta), c1 = max(zeta)/min(zeta).
     # xi still rounds to 1 when an entry of nu is tiny against zeta (1e-20 with rho2 = 0).
-    z_min, z_max = float(zeta.min()), float(zeta.max())
-    xi = 1.0 - float(np.min(nu)) / z_max
+    z_min, z_max = float(min(zeta)), float(max(zeta))
+    xi = 1.0 - float(min(nu)) / z_max
     if not (0.0 <= xi < 1.0):
         raise ValueError(f"inconsistent certificate: xi={xi} outside [0, 1)")
     c1 = z_max / z_min
@@ -211,12 +240,12 @@ def critical_alpha(scheme: str, eta: int, rho1, rho2, l, n_max: int) -> Critical
     ``rho1``, ``rho2`` broadcast as in a numpy ufunc, through one chain and one stack of solves:
     scalars give floats, ``G``-point grids ``(G,)`` bounds and ``(G, n_max + 1)`` witnesses.
     :func:`esac.schemes.resolve` gives ``(eta, slots, rho2)``: the smallest untruncated buffer.
-    Only row 0 of ``T`` carries alpha, so ``T(alpha)`` is ``T(1)`` with that
-    row scaled, and ``T(r / index(r))`` maps ``[1; z(r)]`` to ``r [1; z(r)]``
-    (see ``_schur_index``).  ``closed`` is ``r = 1``.  ``upper`` is
-    ``r = 1 + SCHUR_TOL``: ``w = [1; z(r)] >= 0`` with ``T w >= w`` proves the
-    Perron root >= 1.  ``lower`` is ``r = 1 - SCHUR_TOL``: ``w = (I - T)^{-1} 1``
-    with ``w > 0`` and ``T w < w`` proves it < 1 (Collatz-Wielandt bounds).
+    Only row 0 of ``T`` carries alpha, so ``T(alpha)`` is ``T(1)`` with that row scaled, and
+    ``T(r / index(r))`` maps ``[1; z(r)]`` to ``r [1; z(r)]`` (see ``_schur_index``).  ``closed``
+    is ``r = 1``.  ``upper`` is ``r = 1 + SCHUR_TOL``: ``w = [1; z(r)] >= 0`` with ``T w >= w``
+    proves the Perron root >= 1.  ``lower`` is ``r = 1 - SCHUR_TOL``: ``w = [1; z(r)] > 0`` with
+    ``T w < w`` proves it < 1 (Collatz-Wielandt bounds), or ``w = (I - T)^{-1} 1`` where a zero
+    in ``z`` (``rho2 = 0``) or rounding fails that check.
     Raises ``ValueError`` when ``n_max != len(l) - 1``, ``resolve`` refuses, ``rho1`` and
     ``rho2`` do not broadcast, a point is no valid ``ContractionSpec`` or ``l[0] = 0``, and
     ``ArithmeticError`` when a check fails; the first failing point in grid order names it.
@@ -233,21 +262,24 @@ def critical_alpha(scheme: str, eta: int, rho1, rho2, l, n_max: int) -> Critical
         if not (r1 < 1.0 and r2 < 1.0):
             raise ValueError("critical_alpha requires rho1 < 1 and rho2 < 1")
         ContractionSpec(alpha=1.0, rho1=r1, rho2=r2, eta=eta)
-    t_one = _certification(l, eta, slots, np.ones(rho1.size), rho1, rho2)[1]
+    t_one = _certification(l, eta, slots, np.ones(rho1.size), rho1, rho2)[2]
     r = np.array([1.0, 1.0 + SCHUR_TOL, 1.0 - SCHUR_TOL])[:, None]
     index, z = _schur_index(t_one, r)
     if not np.all(index[0] > 0.0):  # 0 exactly when l[0] = 0: no state returns to state 0
         raise ValueError("l[0] = 0: the Perron root of T does not depend on alpha, "
                          "so there is no stability boundary")
     closed, upper, lower = r / index
-    up = np.ones((rho1.size, n_max + 1, 1))
-    up[:, 1:, 0] = z[1]
+    up, low = np.ones((2, rho1.size, n_max + 1, 1))
+    up[:, 1:, 0], low[:, 1:, 0] = z[1], z[2]
     t_low, t_up = t_one.copy(), t_one  # T(lower), T(upper): row 0 scaled
     t_low[:, 0] *= lower[:, None]
     t_up[:, 0] *= upper[:, None]
-    low = np.linalg.solve(np.eye(n_max + 1) - t_low, np.ones((rho1.size, n_max + 1, 1)))
-    ok = (lower < closed) & (closed < upper) & np.all(
-        (low > 0.0) & (t_low @ low < low) & (up >= 0.0) & (t_up @ up >= up), axis=(1, 2))
+    for solved in (False, True):  # where [1; z] fails (a zero in z, or rounding): (I - T)^{-1} 1
+        ok = (lower < closed) & (closed < upper) & np.all(
+            (low > 0.0) & (t_low @ low < low) & (up >= 0.0) & (t_up @ up >= up), axis=(1, 2))
+        if solved or ok.all():
+            break
+        low[~ok] = np.linalg.solve(np.eye(n_max + 1) - t_low, np.ones_like(low))[~ok]
     if not ok.all():
         first = closed[np.argmin(ok)]
         raise ArithmeticError(f"no witnessed bracket around the closed-form alpha*={first}")
@@ -259,30 +291,28 @@ def certify(spec: ContractionSpec, l, nu=None, buffer_size=None) -> Certificatio
     """Run the full certification pipeline for one configuration.
 
     Builds the chain of a ``buffer_size``-slot buffer (a count; ``None`` for one that never
-    truncates a grant) from ``l`` and the gain diagonal from ``spec``, and solves for the
-    witness ``zeta`` with ``nu`` (default all-ones): the verdict is NotCertified exactly when
-    :func:`solve_certificate` raises ``LinAlgError``, and its ``ValueError`` for a malformed
-    ``nu`` passes through.  The report also carries the Perron root of ``T``, the
-    closed-form index where defined, and Theorem 1's constants ``xi``, ``c1`` and ``c2``,
-    computed from the accepted witness alone.  A ``nu`` so small against ``zeta`` that ``xi``
+    truncates a grant) from ``l`` and the gain diagonal from ``spec``, and solves
+    ``(I - T) zeta = nu`` (``nu`` default all-ones) from the chain's structure: NotCertified
+    exactly when ``zeta`` fails :func:`solve_certificate`'s witness check or the structure proves
+    the Perron root >= 1; a ``nu`` that it refuses raises ``ValueError``.  The report also has
+    the Perron root of ``T``, the closed-form index where defined, and Theorem 1's ``xi``, ``c1``
+    and ``c2``, from the accepted witness alone.  A ``nu`` so small against ``zeta`` that ``xi``
     rounds to 1 raises ``ValueError`` ("inconsistent certificate").
     """
     slots = None if buffer_size is None else _as_count(buffer_size, "buffer_size")
-    phi, t = _certification(l, spec.eta, slots, spec.alpha, spec.rho1, spec.rho2)
-    closed_form = _schur_index(t)[0] if spec.rho1 < 1.0 and spec.rho2 < 1.0 else None
-
-    nu = np.ones(len(t)) if nu is None else nu
-    try:
-        zeta = solve_certificate(t, nu)
-    except np.linalg.LinAlgError:  # no witness, including a singular I - T
-        zeta = xi = c1 = c2 = None
-    else:
+    pi, phi, t = _certification(l, spec.eta, slots, spec.alpha, spec.rho1, spec.rho2)
+    nu = [1.0] * len(t) if nu is None else _as_weights(nu, len(t)).tolist()
+    index, zeta = _structured_solve(pi[0].tolist(), phi.tolist(), nu,
+                                    _shift_column(len(t), spec.eta))
+    if zeta is not None and _witnessed(t, zeta):
         xi, c1, c2 = _theorem1_bounds(zeta, nu, spec.alpha, spec.d_bound)
+    else:
+        zeta = xi = c1 = c2 = None
     return CertificationReport(
         phi=phi,
         t_matrix=t,
         spectral_radius=spectral_radius(t),
-        closed_form=closed_form,
+        closed_form=index if spec.rho1 < 1.0 and spec.rho2 < 1.0 else None,
         zeta=zeta,
         xi=xi,
         c1=c1,

@@ -71,7 +71,7 @@ TRACED = [
     ("esac.stability", "transition_matrix", certify_q1),
     ("esac.stability", "transition_matrix", certify_b1),  # the truncated chain
     ("esac.stability", "spectral_radius", certify_q1),
-    ("esac.stability", "solve_certificate", certify_q1),
+    ("esac.stability", "_structured_solve", certify_q1),  # certify's witness and closed form
     ("esac.sweep", "critical_alpha", sweep_a1),
     ("esac.simulate", "simulate_trajectory", simulate_narrow),
     ("esac.channel", "effective_availability", sweep_a1),

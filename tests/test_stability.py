@@ -13,6 +13,7 @@ from esac.stability import (
     CERTIFIED,
     NOT_CERTIFIED,
     ContractionSpec,
+    _schur_index,
     _theorem1_bounds,
     block_schur_g1,
     certify,
@@ -399,6 +400,18 @@ class TestCriticalAlpha:
             # the upper end but could never pass a strict lower-end check.
             assert np.any(result.upper_witness == 0.0)
 
+    def test_lower_witness_is_the_perron_vector(self):
+        """At ``alpha* = 4297.88`` the solve ``(I - T(lower))^{-1} 1`` is about 1e9 times
+        ``1``, and its rounding broke row 0 of ``T(lower) w < w``: ``ArithmeticError`` on a
+        valid loop.  ``[1; z(1 - SCHUR_TOL)]`` maps to ``(1 - SCHUR_TOL)`` times itself."""
+        l = effective_availability(0.9997673875480112, [
+            1.976406882948965e-20, 1.864555917732004e-27, 2.4026327413286556e-05,
+            0.6456327795775273, 0.3543431940950595])
+        result = critical_alpha("A1", 2, 0.9998446938943896, 0.16637393089931887, l, 4)
+        assert result.closed == pytest.approx(4297.875475233095, rel=1e-12)
+        assert result.lower_witness[0] == 1.0
+        assert_witnessed_bracket(result, "A1", 1, 0.9998446938943896, 0.9998446938943896, l)
+
     def test_failed_bracket_names_the_first_point(self, monkeypatch):
         # With no margin, r = 1 - SCHUR_TOL, 1, 1 + SCHUR_TOL collapse to lower == closed ==
         # upper, which no bracket passes: the first grid point's closed form is named.
@@ -547,6 +560,38 @@ class TestCertify:
         spec = ContractionSpec(alpha=1.2, rho1=0.9, rho2=0.45, eta=2)
         with pytest.raises(ValueError, match=r"^nu must be 5 strictly positive finite entries$"):
             certify(spec, L_BENCH, nu=nu)
+
+    @pytest.mark.parametrize("scheme", ["A1", "A2", "B1", "B2"])
+    def test_matches_the_general_solve(self, scheme):
+        """``certify``'s witness from the chain's structure against ``solve_certificate`` on
+        the ``T`` it reports, at every buffer size from 1 to the minimum + 1, with the default
+        and a random ``nu``: the same verdict away from the boundary, ``zeta`` to 1e-12
+        relative and the closed form to 1e-13 of the stacked Schur solve."""
+        rng = np.random.default_rng(["A1", "A2", "B1", "B2"].index(scheme))
+        verdicts = set()
+        for _ in range(40):
+            n_max = int(rng.integers(1, 10))
+            eta = int(rng.integers(1, n_max + 1)) if scheme[1] == "2" else 1
+            rho1 = rng.uniform(0.01, 0.99)
+            rho2 = rho1 * rng.uniform(0.0, 1.0) if scheme[1] == "2" else rho1
+            spec = ContractionSpec(rng.uniform(0.5, 2.5), rho1, rho2, eta)
+            l = effective_availability(rng.uniform(0.05, 1.0), rng.dirichlet(np.ones(n_max + 1)))
+            for slots in range(1, min_buffer_size(scheme, eta, n_max) + 2):
+                for nu in (None, rng.uniform(0.5, 2.0, n_max + 1)):
+                    report = certify(spec, l, nu, slots)
+                    weights = np.ones(n_max + 1) if nu is None else nu
+                    try:
+                        zeta = solve_certificate(report.t_matrix, weights)
+                    except np.linalg.LinAlgError:
+                        zeta = None
+                    if abs(report.spectral_radius - 1.0) >= 1e-9:
+                        assert report.certified == (zeta is not None)
+                    if report.certified and zeta is not None:
+                        np.testing.assert_allclose(report.zeta, zeta, rtol=1e-12, atol=0.0)
+                    assert report.closed_form == pytest.approx(
+                        _schur_index(report.t_matrix)[0], rel=0.0, abs=1e-13)
+                    verdicts.add(report.verdict)
+        assert verdicts == {CERTIFIED, NOT_CERTIFIED}
 
     def test_custom_nu(self):
         spec = ContractionSpec(alpha=1.2, rho1=0.9, rho2=0.45, eta=2)
