@@ -12,10 +12,9 @@ Lyapunov value.
 
 Every grant overwrites the buffer, so ``Pi = l0 P + 1 g^T``: ``P`` is the shift map, ``l0``
 the no-computation mass and ``g = [0, l[1:]]`` (folded for a truncated buffer) the grant
-masses that every row carries.  :func:`certify` takes ``zeta`` and the closed-form index from
-one forward recursion along ``P`` and one Sherman-Morrison step, in Python floats.  LAPACK
-runs only in ``eigvals`` (the reported Perron root) and in the solves of
-:func:`solve_certificate`, :func:`block_schur_g1` and :func:`critical_alpha`.
+masses that every row carries.  :func:`certify` and :func:`critical_alpha` take their witnesses
+and the closed-form index from one forward recursion along ``P`` and one Sherman-Morrison step:
+LAPACK runs only in ``eigvals``, :func:`solve_certificate` and :func:`block_schur_g1`.
 
 The closed-form index (``CertificationReport.closed_form``) is the Schur
 complement of ``T`` at the empty-buffer state: ``psi`` for the two-law
@@ -105,7 +104,7 @@ class CertificationReport:
 
 def _certification(l, eta, slots, alpha, rho1, rho2) -> tuple[np.ndarray, ...]:
     # Pi of the slots-slot buffer's chain (None: a buffer that never truncates), Phi's diagonal
-    # [alpha, rho1, rho2][law_of] and T = Phi Pi.  (G,) gains give (G, n) phi and a (G, n, n) stack.
+    # [alpha, rho1, rho2][law_of] and T = Phi Pi.  (G,) gains give (n, G) phi and a (G, n, n) stack.
     pi = transition_matrix(l, eta, slots)
     phi = np.array([alpha, rho1, rho2])[law_of(len(pi), _as_count(eta, "eta", len(pi) - 1))]
     return pi, phi, phi.T[..., None] * pi
@@ -189,15 +188,6 @@ def _theorem1_bounds(zeta, nu, sigma_open: float, d_bound: float) -> tuple[float
     return xi, c1, c2
 
 
-def _schur_index(t: np.ndarray, r=1.0) -> tuple:
-    # Schur complement of T at its first row and column, at r: t00 + t01 z with
-    # z = (r I - t11)^{-1} t10; then T with row 0 scaled by r / index maps [1; z] to r [1; z].
-    # T may be a stack (..., n, n), r broadcasts on it; solve's b has a's rank, as numpy 1.x needs.
-    a = np.asarray(r)[..., None, None] * np.eye(t.shape[-1] - 1) - t[..., 1:, 1:]
-    z = np.linalg.solve(a, t[..., 1:, :1][(None,) * (a.ndim - t.ndim)])
-    return t[..., 0, 0] + (t[..., :1, 1:] @ z)[..., 0, 0], z[..., 0]
-
-
 def block_schur_g1(h) -> tuple[float, bool]:
     """Schur test via the scalar Schur complement at the (1,1) entry.
 
@@ -215,7 +205,7 @@ def block_schur_g1(h) -> tuple[float, bool]:
         raise ValueError("trailing block must have inf-norm < 1")
     if not np.trace(m @ m) < 1.0:
         raise ValueError("trailing block must satisfy trace(M @ M) < 1")
-    g1 = 1.0 - _schur_index(h)[0]
+    g1 = float(1.0 - (h[0, 0] + h[0, 1:] @ np.linalg.solve(np.eye(len(m)) - m, h[1:, 0])))
     return g1, g1 > SCHUR_TOL
 
 
@@ -237,15 +227,16 @@ class CriticalAlpha(NamedTuple):
 def critical_alpha(scheme: str, eta: int, rho1, rho2, l, n_max: int) -> CriticalAlpha:
     """Open-loop bound at which the stability certificate crosses 1.
 
-    ``rho1``, ``rho2`` broadcast as in a numpy ufunc, through one chain and one stack of solves:
-    scalars give floats, ``G``-point grids ``(G,)`` bounds and ``(G, n_max + 1)`` witnesses.
-    :func:`esac.schemes.resolve` gives ``(eta, slots, rho2)``: the smallest untruncated buffer.
-    Only row 0 of ``T`` carries alpha, so ``T(alpha)`` is ``T(1)`` with that row scaled, and
-    ``T(r / index(r))`` maps ``[1; z(r)]`` to ``r [1; z(r)]`` (see ``_schur_index``).  ``closed``
-    is ``r = 1``.  ``upper`` is ``r = 1 + SCHUR_TOL``: ``w = [1; z(r)] >= 0`` with ``T w >= w``
-    proves the Perron root >= 1.  ``lower`` is ``r = 1 - SCHUR_TOL``: ``w = [1; z(r)] > 0`` with
-    ``T w < w`` proves it < 1 (Collatz-Wielandt bounds), or ``w = (I - T)^{-1} 1`` where a zero
-    in ``z`` (``rho2 = 0``) or rounding fails that check.
+    ``rho1``, ``rho2`` broadcast as in a numpy ufunc, through one chain: scalars give floats,
+    ``G``-point grids ``(G,)`` bounds and ``(G, n_max + 1)`` witnesses with each point's scalar
+    bits.  :func:`esac.schemes.resolve` gives ``(eta, slots, rho2)``: the smallest untruncated
+    buffer.  Only row 0 of ``T`` carries alpha, so ``T(alpha)`` is ``T(1)`` with that row scaled,
+    and ``T(r / index(r))`` maps ``[1; z(r)]`` to ``r [1; z(r)]``: :func:`certify`'s recursion at
+    ``phi / r`` gives ``z(r) = (r I - T11)^{-1} T10`` and the Schur index ``l0 + g.z(r)``.
+    ``closed`` is ``r = 1``.  ``upper`` is ``r = 1 + SCHUR_TOL``: ``w = [1; z(r)] >= 0`` with
+    ``T w >= w`` proves the Perron root >= 1.  ``lower`` is ``r = 1 - SCHUR_TOL``: ``w > 0`` with
+    ``T w < w`` proves it < 1 (Collatz-Wielandt bounds), for ``w = [1; z(r)]`` or, where a zero
+    in ``z`` (``rho2 = 0``) or rounding fails that check, ``w = (I - T)^{-1} 1`` by the recursion.
     Raises ``ValueError`` when ``n_max != len(l) - 1``, ``resolve`` refuses, ``rho1`` and
     ``rho2`` do not broadcast, a point is no valid ``ContractionSpec`` or ``l[0] = 0``, and
     ``ArithmeticError`` when a check fails; the first failing point in grid order names it.
@@ -262,24 +253,33 @@ def critical_alpha(scheme: str, eta: int, rho1, rho2, l, n_max: int) -> Critical
         if not (r1 < 1.0 and r2 < 1.0):
             raise ValueError("critical_alpha requires rho1 < 1 and rho2 < 1")
         ContractionSpec(alpha=1.0, rho1=r1, rho2=r2, eta=eta)
-    t_one = _certification(l, eta, slots, np.ones(rho1.size), rho1, rho2)[2]
+    pi, phi, t_one = _certification(l, eta, slots, np.ones(rho1.size), rho1, rho2)
+    n, l0, shift = n_max + 1, pi[0, 0], _shift_column(n_max + 1, eta)
     r = np.array([1.0, 1.0 + SCHUR_TOL, 1.0 - SCHUR_TOL])[:, None]
-    index, z = _schur_index(t_one, r)
+    f = phi[:, None] / r  # (n, 3, G); uv holds _structured_solve's u and v at phi / r
+    lf, uv = l0 * f, np.zeros((n, 2) + f.shape[1:])
+    uv[0, 0] = 1.0
+    for i in range(1, n):
+        np.multiply(lf[i], uv[shift[i]], out=uv[i])
+        uv[i, 1] += f[i]
+    gu, gv = (pi[0, 1:, None, None, None] * uv[1:]).sum(axis=0)  # in state order, no BLAS
+    index = l0 + (c := gu / (1.0 - gv))  # c = g.z, with z = u + v c
     if not np.all(index[0] > 0.0):  # 0 exactly when l[0] = 0: no state returns to state 0
         raise ValueError("l[0] = 0: the Perron root of T does not depend on alpha, "
                          "so there is no stability boundary")
     closed, upper, lower = r / index
-    up, low = np.ones((2, rho1.size, n_max + 1, 1))
-    up[:, 1:, 0], low[:, 1:, 0] = z[1], z[2]
+    up, low = (uv[:, 0] + uv[:, 1] * c)[:, 1:].transpose(1, 2, 0)[..., None].copy()  # [1; z]
     t_low, t_up = t_one.copy(), t_one  # T(lower), T(upper): row 0 scaled
-    t_low[:, 0] *= lower[:, None]
-    t_up[:, 0] *= upper[:, None]
+    t_low[:, 0], t_up[:, 0] = t_low[:, 0] * lower[:, None], t_up[:, 0] * upper[:, None]
     for solved in (False, True):  # where [1; z] fails (a zero in z, or rounding): (I - T)^{-1} 1
         ok = (lower < closed) & (closed < upper) & np.all(
             (low > 0.0) & (t_low @ low < low) & (up >= 0.0) & (t_up @ up >= up), axis=(1, 2))
         if solved or ok.all():
             break
-        low[~ok] = np.linalg.solve(np.eye(n_max + 1) - t_low, np.ones_like(low))[~ok]
+        for k in np.flatnonzero(~ok).tolist():  # from certify's recursion; None leaves [1; z]
+            zeta = _structured_solve(pi[0].tolist(), [lower[k].item(), *phi[1:, k].tolist()],
+                                     [1.0] * n, shift)[1]
+            low[k, :, 0] = low[k, :, 0] if zeta is None else zeta
     if not ok.all():
         first = closed[np.argmin(ok)]
         raise ArithmeticError(f"no witnessed bracket around the closed-form alpha*={first}")

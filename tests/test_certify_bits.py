@@ -5,7 +5,11 @@
 not) with every field of their ``certify`` report and of ``critical_alpha`` at one point
 and on the 19-point default grid, all floats as ``float.hex`` strings and refusals as
 ``"<type>: <message>"``.  The six ``esac certify`` text reports print 12 digits; this file
-pins the bits.  The bits are those of one numpy and LAPACK build (numpy 2.4, x86-64).
+pins the bits.  ``test_certificate_bits`` checks the ``certify`` report and
+``test_boundary_bits`` both ``critical_alpha`` results.  Only ``certify``'s
+``spectral_radius`` (``numpy.linalg.eigvals``) depends on the LAPACK build: the witnesses,
+closed forms and brackets come from elementwise recursions along the chain, whose bits are
+the same on every BLAS kernel.  The file was written with numpy 2.4 on x86-64.
 
 The file is written by ``PYTHONPATH=src python tests/test_certify_bits.py``, which should
 be run only for a declared change of the certificate's output.
@@ -42,8 +46,12 @@ def _outcome(fn, fields):
     return {name: _bits(getattr(result, name)) for name in fields}
 
 
-def outputs(config) -> dict:
-    """The ``certify`` report and both ``critical_alpha`` results of one configuration."""
+BOUNDARY_KEYS = ("critical_alpha_1", "critical_alpha_19")
+
+
+def outputs(config, keys=("certify",) + BOUNDARY_KEYS) -> dict:
+    """The ``certify`` report and both ``critical_alpha`` results of one configuration, or
+    those of them that ``keys`` names."""
     scheme, eta, slots = config["scheme"], config["eta"], config["buffer_size"]
     alpha, rho1, rho2, d_bound, epsilon = (
         float.fromhex(config[k]) for k in ("alpha", "rho1", "rho2", "d_bound", "epsilon"))
@@ -51,14 +59,15 @@ def outputs(config) -> dict:
     nu = None if config["nu"] is None else np.array([float.fromhex(v) for v in config["nu"]])
     spec = ContractionSpec(alpha=alpha, rho1=rho1, rho2=rho2, eta=eta, d_bound=d_bound)
     grid = np.array(DEFAULT_RHO1_GRID)
-    return {
-        "certify": _outcome(lambda: certify(spec, l, nu, slots), REPORT_FIELDS),
-        "critical_alpha_1": _outcome(
+    calls = {
+        "certify": (lambda: certify(spec, l, nu, slots), REPORT_FIELDS),
+        "critical_alpha_1": (
             lambda: critical_alpha(scheme, eta, rho1, rho2, l, l.size - 1), CriticalAlpha._fields),
-        "critical_alpha_19": _outcome(
+        "critical_alpha_19": (
             lambda: critical_alpha(scheme, eta, grid, epsilon * grid, l, l.size - 1),
             CriticalAlpha._fields),
     }
+    return {key: _outcome(*calls[key]) for key in keys}
 
 
 def draw_configs(count=60, seed=30) -> list[dict]:
@@ -85,6 +94,7 @@ def draw_configs(count=60, seed=30) -> list[dict]:
 
 
 CASES = json.loads(GOLDEN.read_text())["configs"] if GOLDEN.exists() else []
+IDS = [f"{i:02d}-{c['scheme']}" for i, c in enumerate(CASES)]
 
 
 def test_golden_covers_the_promised_configurations():
@@ -97,9 +107,14 @@ def test_golden_covers_the_promised_configurations():
     assert verdicts == {"CertifiedStable", "NotCertified"}
 
 
-@pytest.mark.parametrize("case", CASES, ids=[f"{i:02d}-{c['scheme']}" for i, c in enumerate(CASES)])
+@pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_certificate_bits(case):
-    assert outputs(case) == case["outputs"]
+    assert outputs(case, ["certify"]) == {"certify": case["outputs"]["certify"]}
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_boundary_bits(case):
+    assert outputs(case, BOUNDARY_KEYS) == {key: case["outputs"][key] for key in BOUNDARY_KEYS}
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 import warnings
 
@@ -9,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 from esac.acceptance import random_config
 from esac.chain import law_of, min_buffer_size, transition_matrix
 from esac.channel import effective_availability
+from esac.schemes import resolve
 from esac.stability import (
     CERTIFIED,
     NOT_CERTIFIED,
+    SCHUR_TOL,
     ContractionSpec,
-    _schur_index,
     _theorem1_bounds,
     block_schur_g1,
     certify,
@@ -21,6 +23,7 @@ from esac.stability import (
     solve_certificate,
     spectral_radius,
 )
+from esac.sweep import DEFAULT_RHO1_GRID
 
 # Benchmark channel: half availability, uniform deadline pmf over 0..4.
 L_BENCH = effective_availability(0.5, [0.2] * 5)
@@ -31,6 +34,13 @@ L_BENCH = effective_availability(0.5, [0.2] * 5)
 PSI_PER_ALPHA_Q1 = 0.7392864396452509  # eta=2, rho1=0.9, rho2=0.45
 PSI_PER_ALPHA_Q2 = 0.7898341196164967  # eta=3, rho1=0.9, rho2=0.45
 OMEGA_PER_ALPHA_Q3 = 0.8512265418572063  # one-law, rho1=0.9
+
+
+def dense_schur(t, r=1.0):
+    """Schur complement of ``T`` at its first entry, ``t00 + t01 z``, and ``z = (r I - T11)^{-1}
+    T10``, by one dense solve: the reference for the chain's recursion."""
+    z = np.linalg.solve(r * np.eye(len(t) - 1) - t[1:, 1:], t[1:, 0])
+    return t[0, 0] + t[0, 1:] @ z, z
 
 
 def assert_witnessed_bracket(result, scheme, eta, rho1, rho2, l):
@@ -228,6 +238,12 @@ class TestBlockSchur:
             g1, _ = block_schur_g1(h)
             assert (g1 > 0.0) == (radius < 1.0)
 
+    def test_returns_a_python_float_and_bool(self):
+        # The annotation's types, so that a verdict can be written as JSON.
+        g1, verdict = block_schur_g1([[0.5, 0.25], [0.5, 0.25]])
+        assert type(g1) is float and type(verdict) is bool
+        assert json.loads(json.dumps([g1, verdict])) == [g1, verdict]
+
     def test_rejects_expansive_trailing_block(self):
         h = np.array([[0.1, 0.1], [0.1, 1.5]])
         with pytest.raises(ValueError):
@@ -383,6 +399,41 @@ class TestCriticalAlpha:
                 result = critical_alpha(scheme, spec.eta, spec.rho1, spec.rho2, l, l.size - 1)
                 assert_witnessed_bracket(result, scheme, spec.eta, spec.rho1, spec.rho2, l)
                 assert result.discrepancy < 1e-6
+
+    @pytest.mark.parametrize("scheme", ["A1", "A2", "B1", "B2"])
+    def test_matches_the_dense_schur_solve(self, scheme):
+        """The chain's recursion against one dense solve per point (:func:`dense_schur`) at
+        ``n_max`` 1 to 12, in scalar calls and on 19-point grids, a third of them with
+        ``rho2 = 0``: the bounds to 1e-13 and ``[1; z]`` witnesses to 1e-12 relative.  Where a
+        zero in ``z`` fails the lower check, the lower witness is ``(I - T(lower))^{-1} 1``.
+        That matrix is within about ``SCHUR_TOL`` of singular, so two sound solves of it agree
+        only to about 1e9 roundings: 1e-6 there."""
+        rng = np.random.default_rng(["A1", "A2", "B1", "B2"].index(scheme) + 40)
+        two_law, solved = scheme[1] == "2", 0
+        for n_max in range(1, 13):
+            l = effective_availability(rng.uniform(0.05, 0.95), rng.dirichlet(np.ones(n_max + 1)))
+            eta = int(rng.integers(1, n_max + 1)) if two_law else 1
+            epsilon = (0.0 if n_max % 3 == 0 else rng.uniform(0.01, 0.99)) if two_law else 1.0
+            for rho1 in (rng.uniform(0.01, 0.99), np.array(DEFAULT_RHO1_GRID)):
+                result = critical_alpha(scheme, eta, rho1, epsilon * rho1, l, n_max)
+                for g, r1 in enumerate(np.atleast_1d(rho1).tolist()):
+                    resolved, slots, r2 = resolve(scheme, eta, None, n_max, r1, epsilon * r1)
+                    spec = ContractionSpec(alpha=1.0, rho1=r1, rho2=r2, eta=resolved)
+                    t = certify(spec, l, buffer_size=slots).t_matrix
+                    closed, lower, upper = (np.atleast_1d(a)[g] for a in result[:3])
+                    low, up = (np.atleast_2d(w)[g] for w in result[3:])
+                    for r, bound in ((1.0, closed), (1.0 + SCHUR_TOL, upper),
+                                     (1.0 - SCHUR_TOL, lower)):
+                        assert bound == pytest.approx(r / dense_schur(t, r)[0], rel=1e-13, abs=0)
+                    ref = np.append(1.0, dense_schur(t, 1.0 + SCHUR_TOL)[1])
+                    assert np.abs(up - ref).max() <= 1e-12 * ref.max()
+                    ref, rtol = np.append(1.0, dense_schur(t, 1.0 - SCHUR_TOL)[1]), 1e-12
+                    if low[0] != 1.0:  # not [1; z]: the solve
+                        t[0] *= lower
+                        ref, rtol = np.linalg.solve(np.eye(n_max + 1) - t, np.ones(n_max + 1)), 1e-6
+                        solved += 1
+                    assert np.abs(low - ref).max() <= rtol * ref.max(), (n_max, r1, epsilon)
+        assert (solved > 0) == two_law
 
     @pytest.mark.parametrize("scheme, eta, rho1, rho2", [
         ("A2", 2, 0.9, 0.0),  # fine rows of T vanish: T is reducible
@@ -566,7 +617,7 @@ class TestCertify:
         """``certify``'s witness from the chain's structure against ``solve_certificate`` on
         the ``T`` it reports, at every buffer size from 1 to the minimum + 1, with the default
         and a random ``nu``: the same verdict away from the boundary, ``zeta`` to 1e-12
-        relative and the closed form to 1e-13 of the stacked Schur solve."""
+        relative and the closed form to 1e-13 of the dense Schur solve."""
         rng = np.random.default_rng(["A1", "A2", "B1", "B2"].index(scheme))
         verdicts = set()
         for _ in range(40):
@@ -589,7 +640,7 @@ class TestCertify:
                     if report.certified and zeta is not None:
                         np.testing.assert_allclose(report.zeta, zeta, rtol=1e-12, atol=0.0)
                     assert report.closed_form == pytest.approx(
-                        _schur_index(report.t_matrix)[0], rel=0.0, abs=1e-13)
+                        dense_schur(report.t_matrix)[0], rel=0.0, abs=1e-13)
                     verdicts.add(report.verdict)
         assert verdicts == {CERTIFIED, NOT_CERTIFIED}
 

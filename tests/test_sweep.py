@@ -201,21 +201,3 @@ def test_benchmark_boundaries_are_pinned_to_the_bit(scheme, eta, epsilon):
     expected = PINNED[scheme, eta, epsilon]
     assert tuple(float(v).hex() for v in one[:3]) == expected
     assert tuple(v.hex() for v in pt[1:]) == expected
-
-
-def test_every_solve_reads_the_same_on_numpy_1_and_2(monkeypatch):
-    # numpy 1.x reads a right side of rank ``a.ndim - 1`` as a stack of vectors and
-    # numpy 2 as one matrix; a right side of a's own rank is a matrix on both.
-    solve, ranks = np.linalg.solve, []
-
-    def checked(a, b):
-        ranks.append((np.ndim(a), np.ndim(b)))
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", checked)
-    grid = np.array(DEFAULT_RHO1_GRID)
-    for n_max in (1, 2, 4):
-        l = ChannelModel(q=0.5, p=np.full(n_max + 1, 1.0 / (n_max + 1))).l
-        critical_alpha("A2", 1, 0.9, 0.45, l, n_max)
-        critical_alpha("A2", 1, grid, 0.5 * grid, l, n_max)
-    assert ranks and all(ra == rb for ra, rb in ranks), ranks
