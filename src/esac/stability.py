@@ -13,8 +13,9 @@ Lyapunov value.
 Every grant overwrites the buffer, so ``Pi = l0 P + 1 g^T``: ``P`` is the shift map, ``l0``
 the no-computation mass and ``g = [0, l[1:]]`` (folded for a truncated buffer) the grant
 masses that every row carries.  :func:`certify` and :func:`critical_alpha` take their witnesses
-and the closed-form index from one forward recursion along ``P`` and one Sherman-Morrison step:
-LAPACK runs only in ``eigvals``, :func:`solve_certificate` and :func:`block_schur_g1`.
+and the closed-form index from one forward recursion along ``P`` and one Sherman-Morrison step,
+and :func:`certify` the Perron root from the secular equation of ``T = l0 Phi P + phi g^T``, so
+LAPACK runs only in :func:`spectral_radius`, :func:`solve_certificate` and :func:`block_schur_g1`.
 
 The closed-form index (``CertificationReport.closed_form``) is the Schur
 complement of ``T`` at the empty-buffer state: ``psi`` for the two-law
@@ -82,9 +83,10 @@ class ContractionSpec:
 class CertificationReport:
     """Outcome of certifying one scheme configuration.
 
-    ``closed_form`` is the scalar index (psi or omega) and is only present
-    when both contractions are < 1.  ``zeta`` (the stability witness),
-    ``xi``, ``c1``, ``c2`` are present only when the verdict is certified.
+    ``closed_form`` is the scalar index (psi or omega) and is only present when both
+    contractions are < 1.  ``zeta`` (the stability witness), ``xi``, ``c1``, ``c2`` are present
+    only when the verdict is certified.  ``spectral_radius`` is the Perron root of ``t_matrix``
+    from the chain's secular equation, with no eigenvalue solver, to about 1e-14 of ``max(phi)``.
     """
 
     phi: np.ndarray
@@ -172,6 +174,34 @@ def _structured_solve(row0: list, phi: list, nu: list, shift: list) -> tuple:
     zeta0 = (nu[0] + alpha * ga / d) / (1.0 - index)
     c = (ga + gu * zeta0) / d
     return index, np.array([zeta0] + [a[i] + u[i] * zeta0 + v[i] * c for i in range(1, n)])
+
+
+def _perron_root(row0: list, phi: list, shift: list) -> float:
+    # T = A + phi g^T >= A = l0 Phi P, lower triangular along P with spectrum {l0 alpha, 0}: by the
+    # matrix determinant lemma rho(T) = max(l0 alpha, r*), r* the root on (l0 alpha, max phi] of
+    # f(r) = g.b(r) = 1, b = (r I - A)^{-1} phi, where f > 0 falls and is convex.  Newton on 1/f in
+    # a bisection bracket.  f = 0, or f has a pole at l0 alpha (at 0 by 1 / r if alpha = 0), as a
+    # zero gain on a shift path is its state's own (rho2 = 0; coarse states shift to coarse ones).
+    n, l0, top = len(phi), row0[0], max(phi)
+    if l0 == 0.0 or top <= l0 * phi[0]:  # T = phi g^T, or rho(A) = max phi bounds rho(T)
+        return l0 * phi[0] if l0 else sum(g * p for g, p in zip(row0[1:], phi[1:]))
+    phi = [p / top for p in phi]  # T / max phi, whose root lies in (l0 alpha / max phi, 1]
+    alpha, low, b, db = phi[0], l0 * phi[0], [0.0] * n, [0.0] * n
+    lo, hi, r, tol = low, 1.0, 1.0, 2.0 ** -52
+    while True:  # f, f' at r: b_0 = alpha / (r - l0 alpha), b_i = phi_i (1 + l0 b_shift(i)) / r
+        b[0], db[0] = alpha / (r - low), -alpha / (r - low) / (r - low)
+        f = df = 0.0
+        for i, s, p, g in zip(range(1, n), shift[1:], phi[1:], row0[1:]):
+            b[i] = bi = p * (1.0 + l0 * b[s]) / r
+            db[i] = dbi = (p * l0 * db[s] - bi) / r
+            f, df = f + g * bi, df + g * dbi
+        if f == 0.0 or f >= 1.0 and r == 1.0:  # no root above l0 alpha, or the root is max phi
+            return top * (r if f else low)
+        lo, hi = (r, hi) if f >= 1.0 else (lo, r)
+        step = r + f * (f - 1.0) / -df  # Newton on 1/f
+        if abs(step - r) <= tol or hi - lo <= tol or f >= 1.0 and not step > r:
+            return top * r  # converged, or rounding stops a rise from the left
+        r = step if lo < step < hi else lo + 0.5 * (hi - lo)
 
 
 def _theorem1_bounds(zeta, nu, sigma_open: float, d_bound: float) -> tuple[float, float, float]:
@@ -302,8 +332,8 @@ def certify(spec: ContractionSpec, l, nu=None, buffer_size=None) -> Certificatio
     slots = None if buffer_size is None else _as_count(buffer_size, "buffer_size")
     pi, phi, t = _certification(l, spec.eta, slots, spec.alpha, spec.rho1, spec.rho2)
     nu = [1.0] * len(t) if nu is None else _as_weights(nu, len(t)).tolist()
-    index, zeta = _structured_solve(pi[0].tolist(), phi.tolist(), nu,
-                                    _shift_column(len(t), spec.eta))
+    row0, gains, shift = pi[0].tolist(), phi.tolist(), _shift_column(len(t), spec.eta)
+    index, zeta = _structured_solve(row0, gains, nu, shift)
     if zeta is not None and _witnessed(t, zeta):
         xi, c1, c2 = _theorem1_bounds(zeta, nu, spec.alpha, spec.d_bound)
     else:
@@ -311,7 +341,7 @@ def certify(spec: ContractionSpec, l, nu=None, buffer_size=None) -> Certificatio
     return CertificationReport(
         phi=phi,
         t_matrix=t,
-        spectral_radius=spectral_radius(t),
+        spectral_radius=_perron_root(row0, gains, shift),
         closed_form=index if spec.rho1 < 1.0 and spec.rho2 < 1.0 else None,
         zeta=zeta,
         xi=xi,

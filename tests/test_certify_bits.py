@@ -6,10 +6,10 @@ not) with every field of their ``certify`` report and of ``critical_alpha`` at o
 and on the 19-point default grid, all floats as ``float.hex`` strings and refusals as
 ``"<type>: <message>"``.  The six ``esac certify`` text reports print 12 digits; this file
 pins the bits.  ``test_certificate_bits`` checks the ``certify`` report and
-``test_boundary_bits`` both ``critical_alpha`` results.  Only ``certify``'s
-``spectral_radius`` (``numpy.linalg.eigvals``) depends on the LAPACK build: the witnesses,
-closed forms and brackets come from elementwise recursions along the chain, whose bits are
-the same on every BLAS kernel.  The file was written with numpy 2.4 on x86-64.
+``test_boundary_bits`` both ``critical_alpha`` results.  No field depends on the LAPACK
+build: the witnesses, closed forms, brackets and ``certify``'s ``spectral_radius`` (the root of
+the chain's secular equation) come from recursions along the chain in IEEE float operations,
+whose bits are the same on every BLAS kernel.  The file was written with numpy 2.4 on x86-64.
 
 The file is written by ``PYTHONPATH=src python tests/test_certify_bits.py``, which should
 be run only for a declared change of the certificate's output.

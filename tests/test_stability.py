@@ -2,13 +2,14 @@ import dataclasses
 import json
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from esac.acceptance import random_config
-from esac.chain import law_of, min_buffer_size, transition_matrix
+from esac.chain import jump_table, law_of, min_buffer_size, transition_matrix
 from esac.channel import effective_availability
 from esac.schemes import resolve
 from esac.stability import (
@@ -24,6 +25,9 @@ from esac.stability import (
     spectral_radius,
 )
 from esac.sweep import DEFAULT_RHO1_GRID
+
+#: The largest float.
+BIG = np.finfo(float).max
 
 # Benchmark channel: half availability, uniform deadline pmf over 0..4.
 L_BENCH = effective_availability(0.5, [0.2] * 5)
@@ -650,6 +654,111 @@ class TestCertify:
         report = certify(spec, L_BENCH, nu=nu)
         residual = (np.eye(5) - report.t_matrix) @ report.zeta - nu
         np.testing.assert_allclose(residual, 0.0, atol=1e-12)
+
+    def test_uses_no_eigenvalue_solver(self, monkeypatch):
+        spec = ContractionSpec(alpha=1.35, rho1=0.9, rho2=0.45, eta=2)
+        expected = spectral_radius(certify(spec, L_BENCH).t_matrix)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("certify called an eigenvalue solver or numpy.linalg")
+
+        monkeypatch.setattr("esac.stability.spectral_radius", refuse)
+        for name in ("eigvals", "eig", "solve", "inv", "lstsq", "det"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        report = certify(spec, L_BENCH)
+        assert report.certified
+        assert report.closed_form == pytest.approx(1.35 * PSI_PER_ALPHA_Q1, rel=1e-12)
+        assert report.spectral_radius == pytest.approx(expected, rel=0.0, abs=1e-13)
+
+
+def radius_configs(count: int, seed: int) -> list[tuple]:
+    """``count`` ``certify`` arguments ``(spec, l, nu, buffer_size)`` from criterion 2's
+    generator, five kinds in turn: as drawn, a truncated buffer, ``rho2 = 0``, ``l[0] = 0``
+    and ``alpha = 0``."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for i in range(count):
+        spec, l = random_config(rng)
+        kind, slots = i % 5, None
+        if kind == 1:
+            scheme = "A1" if spec.eta == 1 else "A2"
+            slots = int(rng.integers(1, min_buffer_size(scheme, spec.eta, l.size - 1) + 1))
+        elif kind == 2:
+            spec = dataclasses.replace(spec, rho2=0.0)
+        elif kind == 3:
+            l = np.concatenate([[0.0], rng.dirichlet(np.ones(l.size - 1))])
+        elif kind == 4:
+            spec = dataclasses.replace(spec, alpha=0.0)
+        configs.append((spec, l, None, slots))
+    return configs
+
+
+#: Configurations whose Perron root is a closed form: ``l0 alpha`` (``l[0] = 1``; no grant
+#: with a gain > 0, as ``rho2 = 0`` with only fine grants), ``max(phi)`` (equal gains),
+#: ``g.phi`` (``l[0] = 0``) and the one-slot chain, whose ``1 / f`` is linear in ``r``.
+DEGENERATE_CONFIGS = [
+    (ContractionSpec(1.2, 0.9, 0.9, 1), np.array([1.0, 0.0, 0.0]), None, None),
+    (ContractionSpec(0.5, 0.9, 0.45, 2), np.array([1.0, 0.0, 0.0]), None, None),
+    (ContractionSpec(1.1, 0.9, 0.0, 2), np.array([0.3, 0.0, 0.7]), None, None),
+    (ContractionSpec(0.0, 0.9, 0.0, 2), np.array([0.3, 0.0, 0.7]), None, None),
+    (ContractionSpec(0.8, 0.8, 0.8, 1), L_BENCH, None, None),
+    (ContractionSpec(1.1, 0.9, 0.45, 2), np.array([0.0, 0.5, 0.5]), None, None),
+    (ContractionSpec(1.1, 0.9, 0.9, 1), L_BENCH, None, 1),
+]
+
+
+#: Gains from 1e-300 to the largest float.  The secular equation is solved on ``T / max(phi)``,
+#: so no ``f'`` underflows to 0 and no bracket end overflows.
+EXTREME_CONFIGS = [
+    (ContractionSpec(BIG, BIG, 0.3, 1), L_BENCH, None, None),
+    (ContractionSpec(BIG, 1e300, 1e150, 1), np.array([0.5, 1e-310, 0.5 - 1e-310]), None, None),
+    (ContractionSpec(1e-300, 1e-300, 1e-300, 1), L_BENCH, None, None),
+]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_spectral_radius_matches_eigvals(seed):
+    """``certify``'s Perron root, from the chain's secular equation, against ``eigvals`` on the
+    ``T`` it reports: within 1e-13 of the largest gain on every kind of ``radius_configs``, the
+    closed forms and extreme gains."""
+    for spec, l, nu, slots in radius_configs(500, seed) + DEGENERATE_CONFIGS + EXTREME_CONFIGS:
+        report = certify(spec, l, nu, slots)
+        assert report.spectral_radius == pytest.approx(
+            spectral_radius(report.t_matrix), rel=0.0, abs=1e-13 * report.phi.max())
+
+
+def secular_exact(row0: list, phi: list, shift: list, r: Fraction) -> Fraction:
+    """``f(r) = g.(r I - A)^{-1} phi`` in exact rationals, for ``A = l0 Phi P`` of the shift map
+    ``P`` and ``g = [0, row0[1:]]``, by a dense forward solve of the lower-triangular system."""
+    n = len(phi)
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i, s in enumerate(shift):
+        a[i][s] += row0[0] * phi[i]
+    b = []
+    for i in range(n):
+        assert not any(a[i][i + 1:])  # lower triangular
+        b.append((phi[i] + sum(a[i][j] * b[j] for j in range(i))) / (r - a[i][i]))
+    return sum(g * x for g, x in zip(row0[1:], b[1:]))
+
+
+def test_spectral_radius_solves_the_secular_equation_exactly():
+    """On ``certify``'s float inputs, in exact rationals: the reported root ``r`` has
+    ``f(r (1 - 1e-12)) >= 1 >= f(r (1 + 1e-12))`` or, at ``r = l0 alpha``, no root above it."""
+    eps, closed = Fraction(1, 10**12), set()
+    for spec, l, nu, slots in radius_configs(45, 7) + DEGENERATE_CONFIGS:
+        report = certify(spec, l, nu, slots)
+        n = len(report.phi)
+        row0 = [Fraction(x) for x in transition_matrix(l, spec.eta, slots)[0].tolist()]
+        phi = [Fraction(x) for x in report.phi.tolist()]
+        shift = [row[0] for row in jump_table(n, spec.eta, 1)]
+        r, low, top = Fraction(report.spectral_radius), row0[0] * phi[0], max(phi)
+        assert low * (1 - eps) <= r <= top
+        assert secular_exact(row0, phi, shift, r * (1 + eps) or eps * top) <= 1
+        if r * (1 - eps) > low:
+            assert secular_exact(row0, phi, shift, r * (1 - eps)) >= 1
+        closed |= {name for name, hit in (("l0 alpha", r * (1 - eps) <= low), ("max phi", r == top),
+                                          ("g.phi", row0[0] == 0)) if hit}
+    assert closed == {"l0 alpha", "max phi", "g.phi"}
 
 
 #: Calls that build a truncated chain, at a channel of ``len(l)`` entries.
