@@ -11,7 +11,8 @@ alpha past the boundary to show a refusal.
 """
 import numpy as np
 
-from esac import ChannelModel, ContractionSpec, certify, critical_alpha, min_buffer_size
+from esac import ChannelModel, ContractionSpec, certify, critical_alpha
+from esac.schemes import resolve
 
 channel = ChannelModel(q=0.5, p=np.full(5, 0.2))
 
@@ -27,7 +28,7 @@ for scheme, name, eta, rho1, rho2 in CONFIGS:
     boundary = critical_alpha(scheme, eta, rho1, rho2, channel.l, channel.n_max)
     alpha = 1.35 if boundary.closed > 1.35 else round(boundary.closed - 0.01, 2)
     spec = ContractionSpec(alpha=alpha, rho1=rho1, rho2=rho2, eta=eta)
-    slots = min_buffer_size(scheme, eta, channel.n_max)  # 1 for B1 and B2
+    slots = resolve(scheme, eta, None, channel.n_max)[1]  # the minimum size: 1 for B1 and B2
     report = certify(spec, channel.l, buffer_size=slots)
     print(f"{scheme} {name}  (rho1={rho1}, rho2={rho2}, lambda={slots})")
     print(f"  boundary alpha*     {boundary.closed:.6f}  "

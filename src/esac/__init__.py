@@ -8,7 +8,7 @@ Monte Carlo simulation of the actual control algorithms.
 """
 
 from .channel import ChannelModel, effective_availability
-from .chain import min_buffer_size, transition_matrix
+from .chain import transition_matrix
 from .schemes import Buffer, ControlLaw
 from .simulate import (
     MonteCarloResult,
@@ -50,7 +50,6 @@ __all__ = [
     "critical_alpha",
     "effective_availability",
     "example_system",
-    "min_buffer_size",
     "monte_carlo",
     "simulate_trajectory",
     "solve_certificate",

@@ -13,9 +13,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chain import min_buffer_size, transition_matrix
+from .chain import transition_matrix
 from .channel import ChannelModel, effective_availability
-from .schemes import Buffer
+from .schemes import Buffer, resolve
 from .simulate import PlantModel, SchemeConfig, example_system, monte_carlo
 from .stability import ContractionSpec, block_schur_g1, certify, critical_alpha, spectral_radius
 from .sweep import SweepSpec, boundary_curve
@@ -140,7 +140,7 @@ def criterion_transition_matrix(steps: int = 100_000, seed: int = 7) -> Criterio
     plant, kappa1, kappa2_factory = example_system()
     kappa2 = kappa2_factory(0.45)
     f = lambda x, u: plant.step(x, u, 0.0)  # noqa: E731
-    buf = Buffer(min_buffer_size("A2", eta, n_max))
+    buf = Buffer(resolve("A2", eta, None, n_max)[1])
     counts = np.zeros((n_max + 1, n_max + 1))
     x = 10.0
     for _ in range(steps):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import _as_pmf
-from .schemes import _as_count, resolve
+from .schemes import _as_count
 
 
 def law_of(states: int, eta: int) -> list[int]:
@@ -73,8 +73,3 @@ def transition_matrix(l, eta: int, slots: int | None = None) -> np.ndarray:
     pi.flags.writeable = False
     return pi
 
-
-def min_buffer_size(scheme: str, eta: int, n_max: int) -> int:
-    """Smallest buffer size from which the chain, and so the boundary, stops
-    changing, as :func:`esac.schemes.resolve` derives it."""
-    return resolve(scheme, eta, None, n_max)[1]

@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import acceptance
-from .chain import min_buffer_size
 from .channel import ChannelModel
 from .schemes import _REAL_RANGES, SCHEMES, _as_count, _as_real, resolve
 from .simulate import PlantModel, SchemeConfig, example_system, monte_carlo, simulate_trajectory
@@ -194,29 +193,29 @@ def _write_csv(path: str, header, rows) -> None:
     print(f"wrote {path}")
 
 
-def cmd_certify(cfg: RunConfig, out=None) -> int:
+def cmd_certify(cfg: RunConfig) -> int:
     _require(cfg, "alpha", "rho1", "rho2")
     spec = ContractionSpec(alpha=cfg.alpha, rho1=cfg.rho1, rho2=cfg.rho2, eta=cfg.eta,
                            d_bound=cfg.d)
     report = certify(spec, _channel(cfg).l, nu=cfg.nu, buffer_size=cfg.lam)
     index_name = "psi" if SCHEMES[cfg.scheme].two_law else "omega"
-    print(f"scheme            {cfg.scheme} (eta={cfg.eta}, n_max={cfg.n_max})", file=out)
-    print(f"alpha/rho1/rho2   {_fmt(cfg.alpha)} / {_fmt(cfg.rho1)} / {_fmt(cfg.rho2)}", file=out)
-    print(f"spectral radius   {_fmt(report.spectral_radius)}", file=out)
+    print(f"scheme            {cfg.scheme} (eta={cfg.eta}, n_max={cfg.n_max})")
+    print(f"alpha/rho1/rho2   {_fmt(cfg.alpha)} / {_fmt(cfg.rho1)} / {_fmt(cfg.rho2)}")
+    print(f"spectral radius   {_fmt(report.spectral_radius)}")
     if report.closed_form is not None:
-        print(f"{'closed form ' + index_name:<18}{_fmt(report.closed_form)}", file=out)
+        print(f"{'closed form ' + index_name:<18}{_fmt(report.closed_form)}")
     if report.certified:
-        print(f"xi                {_fmt(report.xi)}", file=out)
-        print(f"C1                {_fmt(report.c1)}", file=out)
-        print(f"C2                {_fmt(report.c2)}", file=out)
-    print(f"verdict           {report.verdict}", file=out)
+        print(f"xi                {_fmt(report.xi)}")
+        print(f"C1                {_fmt(report.c1)}")
+        print(f"C2                {_fmt(report.c2)}")
+    print(f"verdict           {report.verdict}")
     return 0 if report.certified else 2
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.epsilon is None:
         raise ConfigError("sweep requires epsilon (or rho1 with rho2)")
-    if cfg.lam < (minimum := min_buffer_size(cfg.scheme, cfg.eta, cfg.n_max)):
+    if cfg.lam < (minimum := resolve(cfg.scheme, cfg.eta, None, cfg.n_max)[1]):
         raise ConfigError(f"sweep traces the untruncated buffer: lambda={cfg.lam} is below "
                           f"{cfg.scheme}'s minimum {minimum}; use certify for a truncated buffer")
     spec = SweepSpec(scheme=cfg.scheme, eta=cfg.eta, epsilon=cfg.epsilon,
@@ -250,15 +249,15 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_example1(out=None) -> int:
+def cmd_example1() -> int:
     replay = acceptance.run_example1()
     for scheme in ("A1", "A2"):
         buffers, inputs = replay[0][scheme]
-        print(f"{scheme}:", file=out)
+        print(f"{scheme}:")
         for k, (buf, u) in enumerate(zip(buffers, inputs)):
-            print(f"  k={k}  u={_fmt(u)}  buffer=({', '.join(_fmt(v) for v in buf)})", file=out)
+            print(f"  k={k}  u={_fmt(u)}  buffer=({', '.join(_fmt(v) for v in buf)})")
     ok = acceptance.criterion_example1(replay).passed
-    print("verified against symbolic compositions: " + ("OK" if ok else "MISMATCH"), file=out)
+    print("verified against symbolic compositions: " + ("OK" if ok else "MISMATCH"))
     return 0 if ok else 1
 
 

@@ -71,10 +71,8 @@ class ContractionSpec:
             fields[name] = _as_real(fields[name], name)
         object.__setattr__(self, "eta", _as_count(self.eta, "eta"))
         if self.rho2 > self.rho1:
-            raise ValueError(
-                f"fine law must contract at least as fast as coarse: "
-                f"rho2={self.rho2} > rho1={self.rho1}"
-            )
+            raise ValueError(f"fine law must contract at least as fast as coarse: "
+                             f"rho2={self.rho2} > rho1={self.rho1}")
         if self.rho2 == self.rho1 and self.eta > 1:
             warnings.warn("rho2 == rho1: fine law is no better than coarse", stacklevel=2)
 
@@ -269,7 +267,9 @@ def critical_alpha(scheme: str, eta: int, rho1, rho2, l, n_max: int) -> Critical
     in ``z`` (``rho2 = 0``) or rounding fails that check, ``w = (I - T)^{-1} 1`` by the recursion.
     Raises ``ValueError`` when ``n_max != len(l) - 1``, ``resolve`` refuses, ``rho1`` and
     ``rho2`` do not broadcast, a point is no valid ``ContractionSpec`` or ``l[0] = 0``, and
-    ``ArithmeticError`` when a check fails; the first failing point in grid order names it.
+    ``ArithmeticError`` when a check fails; the first failing point in grid order names it.  When
+    ``T`` restricted to the non-empty states (``T11``) has a Perron root of at least
+    ``1 - SCHUR_TOL``, no alpha >= 0 has a witness with that margin, so the check fails there.
     """
     if n_max != len(l) - 1:
         raise ValueError(f"n_max={n_max} does not match the channel: l has {len(l)} entries")

@@ -47,7 +47,7 @@ class SweepSpec:
             raise ValueError(f"n_max={self.n_max} does not match the channel: "
                              f"l has {len(self.channel.l)} entries")
         resolve(self.scheme, self.eta, None, self.n_max)
-        if _as_real(self.epsilon, "epsilon") != 1.0 and not SCHEMES[self.scheme].two_law:
+        if (epsilon := _as_real(self.epsilon, "epsilon")) != 1 and not SCHEMES[self.scheme].two_law:
             raise ValueError(f"scheme {self.scheme} runs the coarse law only: "
                              f"epsilon={self.epsilon} must be 1")
         grid = tuple(float(_as_real(r, "rho1 grid")) for r in self.rho1_grid)
@@ -55,7 +55,7 @@ class SweepSpec:
             raise ValueError("rho1 grid must have at least one entry")
         if list(grid) != sorted(grid):
             raise ValueError("rho1 grid must be ascending")
-        object.__setattr__(self, "rho1_grid", grid)
+        vars(self).update(epsilon=epsilon, rho1_grid=grid)  # stored as the rules return them
 
 
 def boundary_curve(spec: SweepSpec) -> list[BoundaryPoint]:

@@ -30,14 +30,13 @@ def test_exported_names():
         "critical_alpha",
         "effective_availability",
         "example_system",
-        "min_buffer_size",
         "monte_carlo",
         "simulate_trajectory",
         "solve_certificate",
         "spectral_radius",
         "transition_matrix",
     ]
-    assert len(esac.__all__) == 24
+    assert len(esac.__all__) == 23
     for name in esac.__all__:
         assert hasattr(esac, name), name
 

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esac.chain import min_buffer_size
 from esac.channel import effective_availability
+from esac.schemes import resolve
 from esac.stability import ContractionSpec, CriticalAlpha, certify, critical_alpha
 from esac.sweep import DEFAULT_RHO1_GRID
 
@@ -81,7 +81,7 @@ def draw_configs(count=60, seed=30) -> list[dict]:
         rho1 = rng.uniform(0.01, 1.1)
         epsilon = rng.uniform(0.0, 1.0) if two_law else 1.0
         l = effective_availability(rng.uniform(0.05, 0.95), rng.dirichlet(np.ones(n_max + 1)))
-        minimum = min_buffer_size(scheme, eta, n_max)
+        minimum = resolve(scheme, eta, None, n_max)[1]
         slots = 1 if scheme[0] == "B" else (None, 1, minimum)[int(rng.integers(3))]
         configs.append({
             "scheme": scheme, "eta": eta, "buffer_size": slots,

@@ -7,7 +7,6 @@ from esac.chain import (
     _shift_column,
     jump_table,
     law_of,
-    min_buffer_size,
     transition_matrix,
 )
 from esac.channel import effective_availability
@@ -144,11 +143,12 @@ def test_rows_always_sum_to_one(eta, weights):
 
 
 def test_min_buffer_size():
-    assert min_buffer_size("A1", 1, 4) == 4
-    assert min_buffer_size("A2", 2, 4) == 2  # n = 3 computes (1, 1)
-    assert min_buffer_size("A2", 3, 4) == 2  # n = 2 and n = 4 compute two entries
+    """The minimum buffer size is the slot count ``resolve`` derives with no buffer size."""
+    assert resolve("A1", 1, None, 4)[1] == 4
+    assert resolve("A2", 2, None, 4)[1] == 2  # n = 3 computes (1, 1)
+    assert resolve("A2", 3, None, 4)[1] == 2  # n = 2 and n = 4 compute two entries
     for eta in (1, 2, 3):  # an unbuffered scheme has one slot
-        assert min_buffer_size("B1", eta, 4) == min_buffer_size("B2", eta, 4) == 1
+        assert resolve("B1", eta, None, 4)[1] == resolve("B2", eta, None, 4)[1] == 1
 
 
 @pytest.mark.parametrize("n_max", range(1, 9))
@@ -160,7 +160,7 @@ def test_min_buffer_size_is_the_most_entries_a_grant_computes(n_max):
             buf = Buffer(n_max)  # a grant of n units computes at most n entries
             buf.step(1.0, 1, n, law, law, eta, lambda x, u: x)
             entries.append(sum(buf.counts))
-        assert min_buffer_size("A2", eta, n_max) == max(entries), f"eta={eta}"
+        assert resolve("A2", eta, None, n_max)[1] == max(entries), f"eta={eta}"
 
 
 @pytest.mark.parametrize("n_max", range(1, 9))
@@ -244,7 +244,7 @@ def test_engines_and_certificate_step_one_chain(scheme):
         _, kappa1, factory = example_system(rho1)
         kappa2 = factory(rho1 * rng.uniform(0.0, 0.99))
         for eta in range(1, n_max + 1):
-            for size in range(1, min_buffer_size(scheme, eta, n_max) + 2):
+            for size in range(1, resolve(scheme, eta, None, n_max)[1] + 2):
                 config = SchemeConfig(scheme, kappa1, kappa2, eta, size, 1.0, q, p)
                 table, heads, laws, chain_eta, _ = config._chain
                 _, slots, _ = resolve(scheme, eta, size, n_max)
@@ -268,7 +268,7 @@ def test_engines_and_certificate_step_one_chain(scheme):
 def test_fold_is_the_identity_from_the_minimum_buffer(eta, weights, extra):
     l = np.array(weights, dtype=float) / sum(weights)
     eta = min(eta, l.size - 1)
-    slots = min_buffer_size("A2", eta, l.size - 1) + extra
+    slots = resolve("A2", eta, None, l.size - 1)[1] + extra
     np.testing.assert_array_equal(transition_matrix(l, eta, slots=slots), transition_matrix(l, eta))
 
 

@@ -1,5 +1,4 @@
 import argparse
-import io
 import os
 import runpy
 import subprocess
@@ -120,27 +119,25 @@ class TestCertifyCommand:
         assert code == 2
         assert "NotCertified" in capsys.readouterr().out
 
-    def test_labels_aligned(self):
+    def test_labels_aligned(self, capsys):
         cfg = parse_config("alpha = 1.35\nrho1 = 0.9\nrho2 = 0.45")
-        buf = io.StringIO()
-        cmd_certify(cfg, out=buf)
-        for line in buf.getvalue().splitlines():
+        cmd_certify(cfg)
+        for line in capsys.readouterr().out.splitlines():
             # every value column starts at character 18
             assert line[17] == " "
             assert line[18] != " "
 
-    def test_undersized_buffer_certifies_its_own_chain(self):
+    def test_undersized_buffer_certifies_its_own_chain(self, capsys):
         # One slot cuts every grant to one entry, as in the unbuffered
         # scheme: A2 at lambda = 1 prints B2's report, without a warning.
         reports = []
         for scheme in ("A2", "B2"):
             cfg = parse_config(f"scheme = {scheme}\nalpha = 1.2\nrho1 = 0.9\n"
                                "rho2 = 0.45\nlambda = 1")
-            buf = io.StringIO()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert cmd_certify(cfg, out=buf) == 0
-            reports.append(buf.getvalue().splitlines()[1:])
+                assert cmd_certify(cfg) == 0
+            reports.append(capsys.readouterr().out.splitlines()[1:])
         assert reports[0] == reports[1]
         assert "verdict           CertifiedStable" in reports[0]
 

@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from esac.chain import jump_table, min_buffer_size, transition_matrix
+from esac.chain import jump_table, transition_matrix
 from esac.channel import ChannelModel, effective_availability
 from esac.schemes import Buffer, resolve
 from esac.simulate import SchemeConfig, example_system, monte_carlo, simulate_trajectory
@@ -41,8 +41,9 @@ CALLS = {
     ("resolve", "eta"): lambda v: resolve("A2", v, 3, 4),
     ("resolve one-law", "eta"): lambda v: resolve("A1", v, 3, 4),
     ("resolve", "buffer_size"): lambda v: resolve("A2", 2, v, 4),
-    ("min_buffer_size", "n_max"): lambda v: min_buffer_size("A2", 2, v),
-    ("min_buffer_size", "eta"): lambda v: min_buffer_size("A2", v, 4),
+    # the minimum buffer size: the slot count that resolve derives for buffer_size=None
+    ("min_buffer_size", "n_max"): lambda v: resolve("A2", 2, None, v)[1],
+    ("min_buffer_size", "eta"): lambda v: resolve("A2", v, None, 4)[1],
     ("Buffer", "buffer size"): Buffer,
     ("ContractionSpec", "eta"): lambda v: ContractionSpec(alpha=1.2, rho1=0.9, rho2=0.45, eta=v),
     ("certify", "eta"): lambda v: certify(
@@ -124,7 +125,7 @@ class TestNumpyIntegersAreInts:
         eta, slots, _ = resolve("A2", numpy_int(2), numpy_int(3), numpy_int(4))
         assert (type(eta), type(slots)) == (int, int)
         assert (eta, slots) == (2, 3)
-        assert type(min_buffer_size("A2", numpy_int(2), numpy_int(4))) is int
+        assert type(resolve("A2", numpy_int(2), None, numpy_int(4))[1]) is int
 
     @pytest.mark.parametrize("eta", [2, 3])
     def test_certify(self, numpy_int, eta):
@@ -214,7 +215,8 @@ REALS = {
 }
 
 #: The REALS that a frozen dataclass checks and stores.
-STORED = [k for k in REALS if k[0] in ("ContractionSpec", "PlantModel", "SchemeConfig")]
+STORED = [k for k in REALS if k[0] in ("ContractionSpec", "PlantModel", "SchemeConfig")
+          or k == ("SweepSpec", "epsilon")]
 
 #: A plain number that each entry accepts: 1 unless its range or the call's other numbers
 #: refuse it (a rho1 grid and critical_alpha need rho1 < 1, and rho2 <= rho1).

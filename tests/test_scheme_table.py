@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from esac.chain import jump_table, law_of, min_buffer_size
+from esac.chain import jump_table, law_of
 from esac.channel import ChannelModel
 from esac.cli import main, parse_config
 from esac.schemes import SCHEMES, resolve
@@ -95,9 +95,10 @@ def call_library(target, scheme):
         return critical_alpha(scheme, 2, 0.9, 0.45, BENCH.l, 4)
     if target == "SweepSpec":
         return SweepSpec(scheme, 2, epsilon(scheme), BENCH, 4, rho1_grid=(0.9,))
-    return min_buffer_size(scheme, 2, 4)
+    return resolve(scheme, 2, None, 4)[1]
 
 
+# "min_buffer_size" is the minimum size: the slot count of resolve(scheme, eta, None, n_max)
 @pytest.mark.parametrize("scheme", NAMES)
 @pytest.mark.parametrize("target", ["critical_alpha", "SweepSpec", "min_buffer_size"])
 def test_library_accepts_buffered_schemes_only(target, scheme):
@@ -119,7 +120,7 @@ def test_library_accepts_buffered_schemes_only(target, scheme):
 
 def test_min_buffer_size_of_one_law_scheme_ignores_eta():
     for eta in (1, 2, 3):
-        assert min_buffer_size("A1", eta, 4) == 4
+        assert resolve("A1", eta, None, 4)[1] == 4
 
 
 @pytest.mark.parametrize("n_max", [0, -1])
@@ -128,7 +129,7 @@ def test_resolve_refuses_n_max_below_one(scheme, n_max):
     # A processor that never computes: no buffer size, default or given, and
     # no eta fits it.
     with pytest.raises(ValueError, match=f"^n_max must be >= 1, got {n_max}$"):
-        min_buffer_size(scheme, 1, n_max)
+        resolve(scheme, 1, None, n_max)
     with pytest.raises(ValueError, match="^n_max"):
         resolve(scheme, 1, 3, n_max)
 
@@ -205,7 +206,7 @@ def test_b1_simulate_ignores_eta(tmp_path, capsys):
 #: ``(scheme, eta, lambda, refused)``: what every layer refuses, or None
 #: where every layer accepts.  The first five rows are ones the layers used
 #: to disagree on: the CLI ran A1 at eta = -3 and B1 at lambda = 0,
-#: critical_alpha answered A1 at eta = 0, min_buffer_size divided by zero
+#: critical_alpha answered A1 at eta = 0, the minimum buffer size divided by zero
 #: on A2 at eta = 0, and SweepSpec took A2 at eta = 7 > n_max.
 RULE_ROWS = [
     ("A1", -3, 4, "eta"),
@@ -234,7 +235,7 @@ def test_one_scheme_rule_for_every_layer(scheme, eta, lam, refused, tmp_path, ca
     name = {"eta": "eta", "lambda": "buffer_size (lambda)", None: None}[refused]
     layers = [  # (call, whether it takes a buffer size)
         (scheme_config, True),
-        (lambda: min_buffer_size(scheme, eta, 4), False),
+        (lambda: resolve(scheme, eta, None, 4)[1], False),
         (lambda: critical_alpha(scheme, eta, 0.9, 0.45, BENCH.l, 4), False),
         (lambda: SweepSpec(scheme, eta, epsilon(scheme), BENCH, 4, rho1_grid=(0.9,)), False),
     ]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from esac.acceptance import random_config
-from esac.chain import jump_table, law_of, min_buffer_size, transition_matrix
+from esac.chain import jump_table, law_of, transition_matrix
 from esac.channel import effective_availability
 from esac.schemes import resolve
 from esac.stability import (
@@ -52,7 +52,7 @@ def assert_witnessed_bracket(result, scheme, eta, rho1, rho2, l):
     ``certify`` builds it, and the bracket against ``numpy.linalg.eigvals``."""
     if scheme in ("A1", "B1"):
         eta, rho2 = 1, rho1
-    slots = min_buffer_size(scheme, eta, l.size - 1)
+    slots = resolve(scheme, eta, None, l.size - 1)[1]
     t_lower, t_upper = (
         certify(ContractionSpec(alpha=a, rho1=rho1, rho2=rho2, eta=eta), l, buffer_size=slots)
         .t_matrix for a in (result.lower, result.upper))
@@ -476,6 +476,19 @@ class TestCriticalAlpha:
                 f"no witnessed bracket around the closed-form alpha*={closed[0]}")):
             critical_alpha("A2", 2, np.array([0.5, 0.9]), 0.45, L_BENCH, 4)
 
+    def test_no_bracket_where_the_non_empty_states_hold_the_margin(self):
+        """``T`` restricted to the non-empty state is ``rho1 l[1]``, whose Perron root is above
+        ``1 - SCHUR_TOL``: no alpha >= 0 has a witness with that margin, so the bracket check
+        fails at the closed form, and ``certify`` is NotCertified at every alpha."""
+        rho, l = 1 - 1e-12, [1e-10, 1 - 1e-10]
+        with pytest.raises(ArithmeticError, match=re.escape(
+                "no witnessed bracket around the closed-form alpha*=1.0099998615231698")):
+            critical_alpha("B1", 1, rho, rho, l, 1)
+        for alpha in (0.0, 0.5, 1.0):
+            report = certify(ContractionSpec(alpha, rho, rho, 1), l, buffer_size=1)
+            assert not report.certified
+            assert report.spectral_radius > 1.0 - SCHUR_TOL
+
     def test_uses_no_eigenvalue_solver(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("critical_alpha called an eigenvalue solver")
@@ -514,7 +527,7 @@ class TestCriticalAlpha:
                 closed = critical_alpha(scheme, eta, rho1, rho2, l, n_max).closed
                 spec = ContractionSpec(alpha=closed, rho1=rho1, rho2=rho2, eta=eta)
                 phi = np.array([closed, rho1, rho2])[law_of(n_max + 1, eta)]
-                resolved = min_buffer_size(scheme, eta, n_max)
+                resolved = resolve(scheme, eta, None, n_max)[1]
                 for slots in range(1, resolved + 2):
                     report = certify(spec, l, buffer_size=slots)
                     folded = transition_matrix(l, eta, slots=slots)
@@ -533,7 +546,7 @@ class TestCriticalAlpha:
             n_max = l.size - 1
             at_one = dataclasses.replace(spec, alpha=1.0)
             boundaries = []
-            for slots in range(1, min_buffer_size("A2", spec.eta, n_max) + 2):
+            for slots in range(1, resolve("A2", spec.eta, None, n_max)[1] + 2):
                 alpha_star = 1.0 / certify(at_one, l, buffer_size=slots).closed_form
                 report = certify(dataclasses.replace(spec, alpha=alpha_star), l, buffer_size=slots)
                 assert report.spectral_radius == pytest.approx(1.0, abs=1e-9), (spec, l, slots)
@@ -631,7 +644,7 @@ class TestCertify:
             rho2 = rho1 * rng.uniform(0.0, 1.0) if scheme[1] == "2" else rho1
             spec = ContractionSpec(rng.uniform(0.5, 2.5), rho1, rho2, eta)
             l = effective_availability(rng.uniform(0.05, 1.0), rng.dirichlet(np.ones(n_max + 1)))
-            for slots in range(1, min_buffer_size(scheme, eta, n_max) + 2):
+            for slots in range(1, resolve(scheme, eta, None, n_max)[1] + 2):
                 for nu in (None, rng.uniform(0.5, 2.0, n_max + 1)):
                     report = certify(spec, l, nu, slots)
                     weights = np.ones(n_max + 1) if nu is None else nu
@@ -682,7 +695,7 @@ def radius_configs(count: int, seed: int) -> list[tuple]:
         kind, slots = i % 5, None
         if kind == 1:
             scheme = "A1" if spec.eta == 1 else "A2"
-            slots = int(rng.integers(1, min_buffer_size(scheme, spec.eta, l.size - 1) + 1))
+            slots = int(rng.integers(1, resolve(scheme, spec.eta, None, l.size - 1)[1] + 1))
         elif kind == 2:
             spec = dataclasses.replace(spec, rho2=0.0)
         elif kind == 3:
