@@ -18,21 +18,28 @@ table that :class:`esac.simulate.SchemeConfig` builds once and apply the law
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .channel import _as_pmf
 from .schemes import _as_count
 
 
+@functools.lru_cache(maxsize=256)
+def _index_tables(states: int, eta: int) -> tuple:
+    # law_of, the shift column and its flat positions i * states + shift[i] as read-only intp rows
+    law = [(i > 0) + (i >= eta) for i in range(states)]
+    shift = [i - (0, 1, eta)[k] for i, k in enumerate(law)]
+    tables = np.array([law, shift, [i * states + s for i, s in enumerate(shift)]], np.intp)
+    tables.flags.writeable = False
+    return *tables, tuple(shift)
+
+
 def law_of(states: int, eta: int) -> list[int]:
     """The law that heads each state: 0 (none) in the empty state 0, 1 (coarse)
     in ``1 .. eta - 1`` and 2 (fine) from ``eta`` on."""
-    return [(i > 0) + (i >= eta) for i in range(states)]
-
-
-def _shift_column(states: int, eta: int) -> list[int]:
-    # Column 0 of jump_table: no computation consumes the head and its cost.
-    return [i - (0, 1, eta)[law] for i, law in enumerate(law_of(states, eta))]
+    return _index_tables(states, eta)[0].tolist()
 
 
 def _grant_row(states: int, eta: int, slots: int) -> list[int]:
@@ -52,7 +59,7 @@ def jump_table(states: int, eta: int, slots: int) -> list[list[int]]:
     states, eta = _as_count(states, "states"), _as_count(eta, "eta")
     slots = _as_count(slots, "slots")
     grants = _grant_row(states, eta, slots)[1:]
-    return [[shift, *grants] for shift in _shift_column(states, eta)]
+    return [[shift, *grants] for shift in _index_tables(states, eta)[3]]
 
 
 def transition_matrix(l, eta: int, slots: int | None = None) -> np.ndarray:
@@ -69,7 +76,7 @@ def transition_matrix(l, eta: int, slots: int | None = None) -> np.ndarray:
     n = l.size
     pi = np.zeros((n, n))
     pi[:, 1:] = l[1:]
-    pi.ravel()[np.arange(0, n * n, n) + _shift_column(n, eta)] += l[0]  # row i's shift entry
+    pi.ravel()[_index_tables(n, eta)[2]] += l[0]  # row i's shift entry
     pi.flags.writeable = False
     return pi
 

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import _shift_column, law_of, transition_matrix
+from .chain import _index_tables, transition_matrix
 from .schemes import _as_count, _as_real, resolve
 
 #: Margin of Schur verdicts: a witness must prove spectral radius <= 1 - SCHUR_TOL.
@@ -102,12 +102,13 @@ class CertificationReport:
         return self.verdict == CERTIFIED
 
 
-def _certification(l, eta, slots, alpha, rho1, rho2) -> tuple[np.ndarray, ...]:
-    # Pi of the slots-slot buffer's chain (None: a buffer that never truncates), Phi's diagonal
-    # [alpha, rho1, rho2][law_of] and T = Phi Pi.  (G,) gains give (n, G) phi and a (G, n, n) stack.
+def _certification(l, eta, slots, alpha, rho1, rho2) -> tuple:
+    # Pi of the slots-slot buffer's chain (None: never truncates), Phi's diagonal [alpha, rho1,
+    # rho2][law_of], T = Phi Pi and the shift column.  (G,) gains give (n, G) phi, (G, n, n) T.
     pi = transition_matrix(l, eta, slots)
-    phi = np.array([alpha, rho1, rho2])[law_of(len(pi), _as_count(eta, "eta", len(pi) - 1))]
-    return pi, phi, phi.T[..., None] * pi
+    law, _, _, shift = _index_tables(len(pi), _as_count(eta, "eta", len(pi) - 1))
+    phi = np.array([alpha, rho1, rho2])[law]
+    return pi, phi, phi.T[..., None] * pi, shift
 
 
 def _nonnegative_square(m) -> np.ndarray:
@@ -279,13 +280,14 @@ def critical_alpha(scheme: str, eta: int, rho1, rho2, l, n_max: int) -> Critical
         for r in rho.ravel().tolist() if rho.dtype != float else ():  # float64 entries are real
             _as_real(r, name)
     shape, rho1, rho2 = rho1.shape, rho1.ravel().astype(float), rho2.ravel().astype(float)
-    for r1, r2 in zip(rho1.tolist(), rho2.tolist()):  # each point's scalar checks, in order
+    clean = (rho1 < 1.0) & (rho2 >= 0.0) & (rho2 <= rho1 if eta == 1 else rho2 < rho1)  # NaN fails
+    for r1, r2 in () if clean.all() else zip(rho1.tolist(), rho2.tolist()):  # replay scalar checks
         if not (r1 < 1.0 and r2 < 1.0):
             raise ValueError("critical_alpha requires rho1 < 1 and rho2 < 1")
         ContractionSpec(alpha=1.0, rho1=r1, rho2=r2, eta=eta)
-    pi, phi, t_one = _certification(l, eta, slots, np.ones(rho1.size), rho1, rho2)
-    n, l0, shift = n_max + 1, pi[0, 0], _shift_column(n_max + 1, eta)
-    r = np.array([1.0, 1.0 + SCHUR_TOL, 1.0 - SCHUR_TOL])[:, None]
+    pi, phi, t_one, shift = _certification(l, eta, slots, np.ones(rho1.size), rho1, rho2)
+    n, l0 = n_max + 1, pi[0, 0]
+    r = np.array([1.0, 1.0 + SCHUR_TOL, 1.0 - SCHUR_TOL])[:, None]  # SCHUR_TOL is read per call
     f = phi[:, None] / r  # (n, 3, G); uv holds _structured_solve's u and v at phi / r
     lf, uv = l0 * f, np.zeros((n, 2) + f.shape[1:])
     uv[0, 0] = 1.0
@@ -294,16 +296,17 @@ def critical_alpha(scheme: str, eta: int, rho1, rho2, l, n_max: int) -> Critical
         uv[i, 1] += f[i]
     gu, gv = (pi[0, 1:, None, None, None] * uv[1:]).sum(axis=0)  # in state order, no BLAS
     index = l0 + (c := gu / (1.0 - gv))  # c = g.z, with z = u + v c
-    if not np.all(index[0] > 0.0):  # 0 exactly when l[0] = 0: no state returns to state 0
+    if not (index[0] > 0.0).all():  # 0 exactly when l[0] = 0: no state returns to state 0
         raise ValueError("l[0] = 0: the Perron root of T does not depend on alpha, "
                          "so there is no stability boundary")
     closed, upper, lower = r / index
     up, low = (uv[:, 0] + uv[:, 1] * c)[:, 1:].transpose(1, 2, 0)[..., None].copy()  # [1; z]
-    t_low, t_up = t_one.copy(), t_one  # T(lower), T(upper): row 0 scaled
-    t_low[:, 0], t_up[:, 0] = t_low[:, 0] * lower[:, None], t_up[:, 0] * upper[:, None]
+    t_low, t_up = t_one.copy(), t_one  # T(lower), T(upper): row 0 scaled in place
+    t_low[:, 0] *= lower[:, None]
+    t_up[:, 0] *= upper[:, None]
     for solved in (False, True):  # where [1; z] fails (a zero in z, or rounding): (I - T)^{-1} 1
-        ok = (lower < closed) & (closed < upper) & np.all(
-            (low > 0.0) & (t_low @ low < low) & (up >= 0.0) & (t_up @ up >= up), axis=(1, 2))
+        ok = (lower < closed) & (closed < upper) & (
+            (low > 0.0) & (t_low @ low < low) & (up >= 0.0) & (t_up @ up >= up)).all(axis=(1, 2))
         if solved or ok.all():
             break
         for k in np.flatnonzero(~ok).tolist():  # from certify's recursion; None leaves [1; z]
@@ -330,9 +333,9 @@ def certify(spec: ContractionSpec, l, nu=None, buffer_size=None) -> Certificatio
     rounds to 1 raises ``ValueError`` ("inconsistent certificate").
     """
     slots = None if buffer_size is None else _as_count(buffer_size, "buffer_size")
-    pi, phi, t = _certification(l, spec.eta, slots, spec.alpha, spec.rho1, spec.rho2)
+    pi, phi, t, shift = _certification(l, spec.eta, slots, spec.alpha, spec.rho1, spec.rho2)
     nu = [1.0] * len(t) if nu is None else _as_weights(nu, len(t)).tolist()
-    row0, gains, shift = pi[0].tolist(), phi.tolist(), _shift_column(len(t), spec.eta)
+    row0, gains = pi[0].tolist(), phi.tolist()
     index, zeta = _structured_solve(row0, gains, nu, shift)
     if zeta is not None and _witnessed(t, zeta):
         xi, c1, c2 = _theorem1_bounds(zeta, nu, spec.alpha, spec.d_bound)

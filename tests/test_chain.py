@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from esac.chain import (
     _grant_row,
-    _shift_column,
+    _index_tables,
     jump_table,
     law_of,
     transition_matrix,
@@ -211,21 +211,41 @@ def test_chain_builders_read_one_column_or_row_of_the_full_table(n_max):
     """The chain builders read only the shift column and the grant row: both
     equal column 0 and row 0 of the full table, and ``transition_matrix``
     equals the matrix built from the full table, bit for bit (the truncated
-    matrix is checked against the engines' table below)."""
+    matrix is checked against the engines' table below).  The cached index
+    tables hold ``law_of``, that column as an array and as a tuple of ints,
+    and its flat row-major positions in a ``states x states`` matrix."""
     states = n_max + 1
     l = np.random.default_rng(n_max).dirichlet(np.ones(states))
     for eta in range(1, states):
+        laws, shift, flat, shifts = _index_tables(states, eta)
         for slots in range(1, states + 1):
-            table = full_table(states, eta, slots)
+            table = jump_table(states, eta, slots)
             where = f"eta={eta}, slots={slots}"
-            assert jump_table(states, eta, slots) == table, where
+            assert table == full_table(states, eta, slots), where
             assert _grant_row(states, eta, slots) == table[0], where
-            assert _shift_column(states, eta) == [row[0] for row in table], where
+            assert shift.tolist() == list(shifts) == [row[0] for row in table], where
+            assert flat.tolist() == [i * states + row[0] for i, row in enumerate(table)], where
+        assert all(type(s) is int for s in shifts)
+        assert laws.tolist() == law_of(states, eta) == [(i > 0) + (i >= eta) for i in range(states)]
+        assert {laws.dtype, shift.dtype, flat.dtype} == {np.dtype(np.intp)}
         pi = np.tile(l, (states, 1))
         pi[:, 0] = 0.0
         for i, row in enumerate(full_table(states, eta, states)):
             pi[i, row[0]] += l[0]
         np.testing.assert_array_equal(transition_matrix(l, eta), pi)
+
+
+def test_index_tables_are_read_only_and_built_once():
+    """Every call with the same ``(states, eta)`` returns the same objects, and a
+    write to any of its arrays raises, so no caller can change another's chain."""
+    tables = _index_tables(7, 3)
+    assert all(a is b for a, b in zip(_index_tables(7, 3), tables))
+    assert _index_tables(7, 2)[0] is not tables[0]
+    for table in tables[:3]:
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0
+    assert law_of(7, 3) is not law_of(7, 3)  # a fresh list for each caller
+    assert transition_matrix(np.full(7, 1 / 7), 3).flags.writeable is False
 
 
 @pytest.mark.parametrize("scheme", ["A1", "A2", "B1", "B2"])

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from esac import stability
 from esac.channel import ChannelModel
 from esac.stability import critical_alpha
 from esac.sweep import DEFAULT_RHO1_GRID, BoundaryPoint, SweepSpec, boundary_curve
@@ -182,6 +183,59 @@ class TestCurveEqualsItsPoints:
     def test_equal_laws_still_warn(self):
         with pytest.warns(UserWarning, match="rho2 == rho1: fine law is no better than coarse"):
             boundary_curve(SweepSpec("A2", 2, 1.0, BENCH, 4))
+
+    def test_clean_grids_build_no_contraction_spec(self, monkeypatch):
+        # A grid whose every point passes the whole-grid check runs no per-point Python check.
+        built = []
+
+        class Counted(stability.ContractionSpec):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(stability, "ContractionSpec", Counted)
+        grid = np.array(DEFAULT_RHO1_GRID)
+        assert grid.shape == (19,)
+        critical_alpha("A2", 2, grid, 0.5 * grid, BENCH.l, 4)  # Q1
+        critical_alpha("A2", 2, 0.9, 0.45, BENCH.l, 4)
+        assert built == []
+        with pytest.raises(ValueError, match="rho2=0.5 > rho1=0.4"):  # a dirty grid replays them
+            critical_alpha("A2", 2, np.array([0.3, 0.4]), np.array([0.1, 0.5]), BENCH.l, 4)
+        assert len(built) == 2
+
+    def test_each_equal_gain_point_warns_once(self):
+        grid = np.array([0.3, 0.6, 0.9])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            critical_alpha("A2", 2, grid, grid, BENCH.l, 4)
+        assert [(w.category, str(w.message)) for w in caught] == 3 * [
+            (UserWarning, "rho2 == rho1: fine law is no better than coarse")]
+        with warnings.catch_warnings():  # ... but not where the fine law is the coarse one
+            warnings.simplefilter("error")
+            critical_alpha("A2", 1, grid, grid, BENCH.l, 4)
+            critical_alpha("A1", 1, grid, 0.5 * grid, BENCH.l, 4)
+
+    @pytest.mark.parametrize("rho1, rho2, message", [
+        ([0.5, np.nan, 0.7], [0.2, 0.2, -0.1], "critical_alpha requires rho1 < 1 and rho2 < 1"),
+        ([0.5, 0.6, 0.7], [0.2, np.nan, 0.9], "critical_alpha requires rho1 < 1 and rho2 < 1"),
+        ([0.5, np.inf, 0.7], [0.2, 0.2, 0.9], "critical_alpha requires rho1 < 1 and rho2 < 1"),
+        ([0.5, 0.6, 1.0], [0.2, -0.1, 0.2], "rho2 must be finite and >= 0, got -0.1"),
+        ([0.5, 1.0, 0.7], [0.2, 0.2, -0.1], "critical_alpha requires rho1 < 1 and rho2 < 1"),
+        ([0.5, 0.6, 0.7], [0.5, 0.7, np.nan], "fine law must contract at least as fast as coarse: "
+                                              "rho2=0.7 > rho1=0.6"),
+    ], ids=["nan rho1", "nan rho2", "inf rho1", "negative rho2", "rho1 one", "rho2 above rho1"])
+    def test_dirty_grids_raise_the_first_failing_points_error(self, rho1, rho2, message):
+        with warnings.catch_warnings():  # point 0 of the last case has equal gains, which warns
+            warnings.simplefilter("ignore", UserWarning)
+            with pytest.raises(ValueError) as grid:
+                critical_alpha("A2", 2, np.array(rho1), np.array(rho2), BENCH.l, 4)
+        assert str(grid.value) == message
+
+    def test_empty_grid_gives_empty_bounds_and_witnesses(self):
+        empty = np.array([])
+        for scheme, eta in (("A2", 2), ("A1", 1), ("B2", 3)):
+            res = critical_alpha(scheme, eta, empty, 0.5 * empty, BENCH.l, 4)
+            assert [np.shape(a) for a in res] == [(0,), (0,), (0,), (0, 5), (0, 5)]
 
 
 #: ``float.hex`` of ``(closed, lower, upper)`` at rho1 = 0.9 for Q1, Q2 and Q3 on
